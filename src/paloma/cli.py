@@ -36,17 +36,21 @@ class _InputError(Exception):
     pass
 
 
-def _default_bound() -> int:
-    raw = os.environ.get("PALOMA_BOUND")
-    if raw is None:
-        return DEFAULT_BOUND
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise _InputError(f"PALOMA_BOUND must be an integer, got {raw!r}") from None
-    if bound < 1:
-        raise _InputError("PALOMA_BOUND must be at least 1")
-    return bound
+def _bound(given: int | None) -> int:
+    """The state bound from ``--bound``, else PALOMA_BOUND, else the default."""
+    source = "--bound"
+    if given is None:
+        raw = os.environ.get("PALOMA_BOUND")
+        if raw is None:
+            return DEFAULT_BOUND
+        source = "PALOMA_BOUND"
+        try:
+            given = int(raw)
+        except ValueError:
+            raise _InputError(f"PALOMA_BOUND must be an integer, got {raw!r}") from None
+    if given < 1:
+        raise _InputError(f"{source} must be at least 1")
+    return given
 
 
 def _load(path: str) -> tuple[ModelDefinition, list]:
@@ -103,7 +107,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_ctmc(args: argparse.Namespace) -> int:
     defn, _ = _load(args.model)
     system = _system(defn, args.system)
-    bound = args.bound if args.bound is not None else _default_bound()
+    bound = _bound(args.bound)
     try:
         ctmc = build_ctmc(defn.definitions(), system, bound)
     except BoundExceeded as exc:
@@ -184,7 +188,7 @@ def cmd_bisim(args: argparse.Namespace) -> int:
     left = _system(defn, args.left)
     right = _system(defn, args.right)
     context = _system(defn, args.context)
-    bound = args.bound if args.bound is not None else _default_bound()
+    bound = _bound(args.bound)
     if args.mode == "isometry":
         result = bisimilar(defs, left, right, context, bound)
     elif args.mode == "naive":

@@ -15,14 +15,21 @@ cannot be matched within what remains.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
-from .geometry import IDENTITY, Isometry, candidate_isometries, invert
+from .geometry import (
+    ALGEBRAIC_TOL,
+    IDENTITY,
+    Isometry,
+    _match_point,
+    candidate_isometries,
+    invert,
+)
 from .model import (
     ActionId,
     ActionType,
     Definitions,
-    Location,
     ModelComponent,
     SeqComponent,
     action_labels,
@@ -31,21 +38,16 @@ from .model import (
     render_model,
 )
 from .rates import RateQuery, exit_rate
-from .semantics import LiftedStep, component_steps
+from .semantics import LiftedStep, _keyed_component_steps
 
 __all__ = [
     "BisimResult",
     "Counterexample",
-    "RATE_TOL",
     "bisimilar",
     "check_bisim_phi",
     "naive_bisim",
     "recheck_transfer",
 ]
-
-RATE_TOL = 1e-9
-POINT_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -90,15 +92,8 @@ def _model_actions(defs: Definitions) -> list[ActionId]:
                              ActionType.UNICAST_IN)]
 
 
-def _match_point(point: tuple[float, float], defs: Definitions) -> Location | None:
-    for loc in defs.locations.values():
-        if math.dist(point, loc.point) <= POINT_TOL:
-            return loc
-    return None
-
-
 def _rates_close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=RATE_TOL, abs_tol=0.0)
+    return math.isclose(a, b, rel_tol=ALGEBRAIC_TOL, abs_tol=0.0)
 
 
 class _PairChecker:
@@ -114,16 +109,20 @@ class _PairChecker:
         self.bound = bound
         self.same_location = same_location
         self.actions = _model_actions(defs)
-        self._steps_cache: dict[ModelComponent, list[LiftedStep]] = {}
+        self._steps_cache: dict[ModelComponent,
+                                list[tuple[LiftedStep, ModelComponent]]] = {}
 
-    def steps(self, subject: ModelComponent) -> list[LiftedStep]:
+    def steps(self, subject: ModelComponent) -> list[tuple[LiftedStep, ModelComponent]]:
+        """The subject's steps in a fixed order, each with the canonical
+        form of its successor."""
         key = canonical(self.defs, subject)
         cached = self._steps_cache.get(key)
         if cached is None:
+            keyed = _keyed_component_steps(self.defs, self.context, subject)
             cached = sorted(
-                component_steps(self.defs, self.context, subject),
-                key=lambda s: (s.action.text, s.label_text,
-                               render_model(s.successor)))
+                ((step, succ_key) for (_, succ_key), step in keyed.items()),
+                key=lambda pair: (pair[0].action.text, pair[0].label_text,
+                                  render_model(pair[0].successor)))
             self._steps_cache[key] = cached
         return cached
 
@@ -155,8 +154,8 @@ class _PairChecker:
         for action in self.actions:
             for key in sorted(points):
                 point = points[key]
-                left_loc = _match_point(point, self.defs)
-                right_loc = _match_point(self.phi.apply(point), self.defs)
+                left_loc = _match_point(point, self.defs.locations)
+                right_loc = _match_point(self.phi.apply(point), self.defs.locations)
                 lv = 0.0
                 if left_loc is not None:
                     lv = exit_rate(self.defs, RateQuery(
@@ -177,14 +176,14 @@ class _PairChecker:
         """A step one side offers under an action the other side lacks."""
         left_steps = self.steps(left)
         right_steps = self.steps(right)
-        left_actions = {s.action for s in left_steps}
-        right_actions = {s.action for s in right_steps}
-        for step in left_steps:
+        left_actions = {s.action for s, _ in left_steps}
+        right_actions = {s.action for s, _ in right_steps}
+        for step, _ in left_steps:
             if step.action not in right_actions:
                 return Counterexample(
                     "unmatched-transition", render_model(left), render_model(right),
                     action=step.action.text, transition=step.label_text)
-        for step in right_steps:
+        for step, _ in right_steps:
             if step.action not in left_actions:
                 return Counterexample(
                     "unmatched-transition", render_model(left), render_model(right),
@@ -198,14 +197,12 @@ class _PairChecker:
         right_steps = self.steps(right)
 
         def unmatched(steps_a, steps_b, left_first: bool):
-            for sa in steps_a:
+            for sa, key_a in steps_a:
                 hit = False
-                for sb in steps_b:
+                for sb, key_b in steps_b:
                     if sb.action != sa.action:
                         continue
-                    succ_l, succ_r = (sa, sb) if left_first else (sb, sa)
-                    pair = (canonical(self.defs, succ_l.successor),
-                            canonical(self.defs, succ_r.successor))
+                    pair = (key_a, key_b) if left_first else (key_b, key_a)
                     if pair in relation:
                         hit = True
                         break
@@ -226,18 +223,17 @@ class _PairChecker:
         reps: dict[tuple, tuple[ModelComponent, ModelComponent]] = {root: (left, right)}
         left_seen = {root[0]}
         right_seen = {root[1]}
-        queue = [root]
+        queue = deque([root])
         while queue:
-            key = queue.pop(0)
+            key = queue.popleft()
             l_rep, r_rep = reps[key]
             left_steps = self.steps(l_rep)
             right_steps = self.steps(r_rep)
-            for sl in left_steps:
-                for sr in right_steps:
+            for sl, key_l in left_steps:
+                for sr, key_r in right_steps:
                     if sl.action != sr.action:
                         continue
-                    new_key = (canonical(defs, sl.successor),
-                               canonical(defs, sr.successor))
+                    new_key = (key_l, key_r)
                     if new_key in reps:
                         continue
                     left_seen.add(new_key[0])

@@ -122,9 +122,14 @@ def map_location(iso: Isometry, location: Location,
                  tol: float = GEOMETRIC_TOL) -> Location | None:
     """Apply to a location's point and match the image back to a declared
     location, or ``None`` when it lands on undeclared ground."""
-    image = iso.apply(location.point)
+    return _match_point(iso.apply(location.point), declared, tol)
+
+
+def _match_point(point: Point, declared: dict[str, Location],
+                 tol: float = GEOMETRIC_TOL) -> Location | None:
+    """The first declared location within ``tol`` of ``point``, if any."""
     for candidate in declared.values():
-        if math.dist(image, candidate.point) <= tol:
+        if math.dist(point, candidate.point) <= tol:
             return candidate
     return None
 

@@ -323,31 +323,29 @@ def struct_equiv(defs: Definitions,
 
 def choice_leaves(defs: Definitions, comp: SeqComponent) -> Iterator[PrefixGuarded]:
     """The prefix-guarded alternatives of an agent, left to right."""
-    return iter(_leaves_in_order(defs.resolve(comp)))
+    return iter(_syntactic_leaves(defs.resolve(comp)))
 
 
-def _leaves_in_order(comp: SeqComponent) -> list[PrefixGuarded]:
-    body = comp.body
-    if isinstance(body, Choice):
-        return _leaves_in_order(body.left) + _leaves_in_order(body.right)
-    if isinstance(body, PrefixGuarded):
-        return [body]
-    raise ModelError("unresolved constant in canonical form")
+def _syntactic_leaves(comp: SeqComponent) -> list[PrefixGuarded]:
+    """The prefix-guarded alternatives written in ``comp``'s choice tree,
+    left to right; constant references are skipped, not resolved."""
+    leaves: list[PrefixGuarded] = []
+    stack = [comp]
+    while stack:
+        body = stack.pop().body
+        if isinstance(body, Choice):
+            stack.append(body.right)
+            stack.append(body.left)
+        elif isinstance(body, PrefixGuarded):
+            leaves.append(body)
+    return leaves
 
 
 def action_labels(defs: Definitions) -> list[str]:
     """Every action label mentioned by the model's equations, sorted."""
-    labels: set[str] = set()
-    for body in defs.equations.values():
-        stack: list[SeqComponent] = [body]
-        while stack:
-            inner = stack.pop().body
-            if isinstance(inner, PrefixGuarded):
-                labels.add(inner.prefix.label)
-            elif isinstance(inner, Choice):
-                stack.append(inner.left)
-                stack.append(inner.right)
-    return sorted(labels)
+    return sorted({leaf.prefix.label
+                   for body in defs.equations.values()
+                   for leaf in _syntactic_leaves(body)})
 
 
 def format_number(value: float) -> str:

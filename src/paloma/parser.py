@@ -32,6 +32,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from .geometry import GEOMETRIC_TOL, _match_point
 from .model import (
     BroadcastIn,
     BroadcastOut,
@@ -46,6 +47,7 @@ from .model import (
     Spontaneous,
     UnicastIn,
     UnicastOut,
+    _syntactic_leaves,
     choice_leaves,
     format_number,
     render_seq,
@@ -439,15 +441,18 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
     def warn(message: str) -> None:
         out.append(Diagnostic("warning", message, 0, 0))
 
-    # Location coordinates must be pairwise distinct so that geometric
-    # matching of locations back to names stays unambiguous.
-    by_point: dict[tuple[float, float], str] = {}
+    # Locations must lie further apart than the tolerance of geometric
+    # matching, so that matching points back to names stays unambiguous.
+    placed: dict[str, Location] = {}
     for name, loc in definition.locations.items():
-        if loc.point in by_point:
-            err(f"locations {by_point[loc.point]!r} and {name!r} share coordinates "
-                f"{loc.point}")
+        other = _match_point(loc.point, placed)
+        if other is None:
+            placed[name] = loc
+        elif other.point == loc.point:
+            err(f"locations {other.name!r} and {name!r} share coordinates {loc.point}")
         else:
-            by_point[loc.point] = name
+            err(f"locations {other.name!r} and {name!r} lie within {GEOMETRIC_TOL:g} "
+                f"of each other: {other.point} and {loc.point}")
 
     # An equation's body lives at the equation's own location; in particular
     # an alias may not silently relocate the agent.
@@ -523,15 +528,6 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
                     warn(f"{name}({locname}): unicast !!{prefix.label} has no possible "
                          "receiver anywhere in its influence range")
     return out
-
-
-def _syntactic_leaves(comp: SeqComponent) -> list[PrefixGuarded]:
-    body = comp.body
-    if isinstance(body, Choice):
-        return _syntactic_leaves(body.left) + _syntactic_leaves(body.right)
-    if isinstance(body, PrefixGuarded):
-        return [body]
-    return []
 
 
 def pretty_print(definition: ModelDefinition) -> str:

@@ -13,7 +13,7 @@ through the model's defining equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .model import (
     ActionId,
@@ -25,6 +25,7 @@ from .model import (
     Location,
     ModelComponent,
     ModelError,
+    PrefixGuarded,
     SeqComponent,
     Spontaneous,
     UnicastIn,
@@ -88,8 +89,11 @@ def receive_weight(defs: Definitions,
     return sum(receive_weight(defs, part, label) for part in subject)
 
 
-def _single_input(defs: Definitions, comp: SeqComponent, label: str, input_type):
-    matches = [leaf.prefix for leaf in choice_leaves(defs, comp)
+def _single_input(defs: Definitions, comp: SeqComponent, label: str,
+                  input_type) -> PrefixGuarded | None:
+    """The agent's one alternative guarded by an ``input_type`` prefix on
+    ``label``, if any."""
+    matches = [leaf for leaf in choice_leaves(defs, comp)
                if isinstance(leaf.prefix, input_type) and leaf.prefix.label == label]
     if len(matches) > 1:
         raise ModelError(
@@ -100,14 +104,33 @@ def _single_input(defs: Definitions, comp: SeqComponent, label: str, input_type)
 
 def unicast_act_prob(defs: Definitions, comp: SeqComponent, label: str) -> float:
     """Probability that the agent acts on a received unicast ``label``."""
-    prefix = _single_input(defs, comp, label, UnicastIn)
-    return prefix.act_prob if prefix is not None else 0.0
+    leaf = _single_input(defs, comp, label, UnicastIn)
+    return leaf.prefix.act_prob if leaf is not None else 0.0
 
 
 def broadcast_act_prob(defs: Definitions, comp: SeqComponent, label: str) -> float:
     """Probability that the agent receives and acts on broadcast ``label``."""
-    prefix = _single_input(defs, comp, label, BroadcastIn)
-    return prefix.act_prob * prefix.recv_prob if prefix is not None else 0.0
+    leaf = _single_input(defs, comp, label, BroadcastIn)
+    return leaf.prefix.act_prob * leaf.prefix.recv_prob if leaf is not None else 0.0
+
+
+def _sends_to(defs: Definitions, senders: ModelComponent, prefix_type,
+              label: str, target: Location) -> Iterator[UnicastOut | BroadcastOut]:
+    """Output prefixes of ``prefix_type`` on ``label`` among ``senders``
+    whose range covers ``target``, in written order."""
+    for member in senders:
+        for leaf in choice_leaves(defs, member):
+            prefix = leaf.prefix
+            if (isinstance(prefix, prefix_type) and prefix.label == label
+                    and target in prefix.influence):
+                yield prefix
+
+
+def _receiver_pool(defs: Definitions, system: ModelComponent,
+                   influence: Iterable[Location], label: str) -> float:
+    """Receive weight on ``label`` of every agent of ``system`` within
+    ``influence``; a sender that listens on its own label counts too."""
+    return receive_weight(defs, seq_in(system, influence), label)
 
 
 def unicast_cap_rate(defs: Definitions, target: Location,
@@ -115,10 +138,7 @@ def unicast_cap_rate(defs: Definitions, target: Location,
     """Rate at which the agent is capable of unicasting ``label`` so that it
     reaches ``target``; each alternative counts only if its own range covers
     the target."""
-    return sum(leaf.prefix.rate for leaf in choice_leaves(defs, comp)
-               if isinstance(leaf.prefix, UnicastOut)
-               and leaf.prefix.label == label
-               and target in leaf.prefix.influence)
+    return sum(prefix.rate for prefix in _sends_to(defs, (comp,), UnicastOut, label, target))
 
 
 def unicast_system_rate(defs: Definitions, target: Location,
@@ -129,14 +149,9 @@ def unicast_system_rate(defs: Definitions, target: Location,
     agent of the whole system carries receive weight within its range."""
     system = context + part
     total = 0.0
-    for member in part:
-        for leaf in choice_leaves(defs, member):
-            prefix = leaf.prefix
-            if (isinstance(prefix, UnicastOut) and prefix.label == label
-                    and target in prefix.influence):
-                pool = receive_weight(defs, seq_in(system, prefix.influence), label)
-                if pool > 0.0:
-                    total += prefix.rate
+    for prefix in _sends_to(defs, part, UnicastOut, label, target):
+        if _receiver_pool(defs, system, prefix.influence, label) > 0.0:
+            total += prefix.rate
     return total
 
 
@@ -150,7 +165,7 @@ def unicast_receive_prob(defs: Definitions, receiver: SeqComponent,
     if receiver.location not in influence:
         return 0.0
     own = receive_weight(defs, receiver, label)
-    pool = receive_weight(defs, seq_in(context + (receiver,), influence), label)
+    pool = _receiver_pool(defs, context + (receiver,), influence, label)
     if pool <= 0.0:
         return 0.0
     return own / pool
@@ -161,12 +176,8 @@ def broadcast_system_rate(defs: Definitions, target: Location,
     """Total rate at which ``context`` broadcasts ``label`` reaching
     ``target``. Broadcast never blocks, so no receiver check is needed."""
     total = 0.0
-    for member in context:
-        for leaf in choice_leaves(defs, member):
-            prefix = leaf.prefix
-            if (isinstance(prefix, BroadcastOut) and prefix.label == label
-                    and target in prefix.influence):
-                total += prefix.rate
+    for prefix in _sends_to(defs, context, BroadcastOut, label, target):
+        total += prefix.rate
     return total
 
 
@@ -240,12 +251,8 @@ def _agent_exit_rate(defs: Definitions, action: ActionId,
         return 0.0
     system = context + (comp,)
     total = 0.0
-    for sender in context:
-        for leaf in choice_leaves(defs, sender):
-            prefix = leaf.prefix
-            if (isinstance(prefix, UnicastOut) and prefix.label == label
-                    and comp.location in prefix.influence):
-                pool = receive_weight(defs, seq_in(system, prefix.influence), label)
-                if pool > 0.0:
-                    total += prefix.rate * (own / pool) * act
+    for prefix in _sends_to(defs, context, UnicastOut, label, comp.location):
+        pool = _receiver_pool(defs, system, prefix.influence, label)
+        if pool > 0.0:
+            total += prefix.rate * (own / pool) * act
     return total

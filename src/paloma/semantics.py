@@ -27,21 +27,19 @@ from .model import (
     ActionId,
     ActionType,
     BroadcastIn,
-    BroadcastOut,
     Definitions,
     Location,
     ModelComponent,
     ModelError,
     SeqComponent,
-    Spontaneous,
     UnicastIn,
-    UnicastOut,
     choice_leaves,
     canonical,
+    prefix_action,
+    remove_at,
     render_model,
-    seq_in,
 )
-from .rates import receive_weight
+from .rates import _receiver_pool, _single_input
 
 __all__ = [
     "BoundExceeded",
@@ -96,6 +94,11 @@ class StochLabel:
         return ActionId(self.kind, self.label).text
 
 
+# the input type that receives each output type
+_INPUT_OF = {ActionType.BROADCAST_OUT: ActionType.BROADCAST_IN,
+             ActionType.UNICAST_OUT: ActionType.UNICAST_IN}
+
+
 class Continuation:
     """Finite-support map from successor systems to probabilities or rates.
 
@@ -146,50 +149,65 @@ def _continue_as(cont) -> SeqComponent:
     return SeqComponent(cont, cont.location)
 
 
-def _broadcast_branches(defs: Definitions, agent: SeqComponent,
-                        label: CapLabel) -> list[tuple[SeqComponent, float, bool]]| None:
-    """Receive/stay branches of one agent facing a broadcast offer."""
+def _branches(defs: Definitions, agent: SeqComponent,
+              label: CapLabel) -> list[tuple[SeqComponent, float, bool]] | None:
+    """Acted/stayed branches of one agent facing an input offer, or ``None``
+    when it cannot take part. A broadcast listener acts with probability
+    p·q; a unicast listener is selected with its weight's share of the
+    receiver pool and then acts with probability p."""
     if agent.location not in label.influence:
         return None
-    matches = [leaf for leaf in choice_leaves(defs, agent)
-               if isinstance(leaf.prefix, BroadcastIn) and leaf.prefix.label == label.label]
-    if not matches:
+    broadcast = label.kind is ActionType.BROADCAST_IN
+    leaf = _single_input(defs, agent, label.label, BroadcastIn if broadcast else UnicastIn)
+    if leaf is None:
         return None
-    if len(matches) > 1:
-        raise ModelError(f"agent has several ?{label.label} inputs in one choice")
-    prefix = matches[0].prefix
-    acted = prefix.act_prob * prefix.recv_prob
+    prefix = leaf.prefix
+    if broadcast:
+        share, acted = 1.0, prefix.act_prob * prefix.recv_prob
+    else:
+        pool = _receiver_pool(defs, label.context, label.influence, label.label)
+        if pool <= 0.0:
+            return None
+        share, acted = prefix.weight / pool, prefix.act_prob
     branches = []
     if acted > 0.0:
-        branches.append((_continue_as(matches[0].continuation), acted, True))
+        branches.append((_continue_as(leaf.continuation), share * acted, True))
     if acted < 1.0:
-        branches.append((agent, 1.0 - acted, False))
+        branches.append((agent, share * (1.0 - acted), False))
     return branches
 
 
-def _unicast_branches(defs: Definitions, agent: SeqComponent,
-                      label: CapLabel) -> list[tuple[SeqComponent, float, bool]]| None:
-    """Selected-and-acted/selected-but-dropped branches of a unicast offer."""
-    if agent.location not in label.influence:
+def _joint_outcomes(defs: Definitions, system: ModelComponent, label: CapLabel,
+                    sender: int | None = None
+                    ) -> list[tuple[dict[int, SeqComponent], float]] | None:
+    """Joint outcomes of an input offer over the agents of ``system`` other
+    than ``sender``, as ``(changes, mass)`` pairs; ``changes`` maps each
+    position that received and acted to its successor.
+
+    Broadcast yields the product over the in-range listeners, unicast one
+    alternative per branch of each selectable receiver. ``None`` when no
+    agent can take the offer.
+    """
+    per_agent = []
+    for j, agent in enumerate(system):
+        if j != sender:
+            branches = _branches(defs, agent, label)
+            if branches is not None:
+                per_agent.append((j, branches))
+    if not per_agent:
         return None
-    matches = [leaf for leaf in choice_leaves(defs, agent)
-               if isinstance(leaf.prefix, UnicastIn) and leaf.prefix.label == label.label]
-    if not matches:
-        return None
-    if len(matches) > 1:
-        raise ModelError(f"agent has several ??{label.label} inputs in one choice")
-    prefix = matches[0].prefix
-    pool = receive_weight(defs, seq_in(label.context, label.influence), label.label)
-    if pool <= 0.0:
-        return None
-    share = prefix.weight / pool
-    branches = []
-    if prefix.act_prob > 0.0:
-        branches.append((_continue_as(matches[0].continuation),
-                         share * prefix.act_prob, True))
-    if prefix.act_prob < 1.0:
-        branches.append((agent, share * (1.0 - prefix.act_prob), False))
-    return branches
+    if label.kind is ActionType.UNICAST_IN:
+        return [({j: succ} if acted else {}, mass)
+                for j, branches in per_agent for succ, mass, acted in branches]
+    joint: list[tuple[dict[int, SeqComponent], float]] = [({}, 1.0)]
+    for j, branches in per_agent:
+        joint = [({**changes, j: succ} if acted else changes, mass * m)
+                 for changes, mass in joint for succ, m, acted in branches]
+    return joint
+
+
+def _apply(system: ModelComponent, changes: dict[int, SeqComponent]) -> ModelComponent:
+    return tuple(changes.get(k, part) for k, part in enumerate(system))
 
 
 def cap_step(defs: Definitions, subject: ModelComponent | SeqComponent,
@@ -201,37 +219,11 @@ def cap_step(defs: Definitions, subject: ModelComponent | SeqComponent,
     (non-listeners keep probability one of staying) and to unicast with one
     alternative per agent that could be selected.
     """
-    if isinstance(subject, SeqComponent):
-        branch_fn = (_broadcast_branches if label.kind is ActionType.BROADCAST_IN
-                     else _unicast_branches)
-        branches = branch_fn(defs, subject, label)
-        if branches is None:
-            return None
-        return Continuation(defs, [((succ,), mass) for succ, mass, _ in branches])
-
-    if label.kind is ActionType.BROADCAST_IN:
-        per_agent = [_broadcast_branches(defs, agent, label) for agent in subject]
-        if all(branches is None for branches in per_agent):
-            return None
-        # product measure, folded pairwise over the composition
-        acc: list[tuple[tuple[SeqComponent, ...], float]] = [((), 1.0)]
-        for agent, branches in zip(subject, per_agent):
-            options = branches if branches is not None else [(agent, 1.0, False)]
-            acc = [(done + (succ,), mass * m)
-                   for done, mass in acc for succ, m, _ in options]
-        return Continuation(defs, [(state, mass) for state, mass in acc])
-
-    per_agent = [_unicast_branches(defs, agent, label) for agent in subject]
-    if all(branches is None for branches in per_agent):
+    part = _as_component(subject)
+    joint = _joint_outcomes(defs, part, label)
+    if joint is None:
         return None
-    continuation = Continuation(defs)
-    for j, branches in enumerate(per_agent):
-        if branches is None:
-            continue
-        for succ, mass, _ in branches:
-            state = subject[:j] + (succ,) + subject[j + 1:]
-            continuation.add(state, mass)
-    return continuation
+    return Continuation(defs, [(_apply(part, changes), mass) for changes, mass in joint])
 
 
 @dataclass(frozen=True)
@@ -261,73 +253,29 @@ def derivations(defs: Definitions, system: ModelComponent) -> list[Derivation]:
     for i, agent in enumerate(system):
         for leaf in choice_leaves(defs, agent):
             prefix = leaf.prefix
+            if isinstance(prefix, (BroadcastIn, UnicastIn)):
+                continue
+            kind = prefix_action(prefix).act_type
+            if kind is ActionType.SPONTANEOUS:
+                label = StochLabel(kind, prefix.label, frozenset(), system)
+                joint = [({}, 1.0)]
+            else:
+                label = StochLabel(kind, prefix.label, prefix.influence, system)
+                offer = CapLabel(_INPUT_OF[kind], prefix.label, prefix.influence, system)
+                joint = _joint_outcomes(defs, system, offer, i)
+                if joint is None:
+                    # broadcast never blocks, so the sender acts alone; a
+                    # unicast sender with nobody selectable is blocked
+                    joint = [({}, 1.0)] if kind is ActionType.BROADCAST_OUT else []
             mover = _continue_as(leaf.continuation)
-
-            if isinstance(prefix, Spontaneous):
-                label = StochLabel(ActionType.SPONTANEOUS, prefix.label,
-                                   frozenset(), system)
-                succ = system[:i] + (mover,) + system[i + 1:]
-                out.append(Derivation(label, i, mover,
-                                      (Step(succ, prefix.rate, frozenset()),)))
-
-            elif isinstance(prefix, BroadcastOut):
-                label = StochLabel(ActionType.BROADCAST_OUT, prefix.label,
-                                   prefix.influence, system)
-                offer = CapLabel(ActionType.BROADCAST_IN, prefix.label,
-                                 prefix.influence, system)
-                # fold the independent listener decisions into joint outcomes
-                joint: list[tuple[dict[int, SeqComponent], frozenset[int], float]]
-                joint = [({}, frozenset(), 1.0)]
-                for j, other in enumerate(system):
-                    if j == i:
-                        continue
-                    branches = _broadcast_branches(defs, other, offer)
-                    if branches is None:
-                        continue
-                    extended = []
-                    for changes, received, mass in joint:
-                        for succ_j, m, acted in branches:
-                            new_changes = dict(changes)
-                            new_received = received
-                            if acted:
-                                new_changes[j] = succ_j
-                                new_received = received | {j}
-                            extended.append((new_changes, new_received, mass * m))
-                    joint = extended
-                steps = []
-                for changes, received, mass in joint:
-                    changes[i] = mover
-                    succ = tuple(changes.get(k, part) for k, part in enumerate(system))
-                    rate = prefix.rate * mass
-                    if rate > 0.0:
-                        steps.append(Step(succ, rate, received))
+            steps = []
+            for changes, mass in joint:
+                rate = prefix.rate * mass
+                if rate > 0.0:
+                    steps.append(Step(_apply(system, {**changes, i: mover}), rate,
+                                      frozenset(changes)))
+            if steps:
                 out.append(Derivation(label, i, mover, tuple(steps)))
-
-            elif isinstance(prefix, UnicastOut):
-                label = StochLabel(ActionType.UNICAST_OUT, prefix.label,
-                                   prefix.influence, system)
-                offer = CapLabel(ActionType.UNICAST_IN, prefix.label,
-                                 prefix.influence, system)
-                steps = []
-                for j, other in enumerate(system):
-                    if j == i:
-                        continue
-                    branches = _unicast_branches(defs, other, offer)
-                    if branches is None:
-                        continue
-                    for succ_j, mass, acted in branches:
-                        changes = {i: mover}
-                        received: frozenset[int] = frozenset()
-                        if acted:
-                            changes[j] = succ_j
-                            received = frozenset({j})
-                        succ = tuple(changes.get(k, part) for k, part in enumerate(system))
-                        rate = prefix.rate * mass
-                        if rate > 0.0:
-                            steps.append(Step(succ, rate, received))
-                if steps:
-                    # blocked senders, with nobody selectable, yield nothing
-                    out.append(Derivation(label, i, mover, tuple(steps)))
     return out
 
 
@@ -379,18 +327,23 @@ def build_ctmc(defs: Definitions, initial: ModelComponent, bound: int) -> Ctmc:
     while queue:
         src = queue.popleft()
         for derivation in derivations(defs, states[src]):
-            for state, rate in derivation.continuation(defs).items():
-                key = canonical(defs, state)
+            # sum per target within the derivation before adding to the edge,
+            # so each edge adds its derivations' continuation totals
+            into: dict[int, float] = {}
+            for step in derivation.steps:
+                key = canonical(defs, step.successor)
                 dst = index.get(key)
                 if dst is None:
                     if len(states) + 1 > bound:
                         raise BoundExceeded(len(states) + 1, bound)
                     dst = len(states)
                     index[key] = dst
-                    states.append(state)
+                    states.append(step.successor)
                     queue.append(dst)
-                edge = (src, dst, derivation.label.kind, derivation.label.label,
-                        derivation.label.influence)
+                into[dst] = into.get(dst, 0.0) + step.rate
+            label = derivation.label
+            for dst, rate in into.items():
+                edge = (src, dst, label.kind, label.label, label.influence)
                 edges[edge] = edges.get(edge, 0.0) + rate
     transitions = [
         Transition(src, dst, rate, kind, label, influence)
@@ -407,25 +360,9 @@ def agent_steps(defs: Definitions, system: ModelComponent,
     each with the agent's successor. Senders appear under their own output
     type, successful receivers under the matching input type; failed
     receptions are not actions."""
-    if not 0 <= position < len(system):
-        raise ModelError(f"position {position} out of range 0..{len(system) - 1}")
-    found: dict[tuple[ActionId, ModelComponent], tuple[ActionId, SeqComponent]] = {}
-
-    def record(action: ActionId, succ: SeqComponent) -> None:
-        key = (action, canonical(defs, (succ,)))
-        found.setdefault(key, (action, succ))
-
-    in_type = {ActionType.BROADCAST_OUT: ActionType.BROADCAST_IN,
-               ActionType.UNICAST_OUT: ActionType.UNICAST_IN}
-    for derivation in derivations(defs, system):
-        if derivation.sender == position:
-            record(ActionId(derivation.label.kind, derivation.label.label),
-                   derivation.sender_succ)
-        for step in derivation.steps:
-            if position in step.received:
-                record(ActionId(in_type[derivation.label.kind], derivation.label.label),
-                       step.successor[position])
-    return set(found.values())
+    context = remove_at(system, position)
+    return {(step.action, step.successor[0])
+            for step in component_steps(defs, context, system[position])}
 
 
 @dataclass(frozen=True)
@@ -447,28 +384,31 @@ def component_steps(defs: Definitions, context: ModelComponent,
     hold, each contributing its own action identifier over the same
     successor. Context-only activity is not a subject step.
     """
+    return set(_keyed_component_steps(defs, context, subject).values())
+
+
+def _keyed_component_steps(defs: Definitions, context: ModelComponent,
+                           subject: ModelComponent | SeqComponent
+                           ) -> dict[tuple[ActionId, ModelComponent], LiftedStep]:
+    """``component_steps``, each keyed by its action and the canonical form
+    of its successor."""
     part = _as_component(subject)
     offset = len(context)
-    combined = context + part
-    in_type = {ActionType.BROADCAST_OUT: ActionType.BROADCAST_IN,
-               ActionType.UNICAST_OUT: ActionType.UNICAST_IN}
     found: dict[tuple[ActionId, ModelComponent], LiftedStep] = {}
-
-    def record(action: ActionId, text: str, succ: ModelComponent) -> None:
-        key = (action, canonical(defs, succ))
-        found.setdefault(key, LiftedStep(action, text, succ))
-
-    for derivation in derivations(defs, combined):
-        text = derivation.label.text
+    for derivation in derivations(defs, context + part):
+        label = derivation.label
         for step in derivation.steps:
-            succ_subject = step.successor[offset:]
+            actions = []
             if derivation.sender >= offset:
-                record(ActionId(derivation.label.kind, derivation.label.label),
-                       text, succ_subject)
+                actions.append(ActionId(label.kind, label.label))
             if any(j >= offset for j in step.received):
-                record(ActionId(in_type[derivation.label.kind], derivation.label.label),
-                       text, succ_subject)
-    return set(found.values())
+                actions.append(ActionId(_INPUT_OF[label.kind], label.label))
+            if actions:
+                succ = step.successor[offset:]
+                key = canonical(defs, succ)
+                for action in actions:
+                    found.setdefault((action, key), LiftedStep(action, label.text, succ))
+    return found
 
 
 # -- exports ----------------------------------------------------------------

@@ -225,6 +225,25 @@ def test_bisim_bound_inconclusive(scenario_path):
     assert "verdict: inconclusive" in proc.stdout
 
 
+@pytest.mark.parametrize("model, argv", [
+    ("scenario_path", ("bisim", "--left", "Scenario1", "--right", "Scenario2",
+                       "--bound", "0")),
+    ("scenario_path", ("bisim", "--left", "Scenario1", "--right", "Scenario2",
+                       "--bound", "-3")),
+    ("blocking_path", ("bisim", "--left", "T", "--right", "R", "--mode", "naive",
+                       "--bound", "0")),
+    ("scenario_path", ("bisim", "--left", "Scenario1", "--right", "Scenario2",
+                       "--mode", "fixed-phi", "--matrix=-1,0,0,1", "--offset", "0,0",
+                       "--bound", "0")),
+    ("scenario_path", ("ctmc", "--system", "Scenario1", "--bound", "0")),
+])
+def test_bound_below_one_is_an_input_error(request, model, argv):
+    proc = run_cli(argv[0], request.getfixturevalue(model), *argv[1:])
+    assert proc.returncode == 2
+    assert "at least 1" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_outputs_are_stable_across_hash_seeds(scenario_path, blocking_path):
     first = run_cli("ctmc", scenario_path, "--system", "Scenario1",
                     env={"PYTHONHASHSEED": "1"})

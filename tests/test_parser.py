@@ -153,6 +153,20 @@ def test_validate_rejects_duplicate_coordinates():
     assert any("share coordinates" in d.message for d in errors(diags))
 
 
+def test_validate_rejects_locations_within_geometric_tolerance():
+    # points this close match each other's names in bisimulation reports
+    source = """
+    location a = (0.0, 0.0);
+    location b = (1e-7, 0.0);
+    T(a) := (tick, 1.0).T(a);
+    system Main = T(a);
+    """
+    result = parse_model(source)
+    assert result.ok
+    messages = [d.message for d in errors(validate(result.definition))]
+    assert any("'a' and 'b'" in m and "within 1e-06" in m for m in messages)
+
+
 def test_validate_warns_on_certainly_blocked_unicast():
     source = """
     location l1 = (0.0, 0.0);

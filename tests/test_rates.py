@@ -412,3 +412,28 @@ def test_choice_linearity_of_syntactic_functions():
                     fn(defs, summed, label) == fn(defs, a, label) + fn(defs, b, label))
             assert unicast_cap_rate(defs, loc, summed, label) == (
                 unicast_cap_rate(defs, loc, a, label) + unicast_cap_rate(defs, loc, b, label))
+
+
+def test_rate_layer_agrees_with_ctmc_derivations():
+    # The rate layer and the semantics share one unicast pool rule. On every
+    # reachable state, the spontaneous and broadcast totals and the rate of
+    # successful unicast receptions in the derivations must equal the exit
+    # rates of the whole state in the empty context.
+    from paloma.model import ActionType
+    from paloma.semantics import build_ctmc, derivations
+
+    positive = {"m0": 0, "!m0": 0, "??m0": 0}
+    for seed in range(60):
+        defn = random_model(random.Random(seed), max_agents=4, n_labels=1)
+        defs = defn.definitions()
+        for state in build_ctmc(defs, defn.systems["Main"], 5000).states:
+            found = derivations(defs, state)
+            for text, kind, received_only in (("m0", ActionType.SPONTANEOUS, False),
+                                              ("!m0", ActionType.BROADCAST_OUT, False),
+                                              ("??m0", ActionType.UNICAST_OUT, True)):
+                engine = sum(step.rate for d in found if d.label.kind is kind
+                             for step in d.steps if step.received or not received_only)
+                rate = exit_rate(defs, RateQuery(A(text), state, EMPTY))
+                assert math.isclose(rate, engine, rel_tol=1e-9), (seed, text)
+                positive[text] += rate > 0.0
+    assert min(positive.values()) >= 200, positive
