@@ -30,10 +30,12 @@ from .model import (
     ActionId,
     ActionType,
     Definitions,
+    Location,
     ModelComponent,
     SeqComponent,
+    StateKey,
+    _state_key,
     action_labels,
-    canonical,
     locations_of,
     render_model,
 )
@@ -96,8 +98,15 @@ def _rates_close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=ALGEBRAIC_TOL, abs_tol=0.0)
 
 
+# A pair of side states: their keys, and the terms that represent them.
+PairKey = tuple[StateKey, StateKey]
+PairRep = tuple[ModelComponent, ModelComponent]
+
+
 class _PairChecker:
-    """Shared engine behind the bisimilarity checks."""
+    """Shared engine behind the bisimilarity checks. Pairs are keyed by the
+    two sides' state keys; each pair keeps the first representative terms
+    seen, for display."""
 
     def __init__(self, defs: Definitions, context: ModelComponent,
                  phi: Isometry, bound: int,
@@ -109,26 +118,46 @@ class _PairChecker:
         self.bound = bound
         self.same_location = same_location
         self.actions = _model_actions(defs)
-        self._steps_cache: dict[ModelComponent,
-                                list[tuple[LiftedStep, ModelComponent]]] = {}
+        self._steps_cache: dict[StateKey, tuple[
+            list[tuple[LiftedStep, StateKey]],
+            dict[ActionId, list[tuple[LiftedStep, StateKey]]]]] = {}
+        self._rates: dict[tuple[StateKey, int, str | None], float] = {}
 
-    def steps(self, subject: ModelComponent) -> list[tuple[LiftedStep, ModelComponent]]:
-        """The subject's steps in a fixed order, each with the canonical
-        form of its successor."""
-        key = canonical(self.defs, subject)
+    def steps(self, key: StateKey, subject: ModelComponent
+              ) -> tuple[list[tuple[LiftedStep, StateKey]],
+                         dict[ActionId, list[tuple[LiftedStep, StateKey]]]]:
+        """The steps of the state ``key`` (represented by ``subject``) in a
+        fixed order, each with its successor's key; and the same steps
+        grouped by action."""
         cached = self._steps_cache.get(key)
         if cached is None:
             keyed = _keyed_component_steps(self.defs, self.context, subject)
-            cached = sorted(
+            ordered = sorted(
                 ((step, succ_key) for (_, succ_key), step in keyed.items()),
                 key=lambda pair: (pair[0].action.text, pair[0].label_text,
                                   render_model(pair[0].successor)))
-            self._steps_cache[key] = cached
+            by_action: dict[ActionId, list[tuple[LiftedStep, StateKey]]] = {}
+            for entry in ordered:
+                by_action.setdefault(entry[0].action, []).append(entry)
+            cached = self._steps_cache[key] = (ordered, by_action)
         return cached
 
-    def rate_failure(self, left: ModelComponent,
-                     right: ModelComponent) -> Counterexample | None:
+    def _exit_rate(self, key: StateKey, subject: ModelComponent, index: int,
+                   location: Location | None) -> float:
+        """Exit rate of the ``index``-th model action by ``subject`` at
+        ``location``, or in total for ``None``. It depends on the state only
+        through its key, so each is computed once per checker."""
+        memo = (key, index, None if location is None else location.name)
+        rate = self._rates.get(memo)
+        if rate is None:
+            where = None if location is None else frozenset({location})
+            rate = self._rates[memo] = exit_rate(self.defs, RateQuery(
+                self.actions[index], subject, self.context, where))
+        return rate
+
+    def rate_failure(self, key: PairKey, rep: PairRep) -> Counterexample | None:
         """First violated rate condition at this pair, if any."""
+        (left_key, right_key), (left, right) = key, rep
         if self.same_location:
             left_locs = sorted(l.name for l in locations_of(left))
             right_locs = sorted(l.name for l in locations_of(right))
@@ -136,9 +165,9 @@ class _PairChecker:
                 return Counterexample(
                     "location-mismatch", render_model(left), render_model(right),
                     location=f"{left_locs} vs {right_locs}")
-            for action in self.actions:
-                lv = exit_rate(self.defs, RateQuery(action, left, self.context))
-                rv = exit_rate(self.defs, RateQuery(action, right, self.context))
+            for index, action in enumerate(self.actions):
+                lv = self._exit_rate(left_key, left, index, None)
+                rv = self._exit_rate(right_key, right, index, None)
                 if not _rates_close(lv, rv):
                     return Counterexample(
                         "rate-mismatch", render_model(left), render_model(right),
@@ -151,19 +180,17 @@ class _PairChecker:
         for loc in sorted(locations_of(right), key=lambda l: l.name):
             pre = self.phi_inv.apply(loc.point)
             points.setdefault(tuple(round(c, 9) for c in pre), pre)
-        for action in self.actions:
-            for key in sorted(points):
-                point = points[key]
-                left_loc = _match_point(point, self.defs.locations)
-                right_loc = _match_point(self.phi.apply(point), self.defs.locations)
+        matched = [(points[p], _match_point(points[p], self.defs.locations),
+                    _match_point(self.phi.apply(points[p]), self.defs.locations))
+                   for p in sorted(points)]
+        for index, action in enumerate(self.actions):
+            for point, left_loc, right_loc in matched:
                 lv = 0.0
                 if left_loc is not None:
-                    lv = exit_rate(self.defs, RateQuery(
-                        action, left, self.context, frozenset({left_loc})))
+                    lv = self._exit_rate(left_key, left, index, left_loc)
                 rv = 0.0
                 if right_loc is not None:
-                    rv = exit_rate(self.defs, RateQuery(
-                        action, right, self.context, frozenset({right_loc})))
+                    rv = self._exit_rate(right_key, right, index, right_loc)
                 if not _rates_close(lv, rv):
                     where = left_loc.name if left_loc is not None else f"{point}"
                     return Counterexample(
@@ -171,73 +198,74 @@ class _PairChecker:
                         action=action.text, location=where, values=(lv, rv))
         return None
 
-    def action_gap(self, left: ModelComponent,
-                   right: ModelComponent) -> Counterexample | None:
+    def action_gap(self, key: PairKey, rep: PairRep) -> Counterexample | None:
         """A step one side offers under an action the other side lacks."""
-        left_steps = self.steps(left)
-        right_steps = self.steps(right)
-        left_actions = {s.action for s, _ in left_steps}
-        right_actions = {s.action for s, _ in right_steps}
+        left_steps, left_actions = self.steps(key[0], rep[0])
+        right_steps, right_actions = self.steps(key[1], rep[1])
         for step, _ in left_steps:
             if step.action not in right_actions:
                 return Counterexample(
-                    "unmatched-transition", render_model(left), render_model(right),
+                    "unmatched-transition", render_model(rep[0]), render_model(rep[1]),
                     action=step.action.text, transition=step.label_text)
         for step, _ in right_steps:
             if step.action not in left_actions:
                 return Counterexample(
-                    "unmatched-transition", render_model(left), render_model(right),
+                    "unmatched-transition", render_model(rep[0]), render_model(rep[1]),
                     action=step.action.text, transition=step.label_text)
         return None
 
-    def transfer_failure(self, left: ModelComponent, right: ModelComponent,
-                         relation: set) -> Counterexample | None:
+    def transfer_failure(self, key: PairKey, rep: PairRep,
+                         relation: set[PairKey]) -> Counterexample | None:
         """A step on either side that the other cannot match into ``relation``."""
-        left_steps = self.steps(left)
-        right_steps = self.steps(right)
+        left_steps, left_by_action = self.steps(key[0], rep[0])
+        right_steps, right_by_action = self.steps(key[1], rep[1])
 
-        def unmatched(steps_a, steps_b, left_first: bool):
+        def unmatched(steps_a, by_action_b, left_first: bool):
             for sa, key_a in steps_a:
-                hit = False
-                for sb, key_b in steps_b:
-                    if sb.action != sa.action:
-                        continue
+                for _, key_b in by_action_b.get(sa.action, ()):
                     pair = (key_a, key_b) if left_first else (key_b, key_a)
                     if pair in relation:
-                        hit = True
                         break
-                if not hit:
+                else:
                     return Counterexample(
-                        "unmatched-transition", render_model(left), render_model(right),
+                        "unmatched-transition", render_model(rep[0]), render_model(rep[1]),
                         action=sa.action.text, transition=sa.label_text)
             return None
 
-        failure = unmatched(left_steps, right_steps, left_first=True)
+        failure = unmatched(left_steps, right_by_action, left_first=True)
         if failure is not None:
             return failure
-        return unmatched(right_steps, left_steps, left_first=False)
+        return unmatched(right_steps, left_by_action, left_first=False)
 
     def run(self, left: ModelComponent, right: ModelComponent) -> BisimResult:
-        defs = self.defs
-        root = (canonical(defs, left), canonical(defs, right))
-        reps: dict[tuple, tuple[ModelComponent, ModelComponent]] = {root: (left, right)}
+        root = (_state_key(self.defs, left), _state_key(self.defs, right))
+        root_rep = (left, right)
+        # a root that fails a rate condition is outside every candidate
+        # relation, so the verdict needs no exploration
+        failure = self.rate_failure(root, root_rep)
+        if failure is not None:
+            gap = self.action_gap(root, root_rep)
+            return BisimResult(related=False,
+                               counterexample=gap if gap is not None else failure)
+
+        reps: dict[PairKey, PairRep] = {root: root_rep}
         left_seen = {root[0]}
         right_seen = {root[1]}
         queue = deque([root])
         while queue:
             key = queue.popleft()
             l_rep, r_rep = reps[key]
-            left_steps = self.steps(l_rep)
-            right_steps = self.steps(r_rep)
+            # left first: a state both sides reach caches the steps of the
+            # representative that asks first
+            left_steps, _ = self.steps(key[0], l_rep)
+            _, right_by_action = self.steps(key[1], r_rep)
             for sl, key_l in left_steps:
-                for sr, key_r in right_steps:
-                    if sl.action != sr.action:
-                        continue
+                for sr, key_r in right_by_action.get(sl.action, ()):
                     new_key = (key_l, key_r)
                     if new_key in reps:
                         continue
-                    left_seen.add(new_key[0])
-                    right_seen.add(new_key[1])
+                    left_seen.add(key_l)
+                    right_seen.add(key_r)
                     if len(left_seen) > self.bound or len(right_seen) > self.bound:
                         return BisimResult(
                             related=False, inconclusive=True,
@@ -246,22 +274,14 @@ class _PairChecker:
                     reps[new_key] = (sl.successor, sr.successor)
                     queue.append(new_key)
 
-        relation: dict[tuple, tuple[ModelComponent, ModelComponent]] = {}
-        rate_failures: dict[tuple, Counterexample] = {}
-        for key, (l_rep, r_rep) in reps.items():
-            failure = self.rate_failure(l_rep, r_rep)
-            if failure is None:
-                relation[key] = (l_rep, r_rep)
-            else:
-                rate_failures[key] = failure
-
+        relation = {key: rep for key, rep in reps.items()
+                    if self.rate_failure(key, rep) is None}
         changed = True
         while changed:
             changed = False
             keys = set(relation)
             for key in list(relation):
-                l_rep, r_rep = relation[key]
-                if self.transfer_failure(l_rep, r_rep, keys) is not None:
+                if self.transfer_failure(key, relation[key], keys) is not None:
                     del relation[key]
                     keys.discard(key)
                     changed = True
@@ -274,13 +294,10 @@ class _PairChecker:
                                pairs=pairs)
 
         # report the most telling root failure: a step the other side cannot
-        # take at all, else the local rate or location violation, else the
-        # closure failure left after refinement
-        failure = self.action_gap(left, right)
+        # take at all, else the closure failure left after refinement
+        failure = self.action_gap(root, root_rep)
         if failure is None:
-            failure = rate_failures.get(root)
-        if failure is None:
-            failure = self.transfer_failure(left, right, set(relation))
+            failure = self.transfer_failure(root, root_rep, set(relation))
         return BisimResult(related=False, counterexample=failure)
 
 
@@ -311,9 +328,10 @@ def recheck_transfer(defs: Definitions, context: ModelComponent, phi: Isometry,
     """Audit an explicit pair set against the transfer conditions; used to
     confirm that unions of computed witness relations stay closed."""
     checker = _PairChecker(defs, context, phi, bound=1)
-    keys = {(canonical(defs, l), canonical(defs, r)) for l, r in pairs}
-    for left, right in pairs:
-        failure = checker.transfer_failure(left, right, keys)
+    keyed = [((_state_key(defs, l), _state_key(defs, r)), (l, r)) for l, r in pairs]
+    keys = {key for key, _ in keyed}
+    for key, rep in keyed:
+        failure = checker.transfer_failure(key, rep, keys)
         if failure is not None:
             return failure
     return None

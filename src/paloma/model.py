@@ -14,6 +14,7 @@ dictionary keys for state-space exploration.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
@@ -175,6 +176,9 @@ _PREFIX_TYPES = {
 }
 
 
+_PREFIX_NAMES = {kind: cls.__name__ for cls, kind in _PREFIX_TYPES.items()}
+
+
 def prefix_action(prefix: Prefix) -> ActionId:
     return ActionId(_PREFIX_TYPES[type(prefix)], prefix.label)
 
@@ -233,12 +237,78 @@ def choice(left: SeqComponent, right: SeqComponent) -> SeqComponent:
     return SeqComponent(Choice(left, right), left.location)
 
 
+_CLOSE_CHOICE = object()
+
+
+class _AgentState:
+    """Compiled tables of one interned agent state, read off its resolved
+    choice tree: what the semantics and rate layers ask of an agent."""
+
+    __slots__ = ("location", "leaves", "kinds", "outputs", "groups", "weight",
+                 "pq", "next_ids")
+
+    def __init__(self, resolved: SeqComponent):
+        self.location = resolved.location
+        self.leaves = tuple(_syntactic_leaves(resolved))
+        self.kinds = tuple(_PREFIX_TYPES[type(leaf.prefix)] for leaf in self.leaves)
+        # leaf indices of the output and spontaneous alternatives
+        self.outputs = tuple(k for k, kind in enumerate(self.kinds)
+                             if kind not in (ActionType.UNICAST_IN, ActionType.BROADCAST_IN))
+        # leaf indices by (kind, label), in written order
+        self.groups: dict[tuple[ActionType, str], tuple[int, ...]] = {}
+        # unicast receive weight and broadcast p·q, by label
+        self.weight: dict[str, float] = {}
+        self.pq: dict[str, float] = {}
+        # interned id of each leaf's continuation, filled on first use
+        self.next_ids: list[int | None] = [None] * len(self.leaves)
+        for k, (leaf, kind) in enumerate(zip(self.leaves, self.kinds)):
+            prefix = leaf.prefix
+            key = (kind, prefix.label)
+            self.groups[key] = self.groups.get(key, ()) + (k,)
+            if kind is ActionType.UNICAST_IN:
+                self.weight[prefix.label] = self.weight.get(prefix.label, 0) + prefix.weight
+            elif kind is ActionType.BROADCAST_IN:
+                self.pq[prefix.label] = prefix.act_prob * prefix.recv_prob
+
+    def continuation(self, leaf: int) -> SeqComponent:
+        """The agent term the ``leaf``-th alternative continues as."""
+        cont = self.leaves[leaf].continuation
+        return SeqComponent(cont, cont.location)
+
+    def single_input(self, kind: ActionType, label: str) -> int | None:
+        """Leaf index of the agent's one ``kind`` input on ``label``, if any."""
+        found = self.groups.get((kind, label), ())
+        if len(found) > 1:
+            raise ModelError(
+                f"agent has {len(found)} {_PREFIX_NAMES[kind]} prefixes on "
+                f"label {label!r}; at most one is allowed")
+        return found[0] if found else None
+
+
 @dataclass
 class Definitions:
-    """Declared locations and constant-defining equations of one model."""
+    """Declared locations and constant-defining equations of one model.
+
+    Queries fill a private memo on first use: the unfolding of each constant,
+    and one interned agent state per distinct resolved term, with compiled
+    tables the engine reads instead of walking terms. The equations are
+    treated as frozen from the first query on; edit them before it, or take
+    a fresh ``Definitions``. Filling the memo is idempotent and guarded by a
+    lock, so one instance can be shared between threads.
+    """
 
     locations: dict[str, Location]
     equations: dict[tuple[str, str], SeqComponent]
+    _unfolded: dict[tuple[str, str], SeqComponent] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _ids: dict[SeqComponent, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _by_resolved: dict[SeqComponent, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _agents: list[_AgentState] = field(
+        default_factory=list, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def all_locations(self) -> frozenset[Location]:
         return frozenset(self.locations.values())
@@ -255,24 +325,92 @@ class Definitions:
         """Unfold constant references down to prefixes, through choice.
 
         Continuations under a prefix stay symbolic, so the result is a
-        canonical form suitable for comparing and hashing states.
+        canonical form suitable for comparing and hashing states. The walk
+        is iterative and each constant is unfolded once per instance.
         """
-        return self._resolve(comp, ())
+        unfolded = self._unfolded
+        trail: set[tuple[str, str]] = set()
+        done: list[SeqComponent] = []
+        choices: list[SeqComponent] = []
+        # a pending term is expanded; _CLOSE_CHOICE closes the innermost open
+        # choice; a (name, location) key closes that constant's unfolding
+        pending: list = [comp]
+        while pending:
+            item = pending.pop()
+            if item is _CLOSE_CHOICE:
+                node = choices.pop()
+                right = done.pop()
+                left = done.pop()
+                if left is not node.body.left or right is not node.body.right:
+                    node = SeqComponent(Choice(left, right), node.location)
+                done.append(node)
+            elif isinstance(item, tuple):
+                trail.discard(item)
+                unfolded[item] = done[-1]
+            else:
+                body = item.body
+                if isinstance(body, ConstantRef):
+                    key = (body.name, body.location.name)
+                    known = unfolded.get(key)
+                    if known is not None:
+                        done.append(known)
+                        continue
+                    if key in trail:
+                        raise ModelError(
+                            "unguarded recursion through constant "
+                            f"{body.name}({body.location.name})")
+                    trail.add(key)
+                    pending.append(key)
+                    pending.append(self.lookup(body))
+                elif isinstance(body, Choice):
+                    choices.append(item)
+                    pending += (_CLOSE_CHOICE, body.right, body.left)
+                else:
+                    done.append(item)
+        return done[0]
 
-    def _resolve(self, comp: SeqComponent, trail: tuple) -> SeqComponent:
-        body = comp.body
-        if isinstance(body, ConstantRef):
-            key = (body.name, body.location.name)
-            if key in trail:
-                raise ModelError(
-                    "unguarded recursion through constant "
-                    f"{body.name}({body.location.name})")
-            return self._resolve(self.lookup(body), trail + (key,))
-        if isinstance(body, Choice):
-            left = self._resolve(body.left, trail)
-            right = self._resolve(body.right, trail)
-            return SeqComponent(Choice(left, right), comp.location)
-        return comp
+    def _intern(self, comp: SeqComponent) -> int:
+        """The agent state id of ``comp``; terms that resolve to equal trees
+        share one id, and each distinct term is resolved once."""
+        found = self._ids.get(comp)
+        if found is not None:
+            return found
+        with self._lock:
+            found = self._ids.get(comp)
+            if found is None:
+                resolved = self.resolve(comp)
+                found = self._by_resolved.get(resolved)
+                if found is None:
+                    found = len(self._agents)
+                    self._agents.append(_AgentState(resolved))
+                    self._by_resolved[resolved] = found
+                self._ids[comp] = found
+        return found
+
+    def _agent(self, comp: SeqComponent) -> _AgentState:
+        return self._agents[self._intern(comp)]
+
+    def _next(self, agent: _AgentState, leaf: int) -> int:
+        """The state id ``agent`` moves to through its ``leaf``-th alternative."""
+        found = agent.next_ids[leaf]
+        if found is None:
+            found = agent.next_ids[leaf] = self._intern(agent.continuation(leaf))
+        return found
+
+
+# The engine's key for a system state: one agent state id per position.
+StateKey = tuple[int, ...]
+
+
+def _state_key(defs: Definitions, component: ModelComponent) -> StateKey:
+    """The engine's key for ``component``: equal exactly when ``canonical``
+    is, but hashed as a tuple of ints."""
+    return tuple(map(defs._intern, component))
+
+
+def _agents_of(defs: Definitions, component: ModelComponent) -> list[_AgentState]:
+    """The compiled agent state at each position of ``component``."""
+    return [defs._agent(part) for part in component]
 
 
 def locations_of(component: ModelComponent | SeqComponent) -> frozenset[Location]:
@@ -303,7 +441,12 @@ def remove_at(component: ModelComponent, index: int) -> ModelComponent:
 
 
 def canonical(defs: Definitions, component: ModelComponent) -> ModelComponent:
-    """Canonical key for a system state: each agent constant-resolved."""
+    """Canonical form of a system state: each agent constant-resolved.
+
+    This is the reference that the oracle and the tests compare states by;
+    the engine keys states by interned agent ids instead (``_state_key``),
+    which are equal exactly when these forms are.
+    """
     return tuple(defs.resolve(part) for part in component)
 
 

@@ -6,8 +6,9 @@ probability with which it would listen. The context-aware exit rate then
 combines them for an agent sitting inside a surrounding system, where
 unicast blocking, receiver competition and influence ranges all matter.
 
-Every function is pure and works on immutable terms; constants are resolved
-through the model's defining equations.
+The public functions take immutable terms; each agent is read through the
+compiled tables its interned state carries in the model's ``Definitions``,
+and the private helpers work on those tables directly.
 """
 
 from __future__ import annotations
@@ -18,22 +19,16 @@ from typing import Iterable, Iterator, Union
 from .model import (
     ActionId,
     ActionType,
-    BroadcastIn,
     BroadcastOut,
     Definitions,
     EMPTY,
     Location,
     ModelComponent,
-    ModelError,
-    PrefixGuarded,
+    Prefix,
     SeqComponent,
-    Spontaneous,
-    UnicastIn,
     UnicastOut,
-    choice_leaves,
-    locations_of,
-    remove_at,
-    seq_in,
+    _AgentState,
+    _agents_of,
 )
 
 __all__ = [
@@ -53,28 +48,34 @@ __all__ = [
 ]
 
 
+def _prefixes(agent: _AgentState, kind: ActionType, label: str) -> list[Prefix]:
+    """The agent's ``kind`` prefixes on ``label``, in written order."""
+    return [agent.leaves[k].prefix for k in agent.groups.get((kind, label), ())]
+
+
+def _own_rate(agent: _AgentState, kind: ActionType, label: str) -> float:
+    """Total rate of the agent's ``kind`` prefixes on ``label``."""
+    return sum(p.rate for p in _prefixes(agent, kind, label))
+
+
 def unicast_out_rate(defs: Definitions, comp: SeqComponent, label: str) -> float:
     """Total rate of outgoing unicast on ``label``, summed across choice."""
-    return sum(leaf.prefix.rate for leaf in choice_leaves(defs, comp)
-               if isinstance(leaf.prefix, UnicastOut) and leaf.prefix.label == label)
+    return _own_rate(defs._agent(comp), ActionType.UNICAST_OUT, label)
 
 
 def spontaneous_rate(defs: Definitions, comp: SeqComponent, label: str) -> float:
-    return sum(leaf.prefix.rate for leaf in choice_leaves(defs, comp)
-               if isinstance(leaf.prefix, Spontaneous) and leaf.prefix.label == label)
+    return _own_rate(defs._agent(comp), ActionType.SPONTANEOUS, label)
 
 
 def broadcast_out_rate(defs: Definitions, comp: SeqComponent, label: str) -> float:
-    return sum(leaf.prefix.rate for leaf in choice_leaves(defs, comp)
-               if isinstance(leaf.prefix, BroadcastOut) and leaf.prefix.label == label)
+    return _own_rate(defs._agent(comp), ActionType.BROADCAST_OUT, label)
 
 
 def unicast_influence(defs: Definitions, comp: SeqComponent, label: str) -> frozenset[Location]:
     """Union of influence ranges over the agent's unicast outputs on ``label``."""
     ranges: frozenset[Location] = frozenset()
-    for leaf in choice_leaves(defs, comp):
-        if isinstance(leaf.prefix, UnicastOut) and leaf.prefix.label == label:
-            ranges |= leaf.prefix.influence
+    for prefix in _prefixes(defs._agent(comp), ActionType.UNICAST_OUT, label):
+        ranges |= prefix.influence
     return ranges
 
 
@@ -84,53 +85,47 @@ def receive_weight(defs: Definitions,
     """Unicast receive weight on ``label``: summed over choice, composition
     and collections, with repeated agents counted once per occurrence."""
     if isinstance(subject, SeqComponent):
-        return sum(leaf.prefix.weight for leaf in choice_leaves(defs, subject)
-                   if isinstance(leaf.prefix, UnicastIn) and leaf.prefix.label == label)
+        return defs._agent(subject).weight.get(label, 0)
     return sum(receive_weight(defs, part, label) for part in subject)
-
-
-def _single_input(defs: Definitions, comp: SeqComponent, label: str,
-                  input_type) -> PrefixGuarded | None:
-    """The agent's one alternative guarded by an ``input_type`` prefix on
-    ``label``, if any."""
-    matches = [leaf for leaf in choice_leaves(defs, comp)
-               if isinstance(leaf.prefix, input_type) and leaf.prefix.label == label]
-    if len(matches) > 1:
-        raise ModelError(
-            f"agent has {len(matches)} {input_type.__name__} prefixes on "
-            f"label {label!r}; at most one is allowed")
-    return matches[0] if matches else None
 
 
 def unicast_act_prob(defs: Definitions, comp: SeqComponent, label: str) -> float:
     """Probability that the agent acts on a received unicast ``label``."""
-    leaf = _single_input(defs, comp, label, UnicastIn)
-    return leaf.prefix.act_prob if leaf is not None else 0.0
+    return _unicast_act_prob(defs._agent(comp), label)
+
+
+def _unicast_act_prob(agent: _AgentState, label: str) -> float:
+    k = agent.single_input(ActionType.UNICAST_IN, label)
+    return agent.leaves[k].prefix.act_prob if k is not None else 0.0
 
 
 def broadcast_act_prob(defs: Definitions, comp: SeqComponent, label: str) -> float:
     """Probability that the agent receives and acts on broadcast ``label``."""
-    leaf = _single_input(defs, comp, label, BroadcastIn)
-    return leaf.prefix.act_prob * leaf.prefix.recv_prob if leaf is not None else 0.0
+    return _broadcast_act_prob(defs._agent(comp), label)
 
 
-def _sends_to(defs: Definitions, senders: ModelComponent, prefix_type,
+def _broadcast_act_prob(agent: _AgentState, label: str) -> float:
+    if agent.single_input(ActionType.BROADCAST_IN, label) is None:
+        return 0.0
+    return agent.pq[label]
+
+
+def _sends_to(senders: Iterable[_AgentState], kind: ActionType,
               label: str, target: Location) -> Iterator[UnicastOut | BroadcastOut]:
-    """Output prefixes of ``prefix_type`` on ``label`` among ``senders``
-    whose range covers ``target``, in written order."""
-    for member in senders:
-        for leaf in choice_leaves(defs, member):
-            prefix = leaf.prefix
-            if (isinstance(prefix, prefix_type) and prefix.label == label
-                    and target in prefix.influence):
+    """Output prefixes of ``kind`` on ``label`` among ``senders`` whose range
+    covers ``target``, in written order."""
+    for agent in senders:
+        for prefix in _prefixes(agent, kind, label):
+            if target in prefix.influence:
                 yield prefix
 
 
-def _receiver_pool(defs: Definitions, system: ModelComponent,
-                   influence: Iterable[Location], label: str) -> float:
+def _receiver_pool(system: Iterable[_AgentState],
+                   influence: frozenset[Location], label: str) -> float:
     """Receive weight on ``label`` of every agent of ``system`` within
     ``influence``; a sender that listens on its own label counts too."""
-    return receive_weight(defs, seq_in(system, influence), label)
+    return sum(agent.weight.get(label, 0) for agent in system
+               if agent.location in influence)
 
 
 def unicast_cap_rate(defs: Definitions, target: Location,
@@ -138,7 +133,8 @@ def unicast_cap_rate(defs: Definitions, target: Location,
     """Rate at which the agent is capable of unicasting ``label`` so that it
     reaches ``target``; each alternative counts only if its own range covers
     the target."""
-    return sum(prefix.rate for prefix in _sends_to(defs, (comp,), UnicastOut, label, target))
+    return sum(prefix.rate for prefix in _sends_to(
+        [defs._agent(comp)], ActionType.UNICAST_OUT, label, target))
 
 
 def unicast_system_rate(defs: Definitions, target: Location,
@@ -147,10 +143,15 @@ def unicast_system_rate(defs: Definitions, target: Location,
     """Rate at which ``part`` unicasts ``label`` to ``target`` inside
     ``context``. Unicast blocks: an alternative contributes only when some
     agent of the whole system carries receive weight within its range."""
+    return _unicast_system_rate(target, _agents_of(defs, context), _agents_of(defs, part), label)
+
+
+def _unicast_system_rate(target: Location, context: list[_AgentState],
+                         part: list[_AgentState], label: str) -> float:
     system = context + part
     total = 0.0
-    for prefix in _sends_to(defs, part, UnicastOut, label, target):
-        if _receiver_pool(defs, system, prefix.influence, label) > 0.0:
+    for prefix in _sends_to(part, ActionType.UNICAST_OUT, label, target):
+        if _receiver_pool(system, prefix.influence, label) > 0.0:
             total += prefix.rate
     return total
 
@@ -165,7 +166,7 @@ def unicast_receive_prob(defs: Definitions, receiver: SeqComponent,
     if receiver.location not in influence:
         return 0.0
     own = receive_weight(defs, receiver, label)
-    pool = _receiver_pool(defs, context + (receiver,), influence, label)
+    pool = _receiver_pool(_agents_of(defs, context + (receiver,)), influence, label)
     if pool <= 0.0:
         return 0.0
     return own / pool
@@ -175,8 +176,13 @@ def broadcast_system_rate(defs: Definitions, target: Location,
                           context: ModelComponent, label: str) -> float:
     """Total rate at which ``context`` broadcasts ``label`` reaching
     ``target``. Broadcast never blocks, so no receiver check is needed."""
+    return _broadcast_system_rate(target, _agents_of(defs, context), label)
+
+
+def _broadcast_system_rate(target: Location, context: list[_AgentState],
+                           label: str) -> float:
     total = 0.0
-    for prefix in _sends_to(defs, context, BroadcastOut, label, target):
+    for prefix in _sends_to(context, ActionType.BROADCAST_OUT, label, target):
         total += prefix.rate
     return total
 
@@ -208,51 +214,51 @@ def exit_rate(defs: Definitions, query: RateQuery) -> float:
     restriction keeps only agents stationed there.
     """
     subject = query.subject
+    context = _agents_of(defs, query.context)
     if isinstance(subject, SeqComponent):
         if query.locations is not None:
             subject = (subject,)
         else:
-            return _agent_exit_rate(defs, query.action, query.context, subject)
+            return _agent_exit_rate(query.action, context, defs._agent(subject))
     if query.locations is None:
         picked = range(len(subject))
     else:
         picked = [i for i, part in enumerate(subject) if part.location in query.locations]
+    parts = _agents_of(defs, subject)
     total = 0.0
     for i in picked:
-        agent_context = query.context + remove_at(subject, i)
-        total += _agent_exit_rate(defs, query.action, agent_context, subject[i])
+        agent_context = context + parts[:i] + parts[i + 1:]
+        total += _agent_exit_rate(query.action, agent_context, parts[i])
     return total
 
 
-def _agent_exit_rate(defs: Definitions, action: ActionId,
-                     context: ModelComponent, comp: SeqComponent) -> float:
+def _agent_exit_rate(action: ActionId, context: list[_AgentState],
+                     agent: _AgentState) -> float:
     label = action.label
     act_type = action.act_type
-    if act_type is ActionType.SPONTANEOUS:
-        return spontaneous_rate(defs, comp, label)
-    if act_type is ActionType.BROADCAST_OUT:
-        return broadcast_out_rate(defs, comp, label)
+    if act_type in (ActionType.SPONTANEOUS, ActionType.BROADCAST_OUT):
+        return _own_rate(agent, act_type, label)
     if act_type is ActionType.BROADCAST_IN:
-        prob = broadcast_act_prob(defs, comp, label)
+        prob = _broadcast_act_prob(agent, label)
         if prob <= 0.0:
             return 0.0
-        return broadcast_system_rate(defs, comp.location, context, label) * prob
+        return _broadcast_system_rate(agent.location, context, label) * prob
     if act_type is ActionType.UNICAST_OUT:
         # best deliverable rate over the locations the context occupies;
         # an empty context offers nowhere to deliver, hence zero
         best = 0.0
-        for loc in locations_of(context):
-            best = max(best, unicast_system_rate(defs, loc, context, (comp,), label))
+        for loc in {other.location for other in context}:
+            best = max(best, _unicast_system_rate(loc, context, [agent], label))
         return best
     assert act_type is ActionType.UNICAST_IN
-    act = unicast_act_prob(defs, comp, label)
-    own = receive_weight(defs, comp, label)
+    act = _unicast_act_prob(agent, label)
+    own = agent.weight.get(label, 0)
     if act <= 0.0 or own <= 0.0:
         return 0.0
-    system = context + (comp,)
+    system = context + [agent]
     total = 0.0
-    for prefix in _sends_to(defs, context, UnicastOut, label, comp.location):
-        pool = _receiver_pool(defs, system, prefix.influence, label)
+    for prefix in _sends_to(context, ActionType.UNICAST_OUT, label, agent.location):
+        pool = _receiver_pool(system, prefix.influence, label)
         if pool > 0.0:
             total += prefix.rate * (own / pool) * act
     return total

@@ -14,8 +14,10 @@ A failed reception leaves the listener exactly as it was, including any
 choice alternatives it holds.
 
 `build_ctmc` closes the stochastic relation from an initial system by
-breadth-first search, merging equal-rate-relevant states through constant
-resolution.
+breadth-first search, merging states whose agents resolve to equal terms.
+Inside the engine a state is a tuple of interned agent ids and each agent is
+read through its compiled tables; the public functions take and return
+terms.
 """
 
 from __future__ import annotations
@@ -26,20 +28,19 @@ from dataclasses import dataclass
 from .model import (
     ActionId,
     ActionType,
-    BroadcastIn,
     Definitions,
     Location,
     ModelComponent,
     ModelError,
     SeqComponent,
-    UnicastIn,
-    choice_leaves,
-    canonical,
-    prefix_action,
+    StateKey,
+    _AgentState,
+    _agents_of,
+    _state_key,
     remove_at,
     render_model,
 )
-from .rates import _receiver_pool, _single_input
+from .rates import _receiver_pool
 
 __all__ = [
     "BoundExceeded",
@@ -109,14 +110,14 @@ class Continuation:
     def __init__(self, defs: Definitions,
                  entries: list[tuple[ModelComponent, float]] | None = None):
         self._defs = defs
-        self._entries: dict[ModelComponent, tuple[ModelComponent, float]] = {}
+        self._entries: dict[StateKey, tuple[ModelComponent, float]] = {}
         for state, value in entries or []:
             self.add(state, value)
 
     def add(self, state: ModelComponent, value: float) -> None:
         if value <= 0.0:
             return
-        key = canonical(self._defs, state)
+        key = _state_key(self._defs, state)
         if key in self._entries:
             rep, old = self._entries[key]
             self._entries[key] = (rep, old + value)
@@ -127,7 +128,7 @@ class Continuation:
         return list(self._entries.values())
 
     def value_at(self, state: ModelComponent) -> float:
-        key = canonical(self._defs, state)
+        key = _state_key(self._defs, state)
         entry = self._entries.get(key)
         return entry[1] if entry else 0.0
 
@@ -145,69 +146,80 @@ def _as_component(subject: ModelComponent | SeqComponent) -> ModelComponent:
     return (subject,) if isinstance(subject, SeqComponent) else subject
 
 
-def _continue_as(cont) -> SeqComponent:
-    return SeqComponent(cont, cont.location)
-
-
-def _branches(defs: Definitions, agent: SeqComponent,
-              label: CapLabel) -> list[tuple[SeqComponent, float, bool]] | None:
-    """Acted/stayed branches of one agent facing an input offer, or ``None``
-    when it cannot take part. A broadcast listener acts with probability
-    p·q; a unicast listener is selected with its weight's share of the
-    receiver pool and then acts with probability p."""
-    if agent.location not in label.influence:
+def _branches(agent: _AgentState, kind: ActionType, label: str,
+              influence: frozenset[Location], pool: float
+              ) -> list[tuple[int | None, float]] | None:
+    """Acted/stayed branches of one agent facing an input offer, as
+    ``(leaf taken or None, mass)`` pairs, or ``None`` when it cannot take
+    part. A broadcast listener acts with probability p·q; a unicast listener
+    is selected with its weight's share of the receiver pool and then acts
+    with probability p."""
+    if agent.location not in influence:
         return None
-    broadcast = label.kind is ActionType.BROADCAST_IN
-    leaf = _single_input(defs, agent, label.label, BroadcastIn if broadcast else UnicastIn)
-    if leaf is None:
+    k = agent.single_input(kind, label)
+    if k is None:
         return None
-    prefix = leaf.prefix
-    if broadcast:
-        share, acted = 1.0, prefix.act_prob * prefix.recv_prob
+    if kind is ActionType.BROADCAST_IN:
+        share, acted = 1.0, agent.pq[label]
     else:
-        pool = _receiver_pool(defs, label.context, label.influence, label.label)
         if pool <= 0.0:
             return None
+        prefix = agent.leaves[k].prefix
         share, acted = prefix.weight / pool, prefix.act_prob
-    branches = []
+    branches: list[tuple[int | None, float]] = []
     if acted > 0.0:
-        branches.append((_continue_as(leaf.continuation), share * acted, True))
+        branches.append((k, share * acted))
     if acted < 1.0:
-        branches.append((agent, share * (1.0 - acted), False))
+        branches.append((None, share * (1.0 - acted)))
     return branches
 
 
-def _joint_outcomes(defs: Definitions, system: ModelComponent, label: CapLabel,
+def _joint_outcomes(agents: list[_AgentState], kind: ActionType, label: str,
+                    influence: frozenset[Location], pool_agents: list[_AgentState],
                     sender: int | None = None
-                    ) -> list[tuple[dict[int, SeqComponent], float]] | None:
-    """Joint outcomes of an input offer over the agents of ``system`` other
-    than ``sender``, as ``(changes, mass)`` pairs; ``changes`` maps each
-    position that received and acted to its successor.
+                    ) -> list[tuple[dict[int, int], float]] | None:
+    """Joint outcomes of an input offer over ``agents`` other than
+    ``sender``, as ``(changes, mass)`` pairs; ``changes`` maps each position
+    that received and acted to the leaf it took. Unicast receivers compete
+    within the pool of ``pool_agents``.
 
     Broadcast yields the product over the in-range listeners, unicast one
     alternative per branch of each selectable receiver. ``None`` when no
     agent can take the offer.
     """
+    pool = 0.0
+    if kind is ActionType.UNICAST_IN:
+        pool = _receiver_pool(pool_agents, influence, label)
     per_agent = []
-    for j, agent in enumerate(system):
+    for j, agent in enumerate(agents):
         if j != sender:
-            branches = _branches(defs, agent, label)
+            branches = _branches(agent, kind, label, influence, pool)
             if branches is not None:
                 per_agent.append((j, branches))
     if not per_agent:
         return None
-    if label.kind is ActionType.UNICAST_IN:
-        return [({j: succ} if acted else {}, mass)
-                for j, branches in per_agent for succ, mass, acted in branches]
-    joint: list[tuple[dict[int, SeqComponent], float]] = [({}, 1.0)]
+    if kind is ActionType.UNICAST_IN:
+        return [({j: k} if k is not None else {}, mass)
+                for j, branches in per_agent for k, mass in branches]
+    joint: list[tuple[dict[int, int], float]] = [({}, 1.0)]
     for j, branches in per_agent:
-        joint = [({**changes, j: succ} if acted else changes, mass * m)
-                 for changes, mass in joint for succ, m, acted in branches]
+        joint = [({**changes, j: k} if k is not None else changes, mass * m)
+                 for changes, mass in joint for k, m in branches]
     return joint
 
 
-def _apply(system: ModelComponent, changes: dict[int, SeqComponent]) -> ModelComponent:
-    return tuple(changes.get(k, part) for k, part in enumerate(system))
+def _moved(base: tuple, agents: list[_AgentState], changes: dict[int, int],
+           pick) -> tuple:
+    """``base`` with each position in ``changes`` replaced by ``pick(agent,
+    leaf)``: a continuation term, or a continuation id."""
+    succ = list(base)
+    for j, k in changes.items():
+        succ[j] = pick(agents[j], k)
+    return tuple(succ)
+
+
+def _term(agent: _AgentState, leaf: int) -> SeqComponent:
+    return agent.continuation(leaf)
 
 
 def cap_step(defs: Definitions, subject: ModelComponent | SeqComponent,
@@ -220,10 +232,15 @@ def cap_step(defs: Definitions, subject: ModelComponent | SeqComponent,
     alternative per agent that could be selected.
     """
     part = _as_component(subject)
-    joint = _joint_outcomes(defs, part, label)
+    agents = _agents_of(defs, part)
+    pool_agents = []
+    if label.kind is ActionType.UNICAST_IN:
+        pool_agents = _agents_of(defs, label.context)
+    joint = _joint_outcomes(agents, label.kind, label.label, label.influence, pool_agents)
     if joint is None:
         return None
-    return Continuation(defs, [(_apply(part, changes), mass) for changes, mass in joint])
+    return Continuation(defs, [(_moved(part, agents, changes, _term), mass)
+                               for changes, mass in joint])
 
 
 @dataclass(frozen=True)
@@ -246,36 +263,51 @@ class Derivation:
         return Continuation(defs, [(s.successor, s.rate) for s in self.steps])
 
 
-def derivations(defs: Definitions, system: ModelComponent) -> list[Derivation]:
-    """All stochastic derivations of ``system``, one per enabled sender
-    alternative, in position order."""
-    out: list[Derivation] = []
-    for i, agent in enumerate(system):
-        for leaf in choice_leaves(defs, agent):
-            prefix = leaf.prefix
-            if isinstance(prefix, (BroadcastIn, UnicastIn)):
-                continue
-            kind = prefix_action(prefix).act_type
+def _derive(agents: list[_AgentState]
+            ) -> list[tuple[int, int, ActionType, str, frozenset[Location],
+                            list[tuple[dict[int, int], float]]]]:
+    """The stochastic derivations of the system whose agents are
+    ``agents``: one ``(sender, leaf, kind, label, influence, steps)`` per
+    enabled sender alternative, in position order. Each step is ``(changes,
+    rate)``, where ``changes`` maps the sender and each receiver that acted
+    to the leaf it took."""
+    out = []
+    for i, agent in enumerate(agents):
+        for k in agent.outputs:
+            kind = agent.kinds[k]
+            prefix = agent.leaves[k].prefix
             if kind is ActionType.SPONTANEOUS:
-                label = StochLabel(kind, prefix.label, frozenset(), system)
+                influence: frozenset[Location] = frozenset()
                 joint = [({}, 1.0)]
             else:
-                label = StochLabel(kind, prefix.label, prefix.influence, system)
-                offer = CapLabel(_INPUT_OF[kind], prefix.label, prefix.influence, system)
-                joint = _joint_outcomes(defs, system, offer, i)
+                influence = prefix.influence
+                joint = _joint_outcomes(agents, _INPUT_OF[kind], prefix.label,
+                                        influence, agents, i)
                 if joint is None:
                     # broadcast never blocks, so the sender acts alone; a
                     # unicast sender with nobody selectable is blocked
                     joint = [({}, 1.0)] if kind is ActionType.BROADCAST_OUT else []
-            mover = _continue_as(leaf.continuation)
             steps = []
             for changes, mass in joint:
                 rate = prefix.rate * mass
                 if rate > 0.0:
-                    steps.append(Step(_apply(system, {**changes, i: mover}), rate,
-                                      frozenset(changes)))
+                    steps.append(({**changes, i: k}, rate))
             if steps:
-                out.append(Derivation(label, i, mover, tuple(steps)))
+                out.append((i, k, kind, prefix.label, influence, steps))
+    return out
+
+
+def derivations(defs: Definitions, system: ModelComponent) -> list[Derivation]:
+    """All stochastic derivations of ``system``, one per enabled sender
+    alternative, in position order."""
+    agents = _agents_of(defs, system)
+    out: list[Derivation] = []
+    for i, k, kind, label, influence, steps in _derive(agents):
+        succs = tuple(Step(_moved(system, agents, changes, _term), rate,
+                           frozenset(j for j in changes if j != i))
+                      for changes, rate in steps)
+        out.append(Derivation(StochLabel(kind, label, influence, system), i,
+                              agents[i].continuation(k), succs))
     return out
 
 
@@ -315,35 +347,40 @@ def build_ctmc(defs: Definitions, initial: ModelComponent, bound: int) -> Ctmc:
 
     States are indexed in discovery order, edges with equal source, target
     and label are merged by rate addition, and discovering more than
-    ``bound`` states raises BoundExceeded.
+    ``bound`` states raises BoundExceeded. Each state keeps the first
+    representative seen, for display.
     """
     if bound < 1:
         raise ModelError("state bound must be at least 1")
-    start_key = canonical(defs, initial)
-    index: dict[ModelComponent, int] = {start_key: 0}
+    start_key = _state_key(defs, initial)
+    index: dict[StateKey, int] = {start_key: 0}
+    keys: list[StateKey] = [start_key]
     states: list[ModelComponent] = [initial]
     queue: deque[int] = deque([0])
     edges: dict[tuple[int, int, ActionType, str, frozenset[Location]], float] = {}
+    agents_of = defs._agents
     while queue:
         src = queue.popleft()
-        for derivation in derivations(defs, states[src]):
+        key = keys[src]
+        agents = [agents_of[a] for a in key]
+        for _, _, kind, label, influence, steps in _derive(agents):
             # sum per target within the derivation before adding to the edge,
             # so each edge adds its derivations' continuation totals
             into: dict[int, float] = {}
-            for step in derivation.steps:
-                key = canonical(defs, step.successor)
-                dst = index.get(key)
+            for changes, rate in steps:
+                succ = _moved(key, agents, changes, defs._next)
+                dst = index.get(succ)
                 if dst is None:
                     if len(states) + 1 > bound:
                         raise BoundExceeded(len(states) + 1, bound)
                     dst = len(states)
-                    index[key] = dst
-                    states.append(step.successor)
+                    index[succ] = dst
+                    keys.append(succ)
+                    states.append(_moved(states[src], agents, changes, _term))
                     queue.append(dst)
-                into[dst] = into.get(dst, 0.0) + step.rate
-            label = derivation.label
+                into[dst] = into.get(dst, 0.0) + rate
             for dst, rate in into.items():
-                edge = (src, dst, label.kind, label.label, label.influence)
+                edge = (src, dst, kind, label, influence)
                 edges[edge] = edges.get(edge, 0.0) + rate
     transitions = [
         Transition(src, dst, rate, kind, label, influence)
@@ -389,25 +426,29 @@ def component_steps(defs: Definitions, context: ModelComponent,
 
 def _keyed_component_steps(defs: Definitions, context: ModelComponent,
                            subject: ModelComponent | SeqComponent
-                           ) -> dict[tuple[ActionId, ModelComponent], LiftedStep]:
-    """``component_steps``, each keyed by its action and the canonical form
-    of its successor."""
+                           ) -> dict[tuple[ActionId, StateKey], LiftedStep]:
+    """``component_steps``, each keyed by its action and the state key of
+    its successor."""
     part = _as_component(subject)
     offset = len(context)
-    found: dict[tuple[ActionId, ModelComponent], LiftedStep] = {}
-    for derivation in derivations(defs, context + part):
-        label = derivation.label
-        for step in derivation.steps:
+    system = context + part
+    key = _state_key(defs, system)
+    agents = [defs._agents[a] for a in key]
+    found: dict[tuple[ActionId, StateKey], LiftedStep] = {}
+    for i, _, kind, label, _, steps in _derive(agents):
+        text = ActionId(kind, label).text
+        for changes, _ in steps:
             actions = []
-            if derivation.sender >= offset:
-                actions.append(ActionId(label.kind, label.label))
-            if any(j >= offset for j in step.received):
-                actions.append(ActionId(_INPUT_OF[label.kind], label.label))
+            if i >= offset:
+                actions.append(ActionId(kind, label))
+            if any(j >= offset and j != i for j in changes):
+                actions.append(ActionId(_INPUT_OF[kind], label))
             if actions:
-                succ = step.successor[offset:]
-                key = canonical(defs, succ)
+                succ_key = _moved(key, agents, changes, defs._next)[offset:]
                 for action in actions:
-                    found.setdefault((action, key), LiftedStep(action, label.text, succ))
+                    if (action, succ_key) not in found:
+                        succ = _moved(system, agents, changes, _term)[offset:]
+                        found[(action, succ_key)] = LiftedStep(action, text, succ)
     return found
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,12 +20,13 @@ system B = W(l1);
 """
 
 
-def run_cli(*argv: str, env: dict[str, str] | None = None):
+def run_cli(*argv: str, env: dict[str, str] | None = None,
+            timeout: float | None = None):
     full_env = dict(os.environ)
     full_env.update(env or {})
     return subprocess.run(
         [sys.executable, "-m", "paloma.cli", *argv],
-        capture_output=True, text=True, env=full_env)
+        capture_output=True, text=True, env=full_env, timeout=timeout)
 
 
 @pytest.fixture(scope="module")
@@ -260,3 +263,123 @@ def test_outputs_are_stable_across_hash_seeds(scenario_path, blocking_path):
                      "--context", "T", env={"PYTHONHASHSEED": seed}).stdout
              for seed in ("7", "424242")]
     assert fails[0] == fails[1] and fails[0]
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def _ring_equation(name: str, k: int, tick: float) -> str:
+    prev, nxt = (k - 1) % 3, (k + 1) % 3
+    reach = f"l{prev}, l{nxt}"
+    return (f"{name}(l{k}) := !!(msg, r)@Ir{{{reach}}}.{name}(l{nxt})"
+            f" + ??(msg, 0.6)@Wt{{1.0}}.{name}(l{nxt})"
+            f" + (tick, {tick!r}).{name}(l{k})"
+            f" + !(bc, 0.5)@Ir{{{reach}}}.{name}(l{k})"
+            f" + ?(bc, 0.6)@Prob{{1.0}}.{name}(l{nxt});")
+
+
+# ring-3: three agents S(lk) on a circle of radius 3. Each unicasts and
+# broadcasts to both neighbours, ticks, and moves on when it receives. Rot is
+# Main rotated one place in composition order; in Odd one agent is an E,
+# which ticks at 0.31 instead of 0.3.
+RING_SOURCE = "\n".join([
+    "param r = 1.0;",
+    "location l0 = (3.0, 0.0);",
+    "location l1 = (-1.4999999999999993, 2.598076211353316);",
+    "location l2 = (-1.5000000000000013, -2.598076211353315);",
+    *(_ring_equation("S", k, 0.3) for k in range(3)),
+    *(_ring_equation("E", k, 0.31) for k in range(3)),
+    "system Main = S(l0) || S(l1) || S(l2);",
+    "system Rot = S(l1) || S(l2) || S(l0);",
+    "system Odd = S(l0) || S(l1) || E(l2);",
+]) + "\n"
+
+# The exit code and the sha256 of stdout of each command. Exports, reports
+# and rates must stay byte-identical unless a change says why.
+GOLDEN = [
+    ("scenario", ("ctmc", "--system", "Scenario1"), 0,
+     "5c0d92013c6bb931a19e7c257e0d396aeab4797d79bba43627bb0df339eaaafd"),
+    ("scenario", ("ctmc", "--system", "Scenario1", "--format", "dot"), 0,
+     "e8e8b3d96cd5cfa1ece79a2ac51f392bb542bde87090dca753650e62da5390c7"),
+    ("scenario", ("ctmc", "--system", "Scenario2"), 0,
+     "8ef0f1c724a30a8ac71a09045430ffae72d8beeb1c38270489c96f346f688a1b"),
+    ("scenario", ("ctmc", "--system", "Scenario2", "--format", "dot"), 0,
+     "bc0f2a8eb81acdf045b413c1a78e35ad131cd46cd784c62b2f0c000901421631"),
+    ("blocking", ("ctmc", "--system", "T"), 0,
+     "079bbdbc33d58738ab50903766f290f8b011740c1cf4ef7e88489f28f83381c8"),
+    ("blocking", ("ctmc", "--system", "T", "--format", "dot"), 0,
+     "ffa4ee82d038ae5cb5a59e9ff4dd755286608a665df42490a607b0dc2c6e1698"),
+    ("blocking", ("ctmc", "--system", "R"), 0,
+     "a6d80e2ea38b61fd864b2af35339ed465a54672316b07ea6b349e5896fbb0be2"),
+    ("blocking", ("ctmc", "--system", "R", "--format", "dot"), 0,
+     "ab0dc61e6858017a9a982bc06555ad174a12f3f7de302d706424b4443e601116"),
+    ("blocking", ("ctmc", "--system", "Pair"), 0,
+     "7852e9d994f596da7e5ae398c2931f97d3f7003c2f337e20494deaad09c2d44f"),
+    ("blocking", ("ctmc", "--system", "Pair", "--format", "dot"), 0,
+     "74f48a3b02f31bf61e3e38bc2716b6ecc2bfd13df084ae5ef4ebfa1fd7fd2fcd"),
+    ("scenario", ("bisim", "--left", "Scenario1", "--right", "Scenario2"), 0,
+     "29de7156f53e4475f79c874052d0304f0707eab853ec0b7fdbdbfcc0729339ca"),
+    ("blocking", ("bisim", "--left", "T", "--right", "R"), 0,
+     "620a0df5b4b3d2257ca07596e07eb575f4df8d45900ed6255ae9829696edc176"),
+    ("blocking", ("bisim", "--left", "T", "--right", "R", "--context", "T"), 1,
+     "1b2677c57c9659b9284c5f548fe24bb11ff012d28e02c8274e46d8eeb466df6d"),
+    ("ring", ("ctmc", "--system", "Main"), 0,
+     "8cf80b18b0471234fc038c4e3a84104d6f2a4f9f26de7fc4477c89ed1a45a139"),
+    ("ring", ("ctmc", "--system", "Main", "--format", "dot"), 0,
+     "3ffe5d1e0ebc6a845ce19e92de3dd2477c8b134053989ee7d521da446abd20d4"),
+    ("ring", ("bisim", "--left", "Main", "--right", "Rot"), 0,
+     "ad1923430b77ee92dae75d3b9eba993fad7c331ff74fc02dfe9f12300956b146"),
+    ("ring", ("bisim", "--left", "Main", "--right", "Odd"), 1,
+     "25663a18cc69327423e6ab1a670e692d11cec8a2f87e23864690b17a187e9260"),
+    ("ring", ("rate", "--system", "Main", "--action", "??msg", "--loc", "l1"), 0,
+     "0606afe3ce3d5c0160dabd6fdbba2b359f561d83ca7b6b0cab48e7b7dcb8fb92"),
+    ("ring", ("rate", "--system", "Odd", "--action", "?bc"), 0,
+     "9b1e9e7e3cd1a7f9e1b62acff82909854778793d15a86124b6e43ba966b019c6"),
+    ("ring", ("rate", "--system", "Main", "--action", "!!msg", "--context", "Odd"), 0,
+     "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2"),
+]
+
+
+@pytest.fixture(scope="module")
+def golden_models(tmp_path_factory):
+    ring = tmp_path_factory.mktemp("models") / "ring3.paloma"
+    ring.write_text(RING_SOURCE, encoding="utf-8")
+    return {"scenario": str(MODELS / "scenario.paloma"),
+            "blocking": str(MODELS / "blocking.paloma"),
+            "ring": str(ring)}
+
+
+@pytest.mark.parametrize("model, argv, code, digest", GOLDEN)
+def test_output_matches_golden_digest(golden_models, model, argv, code, digest):
+    proc = run_cli(argv[0], golden_models[model], *argv[1:])
+    assert proc.returncode == code, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
+
+
+def test_root_rate_failure_is_definite_within_any_bound(golden_models):
+    # every candidate fails a rate condition at the root pair, so no
+    # candidate explores and the verdict is definite even with room for one
+    # state
+    proc = run_cli("bisim", golden_models["ring"], "--left", "Main", "--right", "Odd",
+                   "--bound", "1")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "verdict: not-related"
+    candidates = [line for line in lines if line.startswith("  candidate ")]
+    assert candidates
+    assert all("rate mismatch at pair" in line for line in candidates)
+    assert "action tick" in lines[1]
+
+
+def test_long_alias_chain_is_checked_and_derived(tmp_path):
+    lines = ["location l0 = (0.0, 0.0);"]
+    lines += [f"B{k}(l0) := B{k + 1}(l0);" for k in range(2000)]
+    lines += ["B2000(l0) := (t, 1.0).B0(l0);", "system S = B0(l0);"]
+    path = tmp_path / "chain.paloma"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = run_cli("check", str(path), timeout=20)
+    assert proc.returncode == 0, proc.stdout[:500]
+    assert proc.stdout == "ok: 2001 equations, 1 systems\n"
+    proc = run_cli("ctmc", str(path), "--system", "S", timeout=20)
+    assert proc.returncode == 0, proc.stderr[:500]
+    assert proc.stdout == "# states\n0\tB0(l0)\n\n# transitions\n0\t0\t1\t.\tt\n"

@@ -278,3 +278,21 @@ def test_random_self_similarity():
         result = bisimilar(defs, main, main, EMPTY, bound=400)
         assert result.related, seed
         assert result.witness.kind == "identity"
+
+
+def test_pair_check_computes_each_state_exit_rate_once(scenario, monkeypatch):
+    import paloma.equivalence as equivalence
+    from paloma.model import canonical
+
+    defs = scenario.definitions()
+    seen = []
+
+    def recording(defs_, query):
+        seen.append((canonical(defs_, query.subject), query.action, query.locations))
+        return exit_rate(defs_, query)
+
+    monkeypatch.setattr(equivalence, "exit_rate", recording)
+    result = check_bisim_phi(defs, scenario.systems["Scenario1"], scenario.systems["Scenario2"],
+                             EMPTY, reflection_y_axis())
+    assert result.related and len(result.pairs) > 1
+    assert seen and len(seen) == len(set(seen))

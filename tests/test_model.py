@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -15,15 +17,21 @@ from paloma.model import (
     SeqComponent,
     Spontaneous,
     UnicastIn,
+    _state_key,
     canonical,
     choice_leaves,
     constant,
+    guarded,
     locations_of,
     remove_at,
     render_model,
+    render_seq,
     seq_in,
     struct_equiv,
 )
+from paloma.rates import spontaneous_rate
+from paloma.semantics import build_ctmc
+from conftest import SCENARIO_SOURCE, load
 from oracle import random_model
 
 L0 = Location("l0", (-1.0, 0.0))
@@ -180,3 +188,94 @@ def test_render_model_names_constants(scenario):
 def test_spontaneous_prefix_requires_positive_rate():
     with pytest.raises(ModelError):
         Spontaneous("tick", 0.0)
+
+
+def _with_aliases(defn):
+    """Add ``AliasC(l) := C(l)`` for every equation, so that distinct terms
+    resolve to equal trees."""
+    for (name, locname), body in list(defn.equations.items()):
+        loc = defn.locations[locname]
+        defn.equations[("Alias" + name, locname)] = constant(name, loc)
+    return defn
+
+
+def test_interned_key_matches_resolved_equality():
+    for seed in range(40):
+        defn = _with_aliases(random_model(random.Random(41_000 + seed), n_locations=2))
+        defs = defn.definitions()
+        terms = set()
+        for system in defn.systems.values():
+            ctmc = build_ctmc(defs, system, bound=2000)
+            assert len(ctmc.states) == len({canonical(defs, s) for s in ctmc.states}), seed
+            terms.update(part for state in ctmc.states for part in state)
+        terms |= {constant("Alias" + t.body.name, t.location) for t in list(terms)
+                  if isinstance(t.body, ConstantRef)}
+        terms |= {defs.resolve(t) for t in list(terms)}
+        terms |= {SeqComponent(Choice(t, t), t.location) for t in list(terms)}
+        terms = sorted(terms, key=render_seq)
+        keys = [_state_key(defs, (t,)) for t in terms]
+        resolved = [defs.resolve(t) for t in terms]
+        for i in range(len(terms)):
+            for j in range(len(terms)):
+                assert (keys[i] == keys[j]) == (resolved[i] == resolved[j]), (seed, i, j)
+
+
+def test_definitions_memo_is_lazy_and_fresh():
+    defn = load(SCENARIO_SOURCE)
+    defs = defn.definitions()
+    assert defn.definitions() is not defs
+    loc = defn.locations["l0"]
+    key = ("Transmitter", "l0")
+    old = defn.equations[key]
+    # an edit before the first query is seen
+    extra = guarded(Spontaneous("zzz", 1.0), ConstantRef("Transmitter", loc), loc)
+    defn.equations[key] = SeqComponent(Choice(old, extra), loc)
+    transmitter = constant("Transmitter", loc)
+    assert spontaneous_rate(defs, transmitter, "zzz") == 1.0
+    # from the first query on the equations count as frozen; a fresh
+    # Definitions starts from an empty memo and sees later edits
+    defn.equations[key] = old
+    assert spontaneous_rate(defs, transmitter, "zzz") == 1.0
+    fresh = defn.definitions()
+    assert not fresh._ids and not fresh._agents and not fresh._unfolded
+    assert spontaneous_rate(fresh, transmitter, "zzz") == 0.0
+
+
+def test_interning_from_many_threads_agrees():
+    defn = _with_aliases(random_model(random.Random(42_000), n_locations=3,
+                                      n_constants=4, max_alternatives=3))
+    terms = sorted({part for state in build_ctmc(defn.definitions(), defn.systems["Main"],
+                                                 bound=2000).states
+                    for part in state}, key=render_seq)
+    terms += [constant("Alias" + t.body.name, t.location) for t in terms]
+    rng = random.Random(7)
+    orders = [rng.sample(range(len(terms)), len(terms)) for _ in range(8)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            defs = defn.definitions()
+            start = threading.Barrier(len(orders))
+            results: list[list[int]] = []
+            errors: list[BaseException] = []
+
+            def work(order: list[int]) -> None:
+                try:
+                    start.wait(timeout=30)
+                    keys = {i: _state_key(defs, (terms[i],))[0] for i in order}
+                    results.append([keys[i] for i in range(len(terms))])
+                except BaseException as exc:  # reported by the assertions below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            assert len(results) == len(orders)
+            assert all(result == results[0] for result in results)
+            assert len(defs._agents) == len({defs.resolve(t) for t in terms})
+    finally:
+        sys.setswitchinterval(old_interval)

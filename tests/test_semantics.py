@@ -484,3 +484,20 @@ def test_export_dot_shape(scenario):
     assert text.startswith("digraph ctmc {")
     assert 's0 [shape=doublecircle label="Transmitter(l0) || Receiver(l1)"];' in text
     assert "->" in text and text.endswith("}\n")
+
+
+def test_build_ctmc_resolves_each_agent_term_once(scenario, monkeypatch):
+    from paloma.model import Definitions
+
+    calls = []
+    resolve = Definitions.resolve
+
+    def counting(self, comp):
+        calls.append(comp)
+        return resolve(self, comp)
+
+    monkeypatch.setattr(Definitions, "resolve", counting)
+    ctmc = build_ctmc(scenario.definitions(), scenario.systems["Scenario1"], bound=100)
+    terms = {part for state in ctmc.states for part in state}
+    assert len(ctmc.states) == 4
+    assert sorted(map(repr, calls)) == sorted(map(repr, terms))
