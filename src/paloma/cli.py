@@ -7,8 +7,9 @@
                   [--mode isometry|naive|fixed-phi] [--matrix a,b,c,d]
                   [--offset tx,ty] [--bound N]
 
-Exit codes: 0 success or related, 1 not related, 2 input error, 3 state
-bound exceeded or inconclusive. PALOMA_BOUND sets the default bound.
+Exit codes: 0 success or related, 1 not related, 2 input error (including a
+model nested too deeply to analyse), 3 state bound exceeded or inconclusive.
+PALOMA_BOUND sets the default bound.
 """
 
 from __future__ import annotations
@@ -263,6 +264,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        # terms are nested dataclasses, and hashing or comparing one recurses
+        # through its whole choice tree
+        print("error: the model nests too deeply to analyse "
+              "(a choice or term deeper than Python's recursion limit)", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -134,6 +134,46 @@ def _match_point(point: Point, declared: dict[str, Location],
     return None
 
 
+class _PointGrid:
+    """Locations bucketed by square cells of the plane, so that ``match``
+    gives ``_match_point``'s answer over the locations added so far while
+    looking at the 3 x 3 cells around the point only.
+
+    Cells are four tolerances wide rather than one: two points within ``tol``
+    of each other then land in the same or adjacent cells even after the
+    rounding of the division, at every magnitude where distinct doubles can
+    lie within ``tol``. A coordinate too large to divide keys its cell by
+    itself; points that far out match only on equal coordinates anyway.
+    """
+
+    def __init__(self, tol: float = GEOMETRIC_TOL):
+        self.tol = tol
+        self.width = 4.0 * tol
+        self.cells: dict[tuple[float, float], list[tuple[int, Location]]] = {}
+        self.added = 0
+
+    def _cell(self, point: Point) -> tuple[float, float]:
+        x, y = point[0] / self.width, point[1] / self.width
+        return (math.floor(x) if math.isfinite(x) else point[0],
+                math.floor(y) if math.isfinite(y) else point[1])
+
+    def add(self, location: Location) -> None:
+        self.cells.setdefault(self._cell(location.point), []).append((self.added, location))
+        self.added += 1
+
+    def match(self, point: Point) -> Location | None:
+        """The earliest added location within ``tol`` of ``point``, if any."""
+        cx, cy = self._cell(point)
+        best: tuple[int, Location] | None = None
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for order, candidate in self.cells.get((cx + dx, cy + dy), ()):
+                    if ((best is None or order < best[0])
+                            and math.dist(point, candidate.point) <= self.tol):
+                        best = (order, candidate)
+        return best[1] if best is not None else None
+
+
 def map_locations(iso: Isometry, locations, declared: dict[str, Location],
                   tol: float = GEOMETRIC_TOL) -> list[Location | Point]:
     """Elementwise image of a location set; undeclared images stay raw points."""

@@ -32,7 +32,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .geometry import GEOMETRIC_TOL, _match_point
+from .geometry import GEOMETRIC_TOL, _PointGrid
 from .model import (
     BroadcastIn,
     BroadcastOut,
@@ -97,105 +97,111 @@ class ParseResult:
         return self.definition is not None
 
 
+# No two alternatives can start with the same character, so their order only
+# decides how soon the common tokens match. Blanks without a newline get a
+# group of their own, so that only ``newline`` matches move the line count.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    (?P<blank>[^\S\n]+)
   | (?P<op>:=|\|\||!!|\?\?|[!?()+{},;.@=])
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<newline>\s+)
+  | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+  | (?P<comment>//[^\n]*)
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _KEYWORDS = {"param", "location", "system", "all"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "ident" | "op" | "eof"
-    text: str
-    line: int
-    column: int
+# A token is a plain tuple (kind, text, line, column), kind being "number",
+# "ident", "op" or "eof"; the grammar reads token[0] and token[1]. A
+# NamedTuple per token would cost about as much again as the regex scan.
+_Token = tuple[str, str, int, int]
 
 
 class _ParseError(Exception):
     def __init__(self, message: str, token: _Token):
         super().__init__(message)
-        self.diagnostic = Diagnostic("error", message, token.line, token.column)
+        _, _, line, column = token
+        self.diagnostic = Diagnostic("error", message, line, column)
 
 
 def _tokenize(text: str) -> tuple[list[_Token], list[Diagnostic]]:
+    """One pass over ``text``. Every character falls in some match, the
+    catch-all ``bad`` group included, so positions follow from match
+    offsets."""
     tokens: list[_Token] = []
     diagnostics: list[Diagnostic] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            diagnostics.append(
-                Diagnostic("error", f"unexpected character {text[pos]!r}", line, col))
-            pos += 1
-            col += 1
-            continue
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        lexeme = match.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
+        if kind == "blank" or kind == "comment":
+            continue
+        if kind == "newline":
+            lexeme = match.group()
+            line += lexeme.count("\n")
+            line_start = match.start() + lexeme.rfind("\n") + 1
+        elif kind == "bad":
+            diagnostics.append(Diagnostic("error", f"unexpected character {match.group()!r}",
+                                          line, match.start() - line_start + 1))
         else:
-            col += len(lexeme)
-        pos = match.end()
-    tokens.append(_Token("eof", "", line, col))
+            tokens.append((kind, match.group(), line, match.start() - line_start + 1))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
     return tokens, diagnostics
 
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+        # the stream ends in one "eof" token, which the parser never passes
+        self.rest = iter(tokens)
+        self.current: _Token = next(self.rest)
         self.diagnostics: list[Diagnostic] = []
         self.definition = ModelDefinition()
 
     # -- token helpers -------------------------------------------------
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> _Token:
         token = self.current
-        if token.kind != "eof":
-            self.pos += 1
+        self.current = next(self.rest, token)
         return token
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
+    def expect(self, text: str) -> _Token:
+        """Consume the operator ``text``. No other kind of token can share
+        an operator's text, so the text alone decides, as in ``at``."""
         token = self.current
-        if token.kind != kind or (text is not None and token.text != text):
-            wanted = text if text is not None else kind
-            raise _ParseError(f"expected {wanted!r}, found {token.text or 'end of input'!r}",
+        if token[1] != text:
+            raise _ParseError(f"expected {text!r}, found {token[1] or 'end of input'!r}",
+                              token)
+        self.current = next(self.rest, token)
+        return token
+
+    def expect_number(self) -> _Token:
+        token = self.current
+        if token[0] != "number":
+            raise _ParseError(f"expected 'number', found {token[1] or 'end of input'!r}",
                               token)
         return self.advance()
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        token = self.current
-        return token.kind == kind and (text is None or token.text == text)
+    def at(self, text: str) -> bool:
+        """Whether the current token is the operator or keyword ``text``."""
+        return self.current[1] == text
 
     def error(self, message: str, token: _Token | None = None) -> None:
-        token = token or self.current
-        self.diagnostics.append(Diagnostic("error", message, token.line, token.column))
+        _, _, line, column = token or self.current
+        self.diagnostics.append(Diagnostic("error", message, line, column))
 
     def synchronize(self) -> None:
-        while not self.at("eof"):
-            if self.advance().text == ";":
+        while not self.current[0] == "eof":
+            if self.advance()[1] == ";":
                 return
 
     # -- grammar -------------------------------------------------------
 
     def parse(self) -> None:
-        while not self.at("eof"):
+        while not self.current[0] == "eof":
             try:
                 self.statement()
             except _ParseError as exc:
@@ -203,203 +209,206 @@ class _Parser:
                 self.synchronize()
 
     def statement(self) -> None:
-        if self.at("ident", "param"):
+        if self.at("param"):
             self.param_stmt()
-        elif self.at("ident", "location"):
+        elif self.at("location"):
             self.location_stmt()
-        elif self.at("ident", "system"):
+        elif self.at("system"):
             self.system_stmt()
-        elif self.at("ident"):
+        elif self.current[0] == "ident":
             self.equation_stmt()
         else:
             token = self.current
-            raise _ParseError(f"expected a statement, found {token.text!r}", token)
+            raise _ParseError(f"expected a statement, found {token[1]!r}", token)
 
     def param_stmt(self) -> None:
         self.advance()
         name = self.ident("parameter name")
-        self.expect("op", "=")
-        token = self.expect("number")
-        self.expect("op", ";")
+        self.expect("=")
+        token = self.expect_number()
+        self.expect(";")
         value = self.number(token)
-        if name.text in self.definition.params:
-            self.error(f"duplicate parameter {name.text!r}", name)
+        if name[1] in self.definition.params:
+            self.error(f"duplicate parameter {name[1]!r}", name)
         elif not value > 0:
-            self.error(f"parameter {name.text!r} must be positive", token)
+            self.error(f"parameter {name[1]!r} must be positive", token)
         else:
-            self.definition.params[name.text] = value
+            self.definition.params[name[1]] = value
 
     def location_stmt(self) -> None:
         self.advance()
         name = self.ident("location name")
-        self.expect("op", "=")
-        self.expect("op", "(")
-        x = self.number(self.expect("number"))
-        self.expect("op", ",")
-        y = self.number(self.expect("number"))
-        self.expect("op", ")")
-        self.expect("op", ";")
-        if name.text in self.definition.locations:
-            self.error(f"duplicate location {name.text!r}", name)
+        self.expect("=")
+        self.expect("(")
+        x = self.number(self.expect_number())
+        self.expect(",")
+        y = self.number(self.expect_number())
+        self.expect(")")
+        self.expect(";")
+        if name[1] in self.definition.locations:
+            self.error(f"duplicate location {name[1]!r}", name)
         else:
-            self.definition.locations[name.text] = Location(name.text, (x, y))
+            self.definition.locations[name[1]] = Location(name[1], (x, y))
 
     def system_stmt(self) -> None:
         self.advance()
         name = self.ident("system name")
-        self.expect("op", "=")
+        self.expect("=")
         parts = [self.constref()]
-        while self.at("op", "||"):
+        while self.at("||"):
             self.advance()
             parts.append(self.constref())
-        self.expect("op", ";")
-        if name.text in self.definition.systems:
-            self.error(f"duplicate system {name.text!r}", name)
+        self.expect(";")
+        if name[1] in self.definition.systems:
+            self.error(f"duplicate system {name[1]!r}", name)
         else:
-            self.definition.systems[name.text] = tuple(
+            self.definition.systems[name[1]] = tuple(
                 SeqComponent(ref, ref.location) for ref in parts)
 
     def equation_stmt(self) -> None:
         name = self.ident("constant name")
-        self.expect("op", "(")
+        self.expect("(")
         loc = self.location_name()
-        self.expect("op", ")")
-        self.expect("op", ":=")
+        self.expect(")")
+        self.expect(":=")
         body = self.body(loc)
-        self.expect("op", ";")
-        key = (name.text, loc.name)
+        self.expect(";")
+        key = (name[1], loc.name)
         if key in self.definition.equations:
-            self.error(f"duplicate equation for {name.text}({loc.name})", name)
+            self.error(f"duplicate equation for {name[1]}({loc.name})", name)
         else:
             self.definition.equations[key] = body
 
     def body(self, location: Location) -> SeqComponent:
         term = self.term(location)
-        while self.at("op", "+"):
+        while self.at("+"):
             self.advance()
             term = SeqComponent(Choice(term, self.term(location)), location)
         return term
 
     def term(self, location: Location) -> SeqComponent:
-        if self.at("ident"):
+        if self.current[0] == "ident":
             ref = self.constref()
             return SeqComponent(ref, ref.location)
         prefix = self.prefix()
-        self.expect("op", ".")
+        self.expect(".")
         cont = self.constref()
         return SeqComponent(PrefixGuarded(prefix, cont), location)
 
     def constref(self) -> ConstantRef:
         name = self.ident("constant name")
-        self.expect("op", "(")
+        self.expect("(")
         loc = self.location_name()
-        self.expect("op", ")")
-        return ConstantRef(name.text, loc)
+        self.expect(")")
+        return ConstantRef(name[1], loc)
 
     def prefix(self) -> Prefix:
-        if self.at("op", "!!"):
+        glyph = self.current[1]
+        if glyph == "!!":
             self.advance()
             label, value, vtok = self.label_value()
             influence = self.range_clause("Ir")
             self.check_rate(value, vtok)
             return UnicastOut(label, value, influence)
-        if self.at("op", "??"):
+        if glyph == "??":
             self.advance()
             label, prob, ptok = self.label_value()
-            self.expect("op", "@")
+            self.expect("@")
             self.keyword_ident("Wt")
-            self.expect("op", "{")
+            self.expect("{")
             weight, wtok = self.value()
-            self.expect("op", "}")
+            self.expect("}")
             self.check_prob(prob, ptok)
             self.check_positive(weight, "weight", wtok)
             return UnicastIn(label, prob, weight)
-        if self.at("op", "!"):
+        if glyph == "!":
             self.advance()
             label, value, vtok = self.label_value()
             influence = self.range_clause("Ir")
             self.check_rate(value, vtok)
             return BroadcastOut(label, value, influence)
-        if self.at("op", "?"):
+        if glyph == "?":
             self.advance()
             label, prob, ptok = self.label_value()
-            self.expect("op", "@")
+            self.expect("@")
             self.keyword_ident("Prob")
-            self.expect("op", "{")
+            self.expect("{")
             recv, rtok = self.value()
-            self.expect("op", "}")
+            self.expect("}")
             self.check_prob(prob, ptok)
             self.check_prob(recv, rtok)
             return BroadcastIn(label, prob, recv)
-        if self.at("op", "("):
+        if glyph == "(":
             label, value, vtok = self.label_value()
             self.check_rate(value, vtok)
             return Spontaneous(label, value)
-        raise _ParseError(f"expected a prefix, found {self.current.text!r}", self.current)
+        raise _ParseError(f"expected a prefix, found {glyph!r}", self.current)
 
     def label_value(self) -> tuple[str, float, _Token]:
-        self.expect("op", "(")
+        self.expect("(")
         label = self.ident("action label")
-        self.expect("op", ",")
+        self.expect(",")
         value, token = self.value()
-        self.expect("op", ")")
-        return label.text, value, token
+        self.expect(")")
+        return label[1], value, token
 
     def range_clause(self, keyword: str) -> frozenset[Location]:
-        self.expect("op", "@")
+        self.expect("@")
         self.keyword_ident(keyword)
-        self.expect("op", "{")
-        if self.at("ident", "all"):
+        self.expect("{")
+        if self.at("all"):
             self.advance()
-            self.expect("op", "}")
+            self.expect("}")
             locations = frozenset(self.definition.locations.values())
             if not locations:
                 raise _ParseError("'all' range used but no locations are declared",
                                   self.current)
             return locations
         names = [self.location_name()]
-        while self.at("op", ","):
+        while self.at(","):
             self.advance()
             names.append(self.location_name())
-        self.expect("op", "}")
+        self.expect("}")
         return frozenset(names)
 
     def value(self) -> tuple[float, _Token]:
-        if self.at("number"):
-            token = self.advance()
+        token = self.current
+        kind, text = token[0], token[1]
+        if kind == "number":
+            self.advance()
             return self.number(token), token
-        if self.at("ident"):
-            token = self.advance()
-            if token.text in self.definition.params:
-                return self.definition.params[token.text], token
-            raise _ParseError(f"undeclared parameter {token.text!r}", token)
-        raise _ParseError(
-            f"expected a number or parameter, found {self.current.text!r}", self.current)
+        if kind == "ident":
+            self.advance()
+            if text in self.definition.params:
+                return self.definition.params[text], token
+            raise _ParseError(f"undeclared parameter {text!r}", token)
+        raise _ParseError(f"expected a number or parameter, found {text!r}", token)
 
     def number(self, token: _Token) -> float:
-        value = float(token.text)
+        value = float(token[1])
         if not math.isfinite(value):
-            raise _ParseError(f"number {token.text!r} is not finite", token)
+            raise _ParseError(f"number {token[1]!r} is not finite", token)
         return value
 
     def ident(self, what: str) -> _Token:
         token = self.current
-        if token.kind != "ident" or token.text in _KEYWORDS:
-            raise _ParseError(f"expected {what}, found {token.text or 'end of input'!r}",
+        if token[0] != "ident" or token[1] in _KEYWORDS:
+            raise _ParseError(f"expected {what}, found {token[1] or 'end of input'!r}",
                               token)
-        return self.advance()
+        self.current = next(self.rest, token)
+        return token
 
     def keyword_ident(self, expected: str) -> None:
         token = self.current
-        if token.kind != "ident" or token.text != expected:
-            raise _ParseError(f"expected {expected!r}, found {token.text!r}", token)
-        self.advance()
+        if token[0] != "ident" or token[1] != expected:
+            raise _ParseError(f"expected {expected!r}, found {token[1]!r}", token)
+        self.current = next(self.rest, token)
 
     def location_name(self) -> Location:
         token = self.ident("location name")
-        loc = self.definition.locations.get(token.text)
+        loc = self.definition.locations.get(token[1])
         if loc is None:
-            raise _ParseError(f"undeclared location {token.text!r}", token)
+            raise _ParseError(f"undeclared location {token[1]!r}", token)
         return loc
 
     def check_rate(self, value: float, token: _Token) -> None:
@@ -443,11 +452,11 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
 
     # Locations must lie further apart than the tolerance of geometric
     # matching, so that matching points back to names stays unambiguous.
-    placed: dict[str, Location] = {}
+    placed = _PointGrid()
     for name, loc in definition.locations.items():
-        other = _match_point(loc.point, placed)
+        other = placed.match(loc.point)
         if other is None:
-            placed[name] = loc
+            placed.add(loc)
         elif other.point == loc.point:
             err(f"locations {other.name!r} and {name!r} share coordinates {loc.point}")
         else:
@@ -463,21 +472,26 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
 
     # Every constant reference must have a defining equation at its target
     # location, both in equation bodies and in system definitions.
+    # The walk is iterative and visits a choice before its left operand and
+    # the left operand before the right, so deep choices cannot overflow.
     def check_refs(owner: str, comp: SeqComponent) -> None:
-        body = comp.body
-        if isinstance(body, ConstantRef):
-            if (body.name, body.location.name) not in definition.equations:
-                err(f"{owner}: reference to undefined {body.name}({body.location.name})")
-        elif isinstance(body, Choice):
-            if body.left.location != comp.location or body.right.location != comp.location:
-                err(f"{owner}: choice operands must stay at {comp.location.name}")
-            check_refs(owner, body.left)
-            check_refs(owner, body.right)
-        else:
-            cont = body.continuation
-            if (cont.name, cont.location.name) not in definition.equations:
-                err(f"{owner}: continuation {cont.name}({cont.location.name}) "
-                    "has no defining equation")
+        stack = [comp]
+        while stack:
+            comp = stack.pop()
+            body = comp.body
+            if isinstance(body, ConstantRef):
+                if (body.name, body.location.name) not in definition.equations:
+                    err(f"{owner}: reference to undefined {body.name}({body.location.name})")
+            elif isinstance(body, Choice):
+                if body.left.location != comp.location or body.right.location != comp.location:
+                    err(f"{owner}: choice operands must stay at {comp.location.name}")
+                stack.append(body.right)
+                stack.append(body.left)
+            else:
+                cont = body.continuation
+                if (cont.name, cont.location.name) not in definition.equations:
+                    err(f"{owner}: continuation {cont.name}({cont.location.name}) "
+                        "has no defining equation")
 
     for (name, locname), body in definition.equations.items():
         check_refs(f"{name}({locname})", body)

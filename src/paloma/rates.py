@@ -14,7 +14,7 @@ and the private helpers work on those tables directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .model import (
     ActionId,
@@ -110,16 +110,6 @@ def _broadcast_act_prob(agent: _AgentState, label: str) -> float:
     return agent.pq[label]
 
 
-def _sends_to(senders: Iterable[_AgentState], kind: ActionType,
-              label: str, target: Location) -> Iterator[UnicastOut | BroadcastOut]:
-    """Output prefixes of ``kind`` on ``label`` among ``senders`` whose range
-    covers ``target``, in written order."""
-    for agent in senders:
-        for prefix in _prefixes(agent, kind, label):
-            if target in prefix.influence:
-                yield prefix
-
-
 def _receiver_pool(system: Iterable[_AgentState],
                    influence: frozenset[Location], label: str) -> float:
     """Receive weight on ``label`` of every agent of ``system`` within
@@ -133,8 +123,8 @@ def unicast_cap_rate(defs: Definitions, target: Location,
     """Rate at which the agent is capable of unicasting ``label`` so that it
     reaches ``target``; each alternative counts only if its own range covers
     the target."""
-    return sum(prefix.rate for prefix in _sends_to(
-        [defs._agent(comp)], ActionType.UNICAST_OUT, label, target))
+    return sum(prefix.rate for prefix in _prefixes(defs._agent(comp), ActionType.UNICAST_OUT, label)
+               if target in prefix.influence)
 
 
 def unicast_system_rate(defs: Definitions, target: Location,
@@ -143,16 +133,13 @@ def unicast_system_rate(defs: Definitions, target: Location,
     """Rate at which ``part`` unicasts ``label`` to ``target`` inside
     ``context``. Unicast blocks: an alternative contributes only when some
     agent of the whole system carries receive weight within its range."""
-    return _unicast_system_rate(target, _agents_of(defs, context), _agents_of(defs, part), label)
-
-
-def _unicast_system_rate(target: Location, context: list[_AgentState],
-                         part: list[_AgentState], label: str) -> float:
-    system = context + part
+    agents = _agents_of(defs, context + part)
+    system = _System(agents, ActionId(ActionType.UNICAST_OUT, label))
     total = 0.0
-    for prefix in _sends_to(part, ActionType.UNICAST_OUT, label, target):
-        if _receiver_pool(system, prefix.influence, label) > 0.0:
-            total += prefix.rate
+    for p in range(len(context), len(agents)):
+        for prefix in _prefixes(agents[p], ActionType.UNICAST_OUT, label):
+            if target in prefix.influence and system.unblocked(prefix):
+                total += prefix.rate
     return total
 
 
@@ -176,15 +163,8 @@ def broadcast_system_rate(defs: Definitions, target: Location,
                           context: ModelComponent, label: str) -> float:
     """Total rate at which ``context`` broadcasts ``label`` reaching
     ``target``. Broadcast never blocks, so no receiver check is needed."""
-    return _broadcast_system_rate(target, _agents_of(defs, context), label)
-
-
-def _broadcast_system_rate(target: Location, context: list[_AgentState],
-                           label: str) -> float:
-    total = 0.0
-    for prefix in _sends_to(context, ActionType.BROADCAST_OUT, label, target):
-        total += prefix.rate
-    return total
+    system = _System(_agents_of(defs, context), ActionId(ActionType.BROADCAST_IN, label))
+    return system.incoming_rate(target.name, -1)
 
 
 @dataclass(frozen=True)
@@ -212,53 +192,141 @@ def exit_rate(defs: Definitions, query: RateQuery) -> float:
     For a composed subject the rate is the sum over its agents, each
     measured with the rest of the subject moved into the context. A location
     restriction keeps only agents stationed there.
+
+    A query indexes the system once, so its cost grows with the number of
+    agents and the sizes of the ranges involved, not with their product.
+    Every sum adds its terms in composition order (a receiver pool ends with
+    the measured agent's own weight) and, within an agent, in written order.
     """
     subject = query.subject
     context = _agents_of(defs, query.context)
+    if isinstance(subject, SeqComponent) and query.locations is None:
+        system = _System(context + [defs._agent(subject)], query.action)
+        return system.agent_rate(len(context))
     if isinstance(subject, SeqComponent):
-        if query.locations is not None:
-            subject = (subject,)
-        else:
-            return _agent_exit_rate(query.action, context, defs._agent(subject))
+        subject = (subject,)
     if query.locations is None:
         picked = range(len(subject))
     else:
         picked = [i for i, part in enumerate(subject) if part.location in query.locations]
-    parts = _agents_of(defs, subject)
+    system = _System(context + _agents_of(defs, subject), query.action)
     total = 0.0
     for i in picked:
-        agent_context = context + parts[:i] + parts[i + 1:]
-        total += _agent_exit_rate(query.action, agent_context, parts[i])
+        total += system.agent_rate(len(context) + i)
     return total
 
 
-def _agent_exit_rate(action: ActionId, context: list[_AgentState],
-                     agent: _AgentState) -> float:
-    label = action.label
-    act_type = action.act_type
-    if act_type in (ActionType.SPONTANEOUS, ActionType.BROADCAST_OUT):
-        return _own_rate(agent, act_type, label)
-    if act_type is ActionType.BROADCAST_IN:
-        prob = _broadcast_act_prob(agent, label)
-        if prob <= 0.0:
+# the output type that each input type receives
+_OUTPUT_OF = {ActionType.BROADCAST_IN: ActionType.BROADCAST_OUT,
+              ActionType.UNICAST_IN: ActionType.UNICAST_OUT}
+
+
+class _System:
+    """The agents of a system in composition order, seen by queries for one
+    action, with indexes over them built on first use. Locations are keyed
+    by name, so no lookup hashes a ``Location``."""
+
+    def __init__(self, agents: list[_AgentState], action: ActionId):
+        self.agents = agents
+        self.kind = action.act_type
+        self.label = action.label
+        self._senders: dict[str, list[tuple[int, UnicastOut | BroadcastOut]]] | None = None
+        self._listeners: dict[str, list[tuple[int, float]]] | None = None
+        self._in_range: dict[int, list[tuple[int, float]]] = {}
+        self._occupied: dict[str, int] | None = None
+
+    def agent_rate(self, p: int) -> float:
+        """Exit rate of the agent at position ``p``, with every other agent
+        of the system as its context."""
+        agent, kind, label = self.agents[p], self.kind, self.label
+        if kind is ActionType.SPONTANEOUS or kind is ActionType.BROADCAST_OUT:
+            return _own_rate(agent, kind, label)
+        if kind is ActionType.BROADCAST_IN:
+            prob = _broadcast_act_prob(agent, label)
+            if prob <= 0.0:
+                return 0.0
+            return self.incoming_rate(agent.location.name, p) * prob
+        if kind is ActionType.UNICAST_OUT:
+            return self.best_delivery(p)
+        act = _unicast_act_prob(agent, label)
+        own = agent.weight.get(label, 0)
+        if act <= 0.0 or own <= 0.0:
             return 0.0
-        return _broadcast_system_rate(agent.location, context, label) * prob
-    if act_type is ActionType.UNICAST_OUT:
-        # best deliverable rate over the locations the context occupies;
-        # an empty context offers nowhere to deliver, hence zero
-        best = 0.0
-        for loc in {other.location for other in context}:
-            best = max(best, _unicast_system_rate(loc, context, [agent], label))
-        return best
-    assert act_type is ActionType.UNICAST_IN
-    act = _unicast_act_prob(agent, label)
-    own = agent.weight.get(label, 0)
-    if act <= 0.0 or own <= 0.0:
-        return 0.0
-    system = context + [agent]
-    total = 0.0
-    for prefix in _sends_to(context, ActionType.UNICAST_OUT, label, agent.location):
-        pool = _receiver_pool(system, prefix.influence, label)
-        if pool > 0.0:
-            total += prefix.rate * (own / pool) * act
-    return total
+        total = 0.0
+        for q, prefix in self.senders().get(agent.location.name, ()):
+            if q != p:
+                # the pool of _receiver_pool over the other agents, then this one
+                weights = [weight for r, weight in self.in_range(prefix) if r != p]
+                weights.append(own)
+                total += prefix.rate * (own / sum(weights)) * act
+        return total
+
+    def incoming_rate(self, name: str, skip: int) -> float:
+        """Total rate of the outputs that the measured input receives and
+        that reach location ``name``, leaving out the agent at ``skip``."""
+        total = 0.0
+        for q, prefix in self.senders().get(name, ()):
+            if q != skip:
+                total += prefix.rate
+        return total
+
+    def best_delivery(self, p: int) -> float:
+        """The best rate at which the agent at ``p`` unicasts to any location
+        another agent occupies, over its unblocked alternatives; an empty
+        context offers nowhere to deliver, hence zero."""
+        agent = self.agents[p]
+        occupied = self.occupied()
+        here = agent.location.name
+        delivered: dict[str, float] = {}
+        for prefix in _prefixes(agent, ActionType.UNICAST_OUT, self.label):
+            if self.unblocked(prefix):
+                for loc in prefix.influence:
+                    name = loc.name
+                    if occupied.get(name, 0) > (name == here):
+                        delivered[name] = delivered.get(name, 0.0) + prefix.rate
+        return max(delivered.values(), default=0.0)
+
+    def unblocked(self, prefix: UnicastOut) -> bool:
+        """Whether some agent listens on the label within the range of the
+        unicast ``prefix``."""
+        return bool(self.in_range(prefix))
+
+    def senders(self) -> dict[str, list[tuple[int, UnicastOut | BroadcastOut]]]:
+        """For each location name, the outputs that the measured input
+        receives and whose range covers it, as ``(position, prefix)`` in
+        composition order and in written order within an agent."""
+        if self._senders is None:
+            self._senders = {}
+            kind = _OUTPUT_OF[self.kind]
+            for q, agent in enumerate(self.agents):
+                for prefix in _prefixes(agent, kind, self.label):
+                    for loc in prefix.influence:
+                        self._senders.setdefault(loc.name, []).append((q, prefix))
+        return self._senders
+
+    def in_range(self, prefix: UnicastOut) -> list[tuple[int, float]]:
+        """The receive weights on the label within ``prefix``'s range, as
+        ``(position, weight)`` in composition order."""
+        found = self._in_range.get(id(prefix.influence))
+        if found is None:
+            if self._listeners is None:
+                self._listeners = {}
+                for r, agent in enumerate(self.agents):
+                    weight = agent.weight.get(self.label, 0)
+                    if weight > 0.0:
+                        self._listeners.setdefault(agent.location.name, []).append((r, weight))
+            found = []
+            for loc in prefix.influence:
+                found += self._listeners.get(loc.name, ())
+            found.sort()
+            self._in_range[id(prefix.influence)] = found
+        return found
+
+    def occupied(self) -> dict[str, int]:
+        """How many agents stand at each location name."""
+        if self._occupied is None:
+            self._occupied = {}
+            for agent in self.agents:
+                name = agent.location.name
+                self._occupied[name] = self._occupied.get(name, 0) + 1
+        return self._occupied

@@ -150,6 +150,73 @@ def explore(defs: Definitions, initial: ModelComponent, bound: int = 2000):
 
 
 # ---------------------------------------------------------------------------
+# Context-aware exit rates, read straight off the README definition.
+
+
+def _listens(defs: Definitions, agent: SeqComponent, label: str,
+             influence: frozenset[Location]) -> float:
+    return weight_for(defs, agent, label) if agent.location in influence else 0.0
+
+
+def agent_exit_rate(defs: Definitions, glyph: str, label: str, agent: SeqComponent,
+                    others: list[SeqComponent]) -> float:
+    """Exit rate of one agent whose context is ``others``."""
+    alts = [prefix for prefix, _ in alternatives(defs, agent) if prefix.label == label]
+    if glyph == ".":
+        return sum(p.rate for p in alts if isinstance(p, Spontaneous))
+    if glyph == "!":
+        return sum(p.rate for p in alts if isinstance(p, BroadcastOut))
+    if glyph == "?":
+        # context broadcasts reaching this location, times receive-and-act
+        pq = sum(p.act_prob * p.recv_prob for p in alts if isinstance(p, BroadcastIn))
+        incoming = sum(p.rate for other in others
+                       for p, _ in alternatives(defs, other)
+                       if isinstance(p, BroadcastOut) and p.label == label
+                       and agent.location in p.influence)
+        return incoming * pq
+    system = others + [agent]
+    if glyph == "!!":
+        # best total over the context's locations of the alternatives that
+        # reach there and find a listener somewhere in their range
+        best = 0.0
+        for target in {other.location for other in others}:
+            reach = sum(p.rate for p in alts
+                        if isinstance(p, UnicastOut) and target in p.influence
+                        and sum(_listens(defs, a, label, p.influence) for a in system) > 0.0)
+            best = max(best, reach)
+        return best
+    assert glyph == "??"
+    # every context sender alternative reaching this agent, shared by weight
+    # among the listeners in its range and scaled by the act probability
+    inputs = [p for p in alts if isinstance(p, UnicastIn)]
+    if not inputs:
+        return 0.0
+    own, act = inputs[0].weight, inputs[0].act_prob
+    total = 0.0
+    for other in others:
+        for p, _ in alternatives(defs, other):
+            if (isinstance(p, UnicastOut) and p.label == label
+                    and agent.location in p.influence):
+                pool = sum(_listens(defs, a, label, p.influence) for a in system)
+                total += p.rate * own / pool * act
+    return total
+
+
+def exit_rate(defs: Definitions, glyph: str, label: str,
+              subject: SeqComponent | ModelComponent, context: ModelComponent,
+              locations: frozenset[Location] | None = None) -> float:
+    """Sum over the subject's agents (those at ``locations``, if given), each
+    measured with the rest of the subject moved into the context."""
+    parts = [subject] if isinstance(subject, SeqComponent) else list(subject)
+    total = 0.0
+    for i, agent in enumerate(parts):
+        if locations is None or agent.location in locations:
+            others = list(context) + parts[:i] + parts[i + 1:]
+            total += agent_exit_rate(defs, glyph, label, agent, others)
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Random model generation for the property suites.
 
 _PREFIX_KINDS = ("spont", "br_out", "br_in", "uni_out", "uni_in")

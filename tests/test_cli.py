@@ -383,3 +383,30 @@ def test_long_alias_chain_is_checked_and_derived(tmp_path):
     proc = run_cli("ctmc", str(path), "--system", "S", timeout=20)
     assert proc.returncode == 0, proc.stderr[:500]
     assert proc.stdout == "# states\n0\tB0(l0)\n\n# transitions\n0\t0\t1\t.\tt\n"
+
+
+@pytest.fixture(scope="module")
+def deep_choice_path(tmp_path_factory):
+    body = " + ".join(f"(a{k}, 1.0).D(l0)" for k in range(3000))
+    path = tmp_path_factory.mktemp("models") / "deep.paloma"
+    path.write_text(f"location l0 = (0.0, 0.0);\nD(l0) := {body};\nsystem S = D(l0);\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("check",), 0),
+    (("ctmc", "--system", "S"), 2),
+    (("rate", "--system", "S", "--action", "a0"), 2),
+])
+def test_deep_choice_exits_without_traceback(deep_choice_path, argv, code):
+    # a 3,000-way choice: validation walks it iteratively, while analysing it
+    # hashes nested terms past the recursion limit, which is an input error
+    proc = run_cli(argv[0], deep_choice_path, *argv[1:], timeout=60)
+    assert proc.returncode == code, proc.stderr[-500:]
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert proc.stdout == "ok: 1 equations, 1 systems\n"
+    else:
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1

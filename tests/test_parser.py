@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from paloma.model import BroadcastIn, PrefixGuarded, Spontaneous, UnicastIn, UnicastOut
 from paloma.parser import parse_model, pretty_print, validate
 from conftest import SCENARIO_SOURCE
@@ -317,3 +319,121 @@ def test_parameter_substitution_is_value_preserving():
     """
     defn = parse_model(source).definition
     assert defn.equations[("T", "l0")].body.prefix.rate == float("0.1234567890123456789")
+
+
+# (severity, message, line, column) of each diagnostic, recorded before the
+# tokenizer became a single-pass scan; positions count characters, and only
+# LF ends a line.
+PINNED_DIAGNOSTICS = [
+    ("location l0 = (0.0, 0.0);\nS(l0) := (tick, 1.0) # .S(l0);\nsystem M = S(l0);\n",
+     [("error", "unexpected character '#'", 2, 22)]),
+    ("// first comment line\n// second comment line\n  // third, indented\n"
+     "location l0 = (0.0, 0.0);\n$S(l0) := (tick, 1.0).S(l0);\n",
+     [("error", "unexpected character '$'", 5, 1)]),
+    ("location l0 = (0.0, 0.0);\r\nS(l0) := (tick, 1.0).S(l0);\r\n"
+     "system M = S(l0) & S(l0);\r\n",
+     [("error", "unexpected character '&'", 3, 18), ("error", "expected ';', found 'S'", 3, 20)]),
+    ("location l0 = (0.0, 0.0);\n\tS(l0) :=\t(tick,\t1.0)\t%.S(l0);\n",
+     [("error", "unexpected character '%'", 2, 23)]),
+    ("location l0 = (0.0, 0.0);\nS(l0) := (tick, 1.0e).S(l0);\n",
+     [("error", "expected ')', found 'e'", 2, 20)]),
+    ("location l0 = (1e999, 0.0);\n",
+     [("error", "number '1e999' is not finite", 1, 16)]),
+    ("location l0 = (-, 0.0);\n",
+     [("error", "unexpected character '-'", 1, 16),
+      ("error", "expected 'number', found ','", 1, 17)]),
+    ("param r = -r;\n",
+     [("error", "unexpected character '-'", 1, 11),
+      ("error", "expected 'number', found 'r'", 1, 12)]),
+    ("location l0 = (0.0, 0.0);\nS(l0) := !!(msg, 1.0)@Ir{",
+     [("error", "expected location name, found 'end of input'", 2, 26)]),
+    ("location l0 = (0.0, 0.0);\nS(l0) := (tick, 1.0).S(l0);\nsystem M = S(l0);\n) ) ~",
+     [("error", "unexpected character '~'", 4, 5),
+      ("error", "expected a statement, found ')'", 4, 1)]),
+    ("location l0 = (0.0, 0.0); // trailing comment\nsystem M = S(l0)",
+     [("error", "expected ';', found 'end of input'", 2, 17)]),
+    ("location l0 = (0.0, 0.0);\n^^ S(l0) := (tick, 1.0).S(l0); `\n",
+     [("error", "unexpected character '^'", 2, 1), ("error", "unexpected character '^'", 2, 2),
+      ("error", "unexpected character '`'", 2, 32)]),
+    ("location l0 = (0.0, 0.0);\nS(l0) := (téck, 1.0).S(l0);\n",
+     [("error", "unexpected character 'é'", 2, 12),
+      ("error", "expected ',', found 'ck'", 2, 13)]),
+    ("location l0 = (0.0, 0.0);\rS(l0) := (tick, 1.0).S(l0);\r#\n",
+     [("error", "unexpected character '#'", 1, 55)]),
+    ("location l0 = (0.0, 0.0);\nS(l0) := (tick, 1.0)//.S(l0);",
+     [("error", "expected '.', found 'end of input'", 2, 30)]),
+    ("location l0 = (0.0, 0.0);\nS(l0) := ?!(m, 1.0).S(l0);\nT(l0) := (tick, 0.0).T(l0);\n",
+     [("error", "expected '(', found '!'", 2, 11),
+      ("error", "rate must be positive, got 0.0", 3, 17)]),
+    ("location all = (0.0, 0.0);\nparam param = 1.0;\n",
+     [("error", "expected location name, found 'all'", 1, 10),
+      ("error", "expected parameter name, found 'param'", 2, 7)]),
+    ("location l0 = (0.0, 0.0);\n;;\n",
+     [("error", "expected a statement, found ';'", 2, 1),
+      ("error", "expected a statement, found ';'", 2, 2)]),
+]
+
+
+@pytest.mark.parametrize("source,expected", PINNED_DIAGNOSTICS)
+def test_diagnostic_positions_are_pinned(source, expected):
+    result = parse_model(source)
+    assert not result.ok
+    assert [(d.severity, d.message, d.line, d.column)
+            for d in result.diagnostics] == expected
+
+
+def test_validate_reports_every_dangling_operand_in_written_order():
+    source = """
+    location l0 = (0.0, 0.0);
+    D(l0) := (a, 1.0).X(l0) + (b, 1.0).D(l0) + (c, 1.0).Y(l0) + Z(l0);
+    system Main = D(l0) || W(l0);
+    """
+    result = parse_model(source)
+    assert result.ok
+    assert [d.message for d in errors(validate(result.definition))] == [
+        "D(l0): continuation X(l0) has no defining equation",
+        "D(l0): continuation Y(l0) has no defining equation",
+        "D(l0): reference to undefined Z(l0)",
+        "system Main: reference to undefined W(l0)",
+    ]
+
+
+def test_near_location_check_matches_pairwise_scan():
+    # Clusters of points a tolerance or so apart, anywhere in the plane: each
+    # location must be reported against the first earlier accepted location
+    # within the tolerance, as a scan over every pair finds it.
+    import math
+
+    from paloma.geometry import GEOMETRIC_TOL
+    from paloma.model import Location
+    from paloma.parser import ModelDefinition
+
+    rng = random.Random(5)
+    reported = 0
+    for _ in range(300):
+        scale = rng.choice([1.0, 1e3, 1e6, 1e9])
+        centres = [(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+                   for _ in range(rng.randint(1, 4))]
+        definition = ModelDefinition()
+        for k in range(rng.randint(2, 12)):
+            x, y = rng.choice(centres)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            r = GEOMETRIC_TOL * rng.choice([0.0, 0.3, 0.99, 1.5, 3.0, rng.uniform(0.0, 6.0)])
+            definition.locations[f"l{k}"] = Location(
+                f"l{k}", (x + r * math.cos(angle), y + r * math.sin(angle)))
+        kept: list[Location] = []
+        expected = []
+        for loc in definition.locations.values():
+            other = next((o for o in kept
+                          if math.dist(o.point, loc.point) <= GEOMETRIC_TOL), None)
+            if other is None:
+                kept.append(loc)
+            else:
+                expected.append((other.name, loc.name))
+        found = []
+        for d in errors(validate(definition)):
+            names = d.message.split("'")
+            found.append((names[1], names[3]))
+        assert found == expected
+        reported += len(found)
+    assert reported >= 300

@@ -437,3 +437,101 @@ def test_rate_layer_agrees_with_ctmc_derivations():
                 assert math.isclose(rate, engine, rel_tol=1e-9), (seed, text)
                 positive[text] += rate > 0.0
     assert min(positive.values()) >= 200, positive
+
+
+def test_exit_rate_matches_brute_force_reference():
+    # tests/oracle.py reads the README definition straight off the terms; the
+    # engine indexes the system once per query. Every action type, composed
+    # and single subjects, with and without a context and a location filter.
+    import oracle
+    from paloma.geometry import ALGEBRAIC_TOL
+
+    positive = dict.fromkeys((".", "!", "?", "!!", "??"), 0)
+    compared = 0
+    for seed in range(70):
+        rng = random.Random(seed)
+        defn = random_model(rng, max_agents=4, n_locations=rng.randint(1, 3),
+                            n_labels=2, max_alternatives=3)
+        defs = defn.definitions()
+        locs = sorted(defs.locations.values(), key=lambda l: l.name)
+        main, alt = defn.systems["Main"], defn.systems["Alt"]
+        for subject, context in ((main, EMPTY), (main, alt), (alt, main)):
+            for where in [None] + [frozenset({loc}) for loc in locs]:
+                for sub in [subject, *subject]:
+                    for glyph in positive:
+                        for label in ("m0", "m1"):
+                            engine = exit_rate(defs, RateQuery(
+                                A(label if glyph == "." else glyph + label), sub, context, where))
+                            reference = oracle.exit_rate(defs, glyph, label, sub, context, where)
+                            assert math.isclose(engine, reference, rel_tol=ALGEBRAIC_TOL,
+                                                abs_tol=1e-12), (seed, glyph, label, where)
+                            positive[glyph] += reference > 0.0
+                            compared += 1
+    assert compared >= 20000
+    assert min(positive.values()) >= 60, positive
+
+
+def wide_ring(n: int) -> str:
+    """n agents on a circle; each unicasts to and listens from both
+    neighbours, as in the benchmark's wide family."""
+    lines = []
+    for k in range(n):
+        angle = 2 * math.pi * k / n
+        lines.append(f"location l{k} = ({n * math.cos(angle)!r}, {n * math.sin(angle)!r});")
+    for k in range(n):
+        prev, nxt = (k - 1) % n, (k + 1) % n
+        lines.append(f"S(l{k}) := !!(msg, 1.0)@Ir{{l{prev}, l{nxt}}}.S(l{nxt})"
+                     f" + ??(msg, 0.6)@Wt{{1.0}}.S(l{nxt}) + (tick, 0.3).S(l{k});")
+    lines.append("system Main = " + " || ".join(f"S(l{k})" for k in range(n)) + ";")
+    return "\n".join(lines) + "\n"
+
+
+def test_composed_unicast_query_work_grows_linearly():
+    # Counts Python calls, not time: one composed !!msg query on a ring of n
+    # agents evaluates each sender's receiver pool once, so doubling n at
+    # most about doubles the work (a pool evaluation per agent and occupied
+    # location would quadruple it).
+    import sys
+
+    def calls(n: int) -> int:
+        defn = load(wide_ring(n))
+        defs = defn.definitions()
+        system = defn.systems["Main"]
+        exit_rate(defs, RateQuery(A("tick"), system))  # compiles the agent tables
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event in ("call", "c_call")
+
+        sys.setprofile(profile)
+        try:
+            value = exit_rate(defs, RateQuery(A("!!msg"), system))
+        finally:
+            sys.setprofile(None)
+        assert value == pytest.approx(n * 1.0)
+        return count
+
+    small, large = calls(40), calls(80)
+    assert large <= 2.2 * small, (small, large)
+
+
+def test_unicast_exit_rate_counts_only_locations_others_occupy():
+    # A reaches l1 at rate 2 and l2 at rate 1; its own location l0, where no
+    # other agent stands, is no delivery target although both ranges cover it
+    import oracle
+
+    defn = load("""
+    location l0 = (0.0, 0.0);
+    location l1 = (1.0, 0.0);
+    location l2 = (2.0, 0.0);
+    A(l0) := !!(m, 1.0)@Ir{l0, l2}.A(l0) + !!(m, 2.0)@Ir{l0, l1}.A(l0);
+    B(l1) := ??(m, 0.5)@Wt{1.0}.B(l1);
+    C(l2) := ??(m, 0.5)@Wt{1.0}.C(l2);
+    system S = A(l0) || B(l1) || C(l2);
+    """)
+    defs = defn.definitions()
+    system = defn.systems["S"]
+    assert exit_rate(defs, RateQuery(A("!!m"), system[0], system[1:])) == 2.0
+    assert exit_rate(defs, RateQuery(A("!!m"), system)) == 2.0
+    assert oracle.exit_rate(defs, "!!", "m", system, EMPTY) == 2.0
