@@ -111,11 +111,13 @@ def _broadcast_act_prob(agent: _AgentState, label: str) -> float:
 
 
 def _receiver_pool(system: Iterable[_AgentState],
-                   influence: frozenset[Location], label: str) -> float:
+                   influence: frozenset[Location], label: str,
+                   sender: int | None = None) -> float:
     """Receive weight on ``label`` of every agent of ``system`` within
-    ``influence``; a sender that listens on its own label counts too."""
-    return sum(agent.weight.get(label, 0) for agent in system
-               if agent.location in influence)
+    ``influence``, except the sender at position ``sender``: a sender never
+    receives its own unicast, even when it listens on the label."""
+    return sum(agent.weight.get(label, 0) for j, agent in enumerate(system)
+               if j != sender and agent.location in influence)
 
 
 def unicast_cap_rate(defs: Definitions, target: Location,
@@ -132,13 +134,14 @@ def unicast_system_rate(defs: Definitions, target: Location,
                         label: str) -> float:
     """Rate at which ``part`` unicasts ``label`` to ``target`` inside
     ``context``. Unicast blocks: an alternative contributes only when some
-    agent of the whole system carries receive weight within its range."""
+    agent of the whole system other than its sender carries receive weight
+    within its range."""
     agents = _agents_of(defs, context + part)
     system = _System(agents, ActionId(ActionType.UNICAST_OUT, label))
     total = 0.0
     for p in range(len(context), len(agents)):
         for prefix in _prefixes(agents[p], ActionType.UNICAST_OUT, label):
-            if target in prefix.influence and system.unblocked(prefix):
+            if target in prefix.influence and system.unblocked(prefix, p):
                 total += prefix.rate
     return total
 
@@ -255,8 +258,9 @@ class _System:
         total = 0.0
         for q, prefix in self.senders().get(agent.location.name, ()):
             if q != p:
-                # the pool of _receiver_pool over the other agents, then this one
-                weights = [weight for r, weight in self.in_range(prefix) if r != p]
+                # the pool of _receiver_pool over the agents but the sender
+                # and this one, then this one
+                weights = [weight for r, weight in self.in_range(prefix) if r != p and r != q]
                 weights.append(own)
                 total += prefix.rate * (own / sum(weights)) * act
         return total
@@ -279,17 +283,17 @@ class _System:
         here = agent.location.name
         delivered: dict[str, float] = {}
         for prefix in _prefixes(agent, ActionType.UNICAST_OUT, self.label):
-            if self.unblocked(prefix):
+            if self.unblocked(prefix, p):
                 for loc in prefix.influence:
                     name = loc.name
                     if occupied.get(name, 0) > (name == here):
                         delivered[name] = delivered.get(name, 0.0) + prefix.rate
         return max(delivered.values(), default=0.0)
 
-    def unblocked(self, prefix: UnicastOut) -> bool:
-        """Whether some agent listens on the label within the range of the
-        unicast ``prefix``."""
-        return bool(self.in_range(prefix))
+    def unblocked(self, prefix: UnicastOut, sender: int) -> bool:
+        """Whether an agent other than the one at ``sender`` listens on the
+        label within the range of its unicast ``prefix``."""
+        return any(r != sender for r, _ in self.in_range(prefix))
 
     def senders(self) -> dict[str, list[tuple[int, UnicastOut | BroadcastOut]]]:
         """For each location name, the outputs that the measured input

@@ -181,7 +181,8 @@ def _joint_outcomes(agents: list[_AgentState], kind: ActionType, label: str,
     """Joint outcomes of an input offer over ``agents`` other than
     ``sender``, as ``(changes, mass)`` pairs; ``changes`` maps each position
     that received and acted to the leaf it took. Unicast receivers compete
-    within the pool of ``pool_agents``.
+    within the pool of ``pool_agents``, where the sender, if given, sits at
+    the same position and takes no share.
 
     Broadcast yields the product over the in-range listeners, unicast one
     alternative per branch of each selectable receiver. ``None`` when no
@@ -189,7 +190,7 @@ def _joint_outcomes(agents: list[_AgentState], kind: ActionType, label: str,
     """
     pool = 0.0
     if kind is ActionType.UNICAST_IN:
-        pool = _receiver_pool(pool_agents, influence, label)
+        pool = _receiver_pool(pool_agents, influence, label, sender)
     per_agent = []
     for j, agent in enumerate(agents):
         if j != sender:

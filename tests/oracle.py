@@ -104,9 +104,10 @@ def transitions(defs: Definitions, state: ModelComponent) -> dict[EdgeKey, float
 
             elif isinstance(prefix, UnicastOut):
                 range_key = tuple(sorted(l.name for l in prefix.influence))
+                # the sender never receives its own unicast
                 total_weight = sum(
                     weight_for(defs, a, prefix.label)
-                    for a in state if a.location in prefix.influence)
+                    for j, a in enumerate(state) if j != i and a.location in prefix.influence)
                 for j, other in enumerate(state):
                     if j == i or other.location not in prefix.influence:
                         continue
@@ -174,15 +175,14 @@ def agent_exit_rate(defs: Definitions, glyph: str, label: str, agent: SeqCompone
                        if isinstance(p, BroadcastOut) and p.label == label
                        and agent.location in p.influence)
         return incoming * pq
-    system = others + [agent]
     if glyph == "!!":
         # best total over the context's locations of the alternatives that
-        # reach there and find a listener somewhere in their range
+        # reach there and find a listener other than the agent in their range
         best = 0.0
         for target in {other.location for other in others}:
             reach = sum(p.rate for p in alts
                         if isinstance(p, UnicastOut) and target in p.influence
-                        and sum(_listens(defs, a, label, p.influence) for a in system) > 0.0)
+                        and sum(_listens(defs, a, label, p.influence) for a in others) > 0.0)
             best = max(best, reach)
         return best
     assert glyph == "??"
@@ -193,11 +193,13 @@ def agent_exit_rate(defs: Definitions, glyph: str, label: str, agent: SeqCompone
         return 0.0
     own, act = inputs[0].weight, inputs[0].act_prob
     total = 0.0
-    for other in others:
+    for j, other in enumerate(others):
         for p, _ in alternatives(defs, other):
             if (isinstance(p, UnicastOut) and p.label == label
                     and agent.location in p.influence):
-                pool = sum(_listens(defs, a, label, p.influence) for a in system)
+                # the pool of every listener in range but the sender
+                pool = own + sum(_listens(defs, a, label, p.influence)
+                                 for k, a in enumerate(others) if k != j)
                 total += p.rate * own / pool * act
     return total
 
@@ -231,8 +233,7 @@ def random_model(rng: Random,
     """A small random model with every constant defined at every location.
 
     Per agent, repeated input prefixes on one label are avoided (the language
-    forbids them) and no agent both sends and listens for the same unicast
-    label, which would let a sender's own weight absorb part of its rate.
+    forbids them). An agent may both send and listen on one unicast label.
     """
     definition = ModelDefinition()
     for k in range(n_locations):
@@ -242,9 +243,7 @@ def random_model(rng: Random,
     labels = [f"m{k}" for k in range(n_labels)]
     constants = [f"C{k}" for k in range(n_constants)]
 
-    def random_prefix(taken_inputs: set[tuple[str, str]],
-                      uni_out_labels: set[str],
-                      uni_in_labels: set[str]):
+    def random_prefix(taken_inputs: set[tuple[str, str]]):
         for _ in range(20):
             kind = rng.choice(_PREFIX_KINDS)
             label = rng.choice(labels)
@@ -254,20 +253,16 @@ def random_model(rng: Random,
                 influence = frozenset(rng.sample(locations, rng.randint(1, len(locations))))
                 return BroadcastOut(label, rng.uniform(0.1, 4.0), influence)
             if kind == "uni_out":
-                if label in uni_in_labels:
-                    continue
                 influence = frozenset(rng.sample(locations, rng.randint(1, len(locations))))
-                uni_out_labels.add(label)
                 return UnicastOut(label, rng.uniform(0.1, 4.0), influence)
             if kind == "br_in":
                 if ("?", label) in taken_inputs:
                     continue
                 taken_inputs.add(("?", label))
                 return BroadcastIn(label, rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
-            if ("??", label) in taken_inputs or label in uni_out_labels:
+            if ("??", label) in taken_inputs:
                 continue
             taken_inputs.add(("??", label))
-            uni_in_labels.add(label)
             return UnicastIn(label, rng.uniform(0.05, 0.95), rng.uniform(0.1, 4.0))
         return Spontaneous(rng.choice(labels), rng.uniform(0.1, 4.0))
 
@@ -277,10 +272,8 @@ def random_model(rng: Random,
     for cname in constants:
         for loc in locations:
             taken: set[tuple[str, str]] = set()
-            uni_out: set[str] = set()
-            uni_in: set[str] = set()
             terms = [
-                SeqComponent(PrefixGuarded(random_prefix(taken, uni_out, uni_in),
+                SeqComponent(PrefixGuarded(random_prefix(taken),
                                            random_continuation()), loc)
                 for _ in range(rng.randint(1, max_alternatives))
             ]

@@ -410,3 +410,39 @@ def test_deep_choice_exits_without_traceback(deep_choice_path, argv, code):
     else:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+
+
+SELF_LISTENING_SOURCE = """\
+location l0 = (0.0, 0.0);
+A(l0) := !!(m, 1.0)@Ir{all}.A(l0) + ??(m, 1.0)@Wt{1.0}.A(l0);
+B(l0) := (tick, 1.0).B(l0);
+system SA = A(l0);
+system SB = B(l0);
+system BA = B(l0) || A(l0);
+system AA = A(l0) || A(l0);
+"""
+
+
+@pytest.fixture(scope="module")
+def self_listening_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("models") / "self.paloma"
+    path.write_text(SELF_LISTENING_SOURCE, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,stdout", [
+    # A listens on its own unicast label, but never receives its own message:
+    # next to B, which does not listen, it is blocked in both layers
+    (("rate", "--system", "SA", "--context", "SB", "--action", "!!m"), "0\n"),
+    (("ctmc", "--system", "BA"), "# states\n0\tB(l0) || A(l0)\n\n"
+                                 "# transitions\n0\t0\t1\t.\ttick\n"),
+    # two such senders deliver all of their rate to each other
+    (("rate", "--system", "AA", "--action", "!!m"), "2\n"),
+    (("rate", "--system", "AA", "--action", "??m"), "2\n"),
+    (("ctmc", "--system", "AA"), "# states\n0\tA(l0) || A(l0)\n\n"
+                                 "# transitions\n0\t0\t2\t!!\tm\n"),
+])
+def test_sender_is_not_in_its_own_receiver_pool(self_listening_path, argv, stdout):
+    proc = run_cli(argv[0], self_listening_path, *argv[1:])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == stdout
