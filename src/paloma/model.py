@@ -379,11 +379,11 @@ class Definitions:
             found = self._ids.get(comp)
             if found is None:
                 resolved = self.resolve(comp)
-                found = self._by_resolved.get(resolved)
-                if found is None:
-                    found = len(self._agents)
+                # one lookup, because hashing a resolved tree walks all of it
+                fresh = len(self._agents)
+                found = self._by_resolved.setdefault(resolved, fresh)
+                if found == fresh:
                     self._agents.append(_AgentState(resolved))
-                    self._by_resolved[resolved] = found
                 self._ids[comp] = found
         return found
 

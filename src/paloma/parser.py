@@ -194,14 +194,14 @@ class _Parser:
         self.diagnostics.append(Diagnostic("error", message, line, column))
 
     def synchronize(self) -> None:
-        while not self.current[0] == "eof":
+        while self.current[0] != "eof":
             if self.advance()[1] == ";":
                 return
 
     # -- grammar -------------------------------------------------------
 
     def parse(self) -> None:
-        while not self.current[0] == "eof":
+        while self.current[0] != "eof":
             try:
                 self.statement()
             except _ParseError as exc:

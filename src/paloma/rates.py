@@ -310,7 +310,8 @@ class _System:
 
     def in_range(self, prefix: UnicastOut) -> list[tuple[int, float]]:
         """The receive weights on the label within ``prefix``'s range, as
-        ``(position, weight)`` in composition order."""
+        ``(position, weight)`` in composition order. Kept by the identity of
+        the range: hashing the set would hash every ``Location`` in Python."""
         found = self._in_range.get(id(prefix.influence))
         if found is None:
             if self._listeners is None:
