@@ -166,15 +166,10 @@ def _bisim_report(result: BisimResult) -> str:
         lines.append("relation:")
         for left, right in result.relation:
             lines.append(f"  {left}  ~  {right}")
-    elif result.inconclusive:
-        lines.append("verdict: inconclusive")
-        if result.note:
-            lines.append(f"note: {result.note}")
-        for failure in result.candidate_failures:
-            lines.append(f"  candidate {failure}")
     else:
-        lines.append("verdict: not-related")
-        if result.counterexample is not None:
+        lines.append("verdict: inconclusive" if result.inconclusive
+                     else "verdict: not-related")
+        if result.counterexample is not None and not result.inconclusive:
             lines.append(f"counterexample: {result.counterexample.describe()}")
         if result.note:
             lines.append(f"note: {result.note}")

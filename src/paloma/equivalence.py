@@ -14,6 +14,7 @@ cannot be matched within what remains.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -22,7 +23,8 @@ from .geometry import (
     ALGEBRAIC_TOL,
     IDENTITY,
     Isometry,
-    _match_point,
+    Point,
+    _PointGrid,
     candidate_isometries,
     invert,
 )
@@ -30,16 +32,16 @@ from .model import (
     ActionId,
     ActionType,
     Definitions,
-    Location,
     ModelComponent,
     SeqComponent,
     StateKey,
+    _agents_of,
     _state_key,
     action_labels,
     locations_of,
     render_model,
 )
-from .rates import RateQuery, exit_rate
+from .rates import _rate_table
 from .semantics import LiftedStep, _keyed_component_steps
 
 __all__ = [
@@ -104,24 +106,28 @@ PairRep = tuple[ModelComponent, ModelComponent]
 
 
 class _PairChecker:
-    """Shared engine behind the bisimilarity checks. Pairs are keyed by the
-    two sides' state keys; each pair keeps the first representative terms
-    seen, for display."""
+    """Shared engine behind the bisimilarity checks of one call. Pairs are
+    keyed by the two sides' state keys; each pair keeps the first
+    representative terms seen, for display. Only the rate conditions depend
+    on the isometry, so all candidates share each state's steps and exit
+    rates and the pairs reachable from a root, computed once."""
 
     def __init__(self, defs: Definitions, context: ModelComponent,
-                 phi: Isometry, bound: int,
-                 same_location: bool = False):
+                 bound: float = math.inf, same_location: bool = False):
         self.defs = defs
         self.context = context
-        self.phi = phi
-        self.phi_inv = invert(phi)
+        self.context_agents = _agents_of(defs, context)
         self.bound = bound
         self.same_location = same_location
         self.actions = _model_actions(defs)
+        # the declared location at a point; candidates ask about the same few
+        # points again and again
+        self.located = functools.cache(_PointGrid(defs.locations.values()).match)
         self._steps_cache: dict[StateKey, tuple[
             list[tuple[LiftedStep, StateKey]],
             dict[ActionId, list[tuple[LiftedStep, StateKey]]]]] = {}
-        self._rates: dict[tuple[StateKey, int, str | None], float] = {}
+        self._rates: dict[StateKey, list[tuple[dict[str, float], float]]] = {}
+        self._explored: dict[PairKey, dict[PairKey, PairRep] | None] = {}
 
     def steps(self, key: StateKey, subject: ModelComponent
               ) -> tuple[list[tuple[LiftedStep, StateKey]],
@@ -142,22 +148,21 @@ class _PairChecker:
             cached = self._steps_cache[key] = (ordered, by_action)
         return cached
 
-    def _exit_rate(self, key: StateKey, subject: ModelComponent, index: int,
-                   location: Location | None) -> float:
-        """Exit rate of the ``index``-th model action by ``subject`` at
-        ``location``, or in total for ``None``. It depends on the state only
-        through its key, so each is computed once per checker."""
-        memo = (key, index, None if location is None else location.name)
-        rate = self._rates.get(memo)
-        if rate is None:
-            where = None if location is None else frozenset({location})
-            rate = self._rates[memo] = exit_rate(self.defs, RateQuery(
-                self.actions[index], subject, self.context, where))
-        return rate
+    def rates(self, key: StateKey) -> list[tuple[dict[str, float], float]]:
+        """Exit rates of each model action by the state ``key``: by location
+        name of its agents, and in total."""
+        tables = self._rates.get(key)
+        if tables is None:
+            subject = [self.defs._agents[a] for a in key]
+            tables = self._rates[key] = [_rate_table(self.context_agents, subject, action)
+                                         for action in self.actions]
+        return tables
 
-    def rate_failure(self, key: PairKey, rep: PairRep) -> Counterexample | None:
-        """First violated rate condition at this pair, if any."""
-        (left_key, right_key), (left, right) = key, rep
+    def rate_failure(self, key: PairKey, rep: PairRep,
+                     phi: Isometry) -> Counterexample | None:
+        """First violated rate condition at this pair under ``phi``, if any."""
+        left, right = rep
+        left_rates, right_rates = self.rates(key[0]), self.rates(key[1])
         if self.same_location:
             left_locs = sorted(l.name for l in locations_of(left))
             right_locs = sorted(l.name for l in locations_of(right))
@@ -166,31 +171,27 @@ class _PairChecker:
                     "location-mismatch", render_model(left), render_model(right),
                     location=f"{left_locs} vs {right_locs}")
             for index, action in enumerate(self.actions):
-                lv = self._exit_rate(left_key, left, index, None)
-                rv = self._exit_rate(right_key, right, index, None)
+                lv, rv = left_rates[index][1], right_rates[index][1]
                 if not _rates_close(lv, rv):
                     return Counterexample(
                         "rate-mismatch", render_model(left), render_model(right),
                         action=action.text, location="(total)", values=(lv, rv))
             return None
 
-        points: dict[tuple[float, float], tuple[float, float]] = {}
+        phi_inv = invert(phi)
+        points: dict[tuple[float, float], Point] = {}
         for loc in sorted(locations_of(left), key=lambda l: l.name):
             points.setdefault(tuple(round(c, 9) for c in loc.point), loc.point)
         for loc in sorted(locations_of(right), key=lambda l: l.name):
-            pre = self.phi_inv.apply(loc.point)
+            pre = phi_inv.apply(loc.point)
             points.setdefault(tuple(round(c, 9) for c in pre), pre)
-        matched = [(points[p], _match_point(points[p], self.defs.locations),
-                    _match_point(self.phi.apply(points[p]), self.defs.locations))
+        matched = [(points[p], self.located(points[p]), self.located(phi.apply(points[p])))
                    for p in sorted(points)]
         for index, action in enumerate(self.actions):
+            left_table, right_table = left_rates[index][0], right_rates[index][0]
             for point, left_loc, right_loc in matched:
-                lv = 0.0
-                if left_loc is not None:
-                    lv = self._exit_rate(left_key, left, index, left_loc)
-                rv = 0.0
-                if right_loc is not None:
-                    rv = self._exit_rate(right_key, right, index, right_loc)
+                lv = 0.0 if left_loc is None else left_table.get(left_loc.name, 0.0)
+                rv = 0.0 if right_loc is None else right_table.get(right_loc.name, 0.0)
                 if not _rates_close(lv, rv):
                     where = left_loc.name if left_loc is not None else f"{point}"
                     return Counterexample(
@@ -198,25 +199,10 @@ class _PairChecker:
                         action=action.text, location=where, values=(lv, rv))
         return None
 
-    def action_gap(self, key: PairKey, rep: PairRep) -> Counterexample | None:
-        """A step one side offers under an action the other side lacks."""
-        left_steps, left_actions = self.steps(key[0], rep[0])
-        right_steps, right_actions = self.steps(key[1], rep[1])
-        for step, _ in left_steps:
-            if step.action not in right_actions:
-                return Counterexample(
-                    "unmatched-transition", render_model(rep[0]), render_model(rep[1]),
-                    action=step.action.text, transition=step.label_text)
-        for step, _ in right_steps:
-            if step.action not in left_actions:
-                return Counterexample(
-                    "unmatched-transition", render_model(rep[0]), render_model(rep[1]),
-                    action=step.action.text, transition=step.label_text)
-        return None
-
     def transfer_failure(self, key: PairKey, rep: PairRep,
-                         relation: set[PairKey]) -> Counterexample | None:
-        """A step on either side that the other cannot match into ``relation``."""
+                         relation: set[PairKey] | None) -> Counterexample | None:
+        """A step on either side that the other cannot match into ``relation``;
+        with ``None``, a step under an action the other side lacks."""
         left_steps, left_by_action = self.steps(key[0], rep[0])
         right_steps, right_by_action = self.steps(key[1], rep[1])
 
@@ -224,7 +210,7 @@ class _PairChecker:
             for sa, key_a in steps_a:
                 for _, key_b in by_action_b.get(sa.action, ()):
                     pair = (key_a, key_b) if left_first else (key_b, key_a)
-                    if pair in relation:
+                    if relation is None or pair in relation:
                         break
                 else:
                     return Counterexample(
@@ -237,18 +223,13 @@ class _PairChecker:
             return failure
         return unmatched(right_steps, left_by_action, left_first=False)
 
-    def run(self, left: ModelComponent, right: ModelComponent) -> BisimResult:
-        root = (_state_key(self.defs, left), _state_key(self.defs, right))
-        root_rep = (left, right)
-        # a root that fails a rate condition is outside every candidate
-        # relation, so the verdict needs no exploration
-        failure = self.rate_failure(root, root_rep)
-        if failure is not None:
-            gap = self.action_gap(root, root_rep)
-            return BisimResult(related=False,
-                               counterexample=gap if gap is not None else failure)
-
-        reps: dict[PairKey, PairRep] = {root: root_rep}
+    def explore(self, root: PairKey, root_rep: PairRep) -> dict[PairKey, PairRep] | None:
+        """The pairs reachable from ``root`` through matched steps, each with
+        its representative terms, or ``None`` once either side reaches more
+        than ``bound`` states. Explored once per root."""
+        if root in self._explored:
+            return self._explored[root]
+        reps = self._explored[root] = {root: root_rep}
         left_seen = {root[0]}
         right_seen = {root[1]}
         queue = deque([root])
@@ -267,15 +248,30 @@ class _PairChecker:
                     left_seen.add(key_l)
                     right_seen.add(key_r)
                     if len(left_seen) > self.bound or len(right_seen) > self.bound:
-                        return BisimResult(
-                            related=False, inconclusive=True,
-                            note=f"state bound {self.bound} exceeded while exploring "
-                                 "the pair space")
+                        self._explored[root] = None
+                        return None
                     reps[new_key] = (sl.successor, sr.successor)
                     queue.append(new_key)
+        return reps
 
+    def run(self, left: ModelComponent, right: ModelComponent,
+            phi: Isometry) -> BisimResult:
+        root = (_state_key(self.defs, left), _state_key(self.defs, right))
+        root_rep = (left, right)
+        # a root that fails a rate condition is outside every candidate
+        # relation, so the verdict needs no exploration
+        failure = self.rate_failure(root, root_rep, phi)
+        if failure is not None:
+            gap = self.transfer_failure(root, root_rep, None)
+            return BisimResult(related=False, counterexample=gap or failure)
+
+        reps = self.explore(root, root_rep)
+        if reps is None:
+            return BisimResult(
+                related=False, inconclusive=True,
+                note=f"state bound {self.bound} exceeded while exploring the pair space")
         relation = {key: rep for key, rep in reps.items()
-                    if self.rate_failure(key, rep) is None}
+                    if self.rate_failure(key, rep, phi) is None}
         changed = True
         while changed:
             changed = False
@@ -290,14 +286,13 @@ class _PairChecker:
             pairs = sorted(relation.values(),
                            key=lambda pq: (render_model(pq[0]), render_model(pq[1])))
             rendered = [(render_model(l), render_model(r)) for l, r in pairs]
-            return BisimResult(related=True, witness=self.phi, relation=rendered,
+            return BisimResult(related=True, witness=phi, relation=rendered,
                                pairs=pairs)
 
         # report the most telling root failure: a step the other side cannot
         # take at all, else the closure failure left after refinement
-        failure = self.action_gap(root, root_rep)
-        if failure is None:
-            failure = self.transfer_failure(root, root_rep, set(relation))
+        failure = (self.transfer_failure(root, root_rep, None)
+                   or self.transfer_failure(root, root_rep, set(relation)))
         return BisimResult(related=False, counterexample=failure)
 
 
@@ -310,24 +305,24 @@ def check_bisim_phi(defs: Definitions, left: ModelComponent, right: ModelCompone
     context and computes the greatest relation whose pairs have equal exit
     rates at phi-corresponding locations and match each other's steps.
     """
-    checker = _PairChecker(defs, context, phi, bound)
-    return checker.run(left, right)
+    return _PairChecker(defs, context, bound).run(left, right, phi)
 
 
 def naive_bisim(defs: Definitions, left: SeqComponent, right: SeqComponent,
                 context: ModelComponent, bound: int = 10000) -> BisimResult:
     """Bisimulation on single agents with locations taken literally: related
     agents must occupy the same location, here and after every step."""
-    checker = _PairChecker(defs, context, IDENTITY, bound, same_location=True)
-    return checker.run((left,), (right,))
+    checker = _PairChecker(defs, context, bound, same_location=True)
+    return checker.run((left,), (right,), IDENTITY)
 
 
 def recheck_transfer(defs: Definitions, context: ModelComponent, phi: Isometry,
                      pairs: list[tuple[ModelComponent, ModelComponent]]
                      ) -> Counterexample | None:
     """Audit an explicit pair set against the transfer conditions; used to
-    confirm that unions of computed witness relations stay closed."""
-    checker = _PairChecker(defs, context, phi, bound=1)
+    confirm that unions of computed witness relations stay closed. The
+    transfer conditions do not depend on ``phi``."""
+    checker = _PairChecker(defs, context)
     keyed = [((_state_key(defs, l), _state_key(defs, r)), (l, r)) for l, r in pairs]
     keys = {key for key, _ in keyed}
     for key, rep in keyed:
@@ -343,7 +338,8 @@ def bisimilar(defs: Definitions, left: ModelComponent, right: ModelComponent,
 
     Candidates come from the locations occupied by the two sides including
     the shared context; the first related verdict wins. With no witness the
-    result carries one failure summary per candidate tried.
+    result carries one failure summary per candidate tried. One checker
+    serves every candidate, so the pair space is explored at most once.
     """
     points_left = [loc.point for loc in locations_of(context + left)]
     points_right = [loc.point for loc in locations_of(context + right)]
@@ -351,8 +347,9 @@ def bisimilar(defs: Definitions, left: ModelComponent, right: ModelComponent,
     failures: list[str] = []
     first_failure: Counterexample | None = None
     saw_inconclusive = False
+    checker = _PairChecker(defs, context, bound)
     for phi in candidates:
-        result = check_bisim_phi(defs, left, right, context, phi, bound)
+        result = checker.run(left, right, phi)
         if result.related:
             return result
         if result.inconclusive:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .model import Location
 
@@ -122,22 +123,13 @@ def map_location(iso: Isometry, location: Location,
                  tol: float = GEOMETRIC_TOL) -> Location | None:
     """Apply to a location's point and match the image back to a declared
     location, or ``None`` when it lands on undeclared ground."""
-    return _match_point(iso.apply(location.point), declared, tol)
-
-
-def _match_point(point: Point, declared: dict[str, Location],
-                 tol: float = GEOMETRIC_TOL) -> Location | None:
-    """The first declared location within ``tol`` of ``point``, if any."""
-    for candidate in declared.values():
-        if math.dist(point, candidate.point) <= tol:
-            return candidate
-    return None
+    return _PointGrid(declared.values(), tol).match(iso.apply(location.point))
 
 
 class _PointGrid:
     """Locations bucketed by square cells of the plane, so that ``match``
-    gives ``_match_point``'s answer over the locations added so far while
-    looking at the 3 x 3 cells around the point only.
+    finds the earliest added location within ``tol`` of a point while
+    looking at the 3 x 3 cells around it only.
 
     Cells are four tolerances wide rather than one: two points within ``tol``
     of each other then land in the same or adjacent cells even after the
@@ -146,11 +138,14 @@ class _PointGrid:
     itself; points that far out match only on equal coordinates anyway.
     """
 
-    def __init__(self, tol: float = GEOMETRIC_TOL):
+    def __init__(self, locations: Iterable[Location] = (), tol: float = GEOMETRIC_TOL):
         self.tol = tol
-        self.width = 4.0 * tol
+        # with no positive tolerance only equal points match, in any cell
+        self.width = 4.0 * tol if tol > 0.0 else 1.0
         self.cells: dict[tuple[float, float], list[tuple[int, Location]]] = {}
         self.added = 0
+        for location in locations:
+            self.add(location)
 
     def _cell(self, point: Point) -> tuple[float, float]:
         x, y = point[0] / self.width, point[1] / self.width
@@ -213,14 +208,15 @@ def _round_key(iso: Isometry) -> tuple:
 
 def candidate_isometries(points_a: list[Point], points_b: list[Point],
                          tol: float = GEOMETRIC_TOL) -> tuple[list[Isometry], str | None]:
-    """Every isometry that could map one occupied point set onto another.
+    """Every isometry that maps one occupied point set onto another.
 
-    Uses distance-matched ordered pairs; a single occupied point on each
-    side yields the plain translation between them. Mismatched set sizes
-    admit no bijective matching, reported through the note. Candidates are
-    deduplicated and ordered deterministically: identity first, then
-    orientation-reversing before orientation-preserving, then by rounded
-    parameters.
+    Synthesised from distance-matched ordered pairs; a single occupied point
+    on each side yields the plain translation between them. Only candidates
+    that map every point within ``tol`` of a point of the other set are
+    kept. Mismatched set sizes admit no bijective matching, reported through
+    the note. Candidates are deduplicated and ordered deterministically:
+    identity first, then orientation-reversing before orientation-preserving,
+    then by rounded parameters.
     """
     set_a = sorted(set(points_a))
     set_b = sorted(set(points_b))
@@ -229,7 +225,7 @@ def candidate_isometries(points_a: list[Point], points_b: list[Point],
                     f"onto {len(set_b)}")
     if not set_a:
         return [IDENTITY], None
-    candidates: list[Isometry] = []
+    candidates = [IDENTITY]
     if len(set_a) == 1:
         (ax, ay), (bx, by) = set_a[0], set_b[0]
         candidates.append(translation(bx - ax, by - ay))
@@ -245,12 +241,10 @@ def candidate_isometries(points_a: list[Point], points_b: list[Point],
                         if abs(math.dist(a1, a2) - math.dist(b1, b2)) > tol:
                             continue
                         candidates.extend(_pair_isometries(a1, a2, b1, b2))
-    if _maps_onto(IDENTITY, set_a, set_b, tol):
-        candidates.insert(0, IDENTITY)
     unique: dict[tuple, Isometry] = {}
     for iso in candidates:
         unique.setdefault(_round_key(iso), iso)
-    ordered = sorted(unique.values(),
+    ordered = sorted((iso for iso in unique.values() if _maps_onto(iso, set_a, set_b, tol)),
                      key=lambda iso: (not iso.is_identity(),
                                       round(iso.determinant, 9),
                                       _round_key(iso)))

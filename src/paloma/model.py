@@ -179,10 +179,6 @@ _PREFIX_TYPES = {
 _PREFIX_NAMES = {kind: cls.__name__ for cls, kind in _PREFIX_TYPES.items()}
 
 
-def prefix_action(prefix: Prefix) -> ActionId:
-    return ActionId(_PREFIX_TYPES[type(prefix)], prefix.label)
-
-
 @dataclass(frozen=True)
 class ConstantRef:
     """Reference to a defining equation, keyed by (name, location)."""

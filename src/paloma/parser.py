@@ -48,7 +48,6 @@ from .model import (
     UnicastIn,
     UnicastOut,
     _syntactic_leaves,
-    choice_leaves,
     format_number,
     render_seq,
 )
@@ -504,9 +503,10 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
 
     # Constant definitions must be guarded: following aliases and choice
     # operands from any equation must terminate in prefixes.
+    resolved: dict[tuple[str, str], SeqComponent] = {}
     for (name, locname), body in definition.equations.items():
         try:
-            defs.resolve(body)
+            resolved[(name, locname)] = defs.resolve(body)
         except Exception as exc:  # ModelError carries the offending cycle
             err(f"{name}({locname}): {exc}")
     if any(d.severity == "error" for d in out):
@@ -514,9 +514,9 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
 
     # Each agent may carry at most one input prefix per label within one
     # choice tree; receive probabilities have no meaning for repeated inputs.
-    for (name, locname), body in definition.equations.items():
+    for (name, locname), tree in resolved.items():
         seen: dict[tuple[str, str], int] = {}
-        for leaf in choice_leaves(defs, body):
+        for leaf in _syntactic_leaves(tree):
             prefix = leaf.prefix
             if isinstance(prefix, (UnicastIn, BroadcastIn)):
                 kind = "??" if isinstance(prefix, UnicastIn) else "?"
@@ -528,13 +528,14 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
 
     # A unicast output whose range holds no equation with a matching input
     # label can never fire; certain blocking is worth a warning.
+    written = {key: _syntactic_leaves(body) for key, body in definition.equations.items()}
     receivers_of: dict[str, set[str]] = {}
-    for (eq_name, eq_loc), eq_body in definition.equations.items():
-        for eq_leaf in _syntactic_leaves(eq_body):
+    for (_, eq_loc), eq_leaves in written.items():
+        for eq_leaf in eq_leaves:
             if isinstance(eq_leaf.prefix, UnicastIn):
                 receivers_of.setdefault(eq_leaf.prefix.label, set()).add(eq_loc)
-    for (name, locname), body in definition.equations.items():
-        for leaf in _syntactic_leaves(body):
+    for (name, locname), leaves in written.items():
+        for leaf in leaves:
             prefix = leaf.prefix
             if isinstance(prefix, UnicastOut):
                 range_names = {loc.name for loc in prefix.influence}

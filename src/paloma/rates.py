@@ -202,21 +202,32 @@ def exit_rate(defs: Definitions, query: RateQuery) -> float:
     the measured agent's own weight) and, within an agent, in written order.
     """
     subject = query.subject
-    context = _agents_of(defs, query.context)
-    if isinstance(subject, SeqComponent) and query.locations is None:
-        system = _System(context + [defs._agent(subject)], query.action)
-        return system.agent_rate(len(context))
     if isinstance(subject, SeqComponent):
         subject = (subject,)
-    if query.locations is None:
-        picked = range(len(subject))
-    else:
-        picked = [i for i, part in enumerate(subject) if part.location in query.locations]
+    context = _agents_of(defs, query.context)
     system = _System(context + _agents_of(defs, subject), query.action)
     total = 0.0
-    for i in picked:
-        total += system.agent_rate(len(context) + i)
+    for i, part in enumerate(subject):
+        if query.locations is None or part.location in query.locations:
+            total += system.agent_rate(len(context) + i)
     return total
+
+
+def _rate_table(context: list[_AgentState], subject: list[_AgentState],
+                action: ActionId) -> tuple[dict[str, float], float]:
+    """``exit_rate`` of ``action`` by the composed ``subject`` inside
+    ``context``, restricted to each location name the subject occupies, and
+    in total, from one index of the system. Each sum adds in subject order
+    from 0.0, as ``exit_rate`` does, so every value equals its query's."""
+    system = _System(context + subject, action)
+    by_location: dict[str, float] = {}
+    total = 0.0
+    for i, agent in enumerate(subject):
+        rate = system.agent_rate(len(context) + i)
+        name = agent.location.name
+        by_location[name] = by_location.get(name, 0.0) + rate
+        total += rate
+    return by_location, total
 
 
 # the output type that each input type receives

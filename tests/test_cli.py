@@ -330,7 +330,7 @@ GOLDEN = [
     ("ring", ("bisim", "--left", "Main", "--right", "Rot"), 0,
      "ad1923430b77ee92dae75d3b9eba993fad7c331ff74fc02dfe9f12300956b146"),
     ("ring", ("bisim", "--left", "Main", "--right", "Odd"), 1,
-     "25663a18cc69327423e6ab1a670e692d11cec8a2f87e23864690b17a187e9260"),
+     "3ea73bc57ff8fcfbc1bf095927aff83f15eb55ed621951cafd44abe4371e2225"),
     ("ring", ("rate", "--system", "Main", "--action", "??msg", "--loc", "l1"), 0,
      "0606afe3ce3d5c0160dabd6fdbba2b359f561d83ca7b6b0cab48e7b7dcb8fb92"),
     ("ring", ("rate", "--system", "Odd", "--action", "?bc"), 0,

@@ -282,17 +282,48 @@ def test_random_self_similarity():
 
 def test_pair_check_computes_each_state_exit_rate_once(scenario, monkeypatch):
     import paloma.equivalence as equivalence
-    from paloma.model import canonical
+    from paloma.rates import _rate_table
 
     defs = scenario.definitions()
     seen = []
 
-    def recording(defs_, query):
-        seen.append((canonical(defs_, query.subject), query.action, query.locations))
-        return exit_rate(defs_, query)
+    def recording(context, subject, action):
+        seen.append((tuple(map(id, subject)), action))
+        return _rate_table(context, subject, action)
 
-    monkeypatch.setattr(equivalence, "exit_rate", recording)
-    result = check_bisim_phi(defs, scenario.systems["Scenario1"], scenario.systems["Scenario2"],
-                             EMPTY, reflection_y_axis())
-    assert result.related and len(result.pairs) > 1
+    monkeypatch.setattr(equivalence, "_rate_table", recording)
+    result = bisimilar(defs, scenario.systems["Scenario1"], scenario.systems["Scenario2"],
+                       EMPTY)
+    # the identity is refuted before the reflection relates the pair, and
+    # both candidates read the same tables
+    assert result.related and result.witness.kind == "reflection"
+    assert len(result.pairs) > 1
     assert seen and len(seen) == len(set(seen))
+
+
+def test_one_checker_derives_each_state_once_across_candidates(scenario, monkeypatch):
+    import paloma.equivalence as equivalence
+    from paloma.geometry import rotation
+    from paloma.model import _state_key
+    from paloma.semantics import _keyed_component_steps
+
+    defs = scenario.definitions()
+    seen = []
+
+    def recording(defs_, context, subject):
+        seen.append(_state_key(defs_, subject))
+        return _keyed_component_steps(defs_, context, subject)
+
+    monkeypatch.setattr(equivalence, "_keyed_component_steps", recording)
+    left, right = scenario.systems["Scenario1"], scenario.systems["Scenario2"]
+    checker = equivalence._PairChecker(defs, EMPTY, 10000)
+    mirrored = checker.run(left, right, reflection_y_axis())
+    derived = len(seen)
+    turned = checker.run(left, right, rotation(math.pi))
+    assert mirrored.related and turned.related
+    assert mirrored.relation == turned.relation and len(mirrored.pairs) > 1
+    assert derived > 2 and len(seen) == derived
+    assert len(seen) == len(set(seen))
+    # and the second candidate refined the pair set the first explored
+    root = (_state_key(defs, left), _state_key(defs, right))
+    assert checker.explore(root, (left, right)) is checker.explore(root, (left, right))

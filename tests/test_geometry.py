@@ -102,6 +102,40 @@ def test_map_location_matches_declared_names():
     assert map_location(off, l0, declared) is None
 
 
+def test_map_location_returns_the_earliest_declared_match():
+    # both declared points lie within tolerance of the image, in adjacent
+    # grid cells; the earlier declaration wins, whichever is nearer
+    near = Location("near", (5e-7, 0.0))
+    far = Location("far", (-9e-7, 0.0))
+    here = Location("here", (0.0, 0.0))
+    assert map_location(IDENTITY, here, {"far": far, "near": near}).name == "far"
+    assert map_location(IDENTITY, here, {"near": near, "far": far}).name == "near"
+    assert map_location(IDENTITY, here, {"far": far, "near": near}, tol=6e-7).name == "near"
+    assert map_location(IDENTITY, here, {"here": here}, tol=0.0).name == "here"
+    assert map_location(IDENTITY, here, {"near": near}, tol=0.0) is None
+
+
+def test_map_location_agrees_with_a_scan_in_declared_order():
+    # images land within 1.5 tolerances of a random declared point, so some
+    # match one, some several and some none
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(300):
+        tol = 10.0 ** rng.randint(-7, 0)
+        declared = {f"l{k}": Location(f"l{k}", (rng.uniform(-2, 2) * tol, rng.uniform(-2, 2) * tol))
+                    for k in range(rng.randint(1, 6))}
+        x, y = rng.choice(list(declared.values())).point
+        image = (x + rng.uniform(-1.5, 1.5) * tol, y + rng.uniform(-1.5, 1.5) * tol)
+        phi = random_isometry(rng)
+        probe = Location("p", invert(phi).apply(image))
+        within = [loc.name for loc in declared.values()
+                  if math.dist(phi.apply(probe.point), loc.point) <= tol]
+        found = map_location(phi, probe, declared, tol)
+        assert (found and found.name) == (within[0] if within else None)
+        outcomes.add(min(len(within), 2))
+    assert outcomes == {0, 1, 2}
+
+
 def test_map_locations_is_elementwise_with_raw_fallback():
     from paloma.geometry import map_locations
 
@@ -167,13 +201,21 @@ def test_candidates_map_between_congruent_random_sets():
         candidates, note = candidate_isometries(points, images)
         assert note is None
         assert candidates, "a congruent image must admit at least one candidate"
-        found = False
         for iso in candidates:
-            if all(any(math.dist(iso.apply(p), q) <= 1e-6 for q in images)
-                   for p in points):
-                found = True
-                break
-        assert found
+            assert all(any(math.dist(iso.apply(p), q) <= 1e-6 for q in images)
+                       for p in points)
+
+
+def test_triangle_candidates_are_its_six_symmetries():
+    # the ring-3 locations: distance matching alone proposes 24 isometries,
+    # of which only the 3 rotations and 3 reflections map the set onto itself
+    triangle = [(3.0, 0.0), (-1.4999999999999993, 2.598076211353316),
+                (-1.5000000000000013, -2.598076211353315)]
+    candidates, note = candidate_isometries(triangle, triangle)
+    assert note is None
+    assert len(candidates) == 6
+    assert [round(iso.determinant) for iso in candidates] == [1, -1, -1, -1, 1, 1]
+    assert candidates[0].kind == "identity"
 
 
 def test_candidate_order_is_deterministic():

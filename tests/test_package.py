@@ -43,3 +43,29 @@ def test_shipped_models_are_valid():
         result = parse_model(path.read_text(encoding="utf-8"))
         assert result.ok, path
         assert not [d for d in validate(result.definition) if d.severity == "error"]
+
+
+def test_sources_are_standard_library_python_3_10():
+    # README promises pure standard-library Python (3.10+): every module
+    # parses under the 3.10 grammar and imports only the standard library or
+    # the package itself, and the package declares no dependencies
+    import ast
+    import sys
+
+    sources = sorted((ROOT / "src" / "paloma").glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                         feature_version=(3, 10))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "paloma", (path.name, name)
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", pyproject, flags=re.MULTILINE)

@@ -437,3 +437,36 @@ def test_near_location_check_matches_pairwise_scan():
         assert found == expected
         reported += len(found)
     assert reported >= 300
+
+
+def test_validate_resolves_each_equation_once(monkeypatch):
+    # a 150-agent ring plus a one-agent probe: 151 equations, so validate's
+    # guardedness pass is the only resolution and the later passes reuse it
+    import math
+
+    from paloma.model import Definitions
+
+    n = 150
+    lines = []
+    for k in range(n):
+        angle = 2 * math.pi * k / n
+        lines.append(f"location l{k} = ({n * math.cos(angle)!r}, {n * math.sin(angle)!r});")
+    for k in range(n):
+        prev, nxt = (k - 1) % n, (k + 1) % n
+        lines.append(f"S(l{k}) := !!(msg, 1.0)@Ir{{l{prev}, l{nxt}}}.S(l{nxt})"
+                     f" + ??(msg, 0.6)@Wt{{1.0}}.S(l{nxt}) + (tick, 0.3).S(l{k});")
+    lines.append("P(l0) := ??(msg, 0.5)@Wt{3.0}.P(l0) + (tick, 0.1).P(l0);")
+    lines.append("system Main = " + " || ".join(f"S(l{k})" for k in range(n)) + ";")
+    result = parse_model("\n".join(lines) + "\n")
+    assert not errors(result.diagnostics)
+
+    calls = []
+    resolve = Definitions.resolve
+
+    def counting(self, comp):
+        calls.append(comp)
+        return resolve(self, comp)
+
+    monkeypatch.setattr(Definitions, "resolve", counting)
+    assert validate(result.definition) == []
+    assert len(calls) == len(result.definition.equations) == n + 1

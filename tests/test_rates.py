@@ -471,6 +471,41 @@ def test_exit_rate_matches_brute_force_reference():
     assert min(positive.values()) >= 60, positive
 
 
+def test_rate_table_equals_exit_rate_bit_for_bit():
+    # the bisimulation checker reads one table per state and action instead
+    # of one exit_rate query per location; every value must be the query's
+    # own float, per location the subject occupies, in total, and zero
+    # elsewhere
+    from paloma.model import _agents_of, locations_of
+    from paloma.rates import _rate_table
+
+    compared = positive = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        defn = random_model(rng, max_agents=4, n_locations=rng.randint(1, 3),
+                            n_labels=2, max_alternatives=3)
+        defs = defn.definitions()
+        main, alt = defn.systems["Main"], defn.systems["Alt"]
+        for subject, context in ((main, EMPTY), (main, alt), (alt, main), (main[:1], alt),
+                                 (main + alt, EMPTY)):
+            for glyph in (".", "!", "?", "!!", "??"):
+                for label in ("m0", "m1"):
+                    action = A(label if glyph == "." else glyph + label)
+                    by_location, total = _rate_table(
+                        _agents_of(defs, context), _agents_of(defs, subject), action)
+                    assert set(by_location) == {loc.name for loc in locations_of(subject)}
+                    expected = exit_rate(defs, RateQuery(action, subject, context))
+                    assert total.hex() == expected.hex(), (seed, glyph, label)
+                    for loc in defs.locations.values():
+                        expected = exit_rate(defs, RateQuery(action, subject, context,
+                                                             frozenset({loc})))
+                        got = by_location.get(loc.name, 0.0)
+                        assert got.hex() == expected.hex(), (seed, glyph, label, loc.name)
+                        positive += expected > 0.0
+                        compared += 1
+    assert compared >= 3000 and positive >= 200
+
+
 def wide_ring(n: int) -> str:
     """n agents on a circle; each unicasts to and listens from both
     neighbours, as in the benchmark's wide family."""

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paloma.model import (
     ActionId,
@@ -300,6 +301,68 @@ def test_engine_matches_oracle_on_random_models():
     for seed in range(60):
         defn = random_model(random.Random(seed))
         assert_matches_oracle(defn)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       max_agents=st.integers(2, 3), n_locations=st.integers(1, 3),
+       max_alternatives=st.integers(2, 3))
+def test_ctmc_and_exit_rates_match_oracle_on_drawn_models(seed, max_agents, n_locations,
+                                                          max_alternatives):
+    import oracle
+    from paloma.geometry import ALGEBRAIC_TOL
+    from paloma.rates import RateQuery, exit_rate
+
+    defn = random_model(random.Random(seed), max_agents=max_agents,
+                        n_locations=n_locations, max_alternatives=max_alternatives)
+    assert_matches_oracle(defn)
+    defs = defn.definitions()
+    main, alt = defn.systems["Main"], defn.systems["Alt"]
+    wheres = [None] + [frozenset({loc}) for loc in defs.locations.values()]
+    for subject, context in ((main, EMPTY), (main, alt), (alt[0], main)):
+        for glyph in (".", "!", "?", "!!", "??"):
+            for label in ("m0", "m1"):
+                action = A(label if glyph == "." else glyph + label)
+                for where in wheres:
+                    engine = exit_rate(defs, RateQuery(action, subject, context, where))
+                    reference = oracle.exit_rate(defs, glyph, label, subject, context, where)
+                    assert math.isclose(engine, reference, rel_tol=ALGEBRAIC_TOL,
+                                        abs_tol=1e-12), (glyph, label, where)
+
+
+def test_ctmc_conserves_unblocked_unicast_rate():
+    # The !! edges leaving a CTMC state on one label and range add up to the
+    # prefix rates of its unblocked senders on that label and range: the
+    # rate is shared among receivers and outcomes, never lost or gained. A
+    # prefix is unblocked when another agent listens on its label in range.
+    import oracle
+    from paloma.model import UnicastOut
+
+    checked = 0
+    for seed in range(300):
+        defn = random_model(random.Random(seed), n_locations=3, max_alternatives=3)
+        defs = defn.definitions()
+        ctmc = build_ctmc(defs, defn.systems["Main"], bound=2000)
+        outgoing: dict[tuple, float] = {}
+        for t in ctmc.transitions:
+            if t.kind is ActionType.UNICAST_OUT:
+                key = (t.source, t.label, t.influence)
+                outgoing[key] = outgoing.get(key, 0.0) + t.rate
+        expected: dict[tuple, float] = {}
+        for s, state in enumerate(ctmc.states):
+            for i, agent in enumerate(state):
+                for prefix, _ in oracle.alternatives(defs, agent):
+                    if isinstance(prefix, UnicastOut) and any(
+                            j != i and other.location in prefix.influence
+                            and oracle.weight_for(defs, other, prefix.label) > 0.0
+                            for j, other in enumerate(state)):
+                        key = (s, prefix.label, prefix.influence)
+                        expected[key] = expected.get(key, 0.0) + prefix.rate
+        assert outgoing.keys() == expected.keys(), seed
+        for key, want in expected.items():
+            assert math.isclose(outgoing[key], want, rel_tol=1e-9), (seed, key)
+            checked += 1
+    assert checked >= 200
 
 
 # -- rule-level properties ---------------------------------------------------
