@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass, field
 
 from .geometry import (
     ALGEBRAIC_TOL,
@@ -35,6 +34,7 @@ from .model import (
     ModelComponent,
     SeqComponent,
     StateKey,
+    _Record,
     _agents_of,
     _state_key,
     action_labels,
@@ -53,15 +53,17 @@ __all__ = [
     "recheck_transfer",
 ]
 
-@dataclass(frozen=True)
-class Counterexample:
-    kind: str  # "rate-mismatch" | "unmatched-transition" | "location-mismatch"
-    left: str
-    right: str
-    action: str | None = None
-    transition: str | None = None
-    location: str | None = None
-    values: tuple[float, float] | None = None
+class Counterexample(_Record):
+    """``kind`` is "rate-mismatch", "unmatched-transition" or "location-mismatch"."""
+
+    __slots__ = ("kind", "left", "right", "action", "transition", "location", "values")
+
+    def __init__(self, kind: str, left: str, right: str, action: str | None = None,
+                 transition: str | None = None, location: str | None = None,
+                 values: tuple[float, float] | None = None):
+        self.kind, self.left, self.right = kind, left, right
+        self.action, self.transition, self.location, self.values = (
+            action, transition, location, values)
 
     def describe(self) -> str:
         pair = f"({self.left}, {self.right})"
@@ -76,16 +78,22 @@ class Counterexample:
         return f"location mismatch at pair {pair}: {self.location}"
 
 
-@dataclass
-class BisimResult:
-    related: bool
-    inconclusive: bool = False
-    witness: Isometry | None = None
-    relation: list[tuple[str, str]] = field(default_factory=list)
-    pairs: list[tuple[ModelComponent, ModelComponent]] = field(default_factory=list)
-    counterexample: Counterexample | None = None
-    candidate_failures: list[str] = field(default_factory=list)
-    note: str | None = None
+class BisimResult(_Record):
+    __slots__ = ("related", "inconclusive", "witness", "relation", "pairs",
+                 "counterexample", "candidate_failures", "note")
+    __hash__ = None  # mutable, like the lists it holds
+
+    def __init__(self, related: bool, inconclusive: bool = False, witness: Isometry | None = None,
+                 relation: list[tuple[str, str]] | None = None,
+                 pairs: list[tuple[ModelComponent, ModelComponent]] | None = None,
+                 counterexample: Counterexample | None = None,
+                 candidate_failures: list[str] | None = None, note: str | None = None):
+        self.related, self.inconclusive, self.witness = related, inconclusive, witness
+        self.relation = [] if relation is None else relation
+        self.pairs = [] if pairs is None else pairs
+        self.counterexample = counterexample
+        self.candidate_failures = [] if candidate_failures is None else candidate_failures
+        self.note = note
 
 
 def _model_actions(defs: Definitions) -> list[ActionId]:

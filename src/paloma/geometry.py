@@ -9,10 +9,9 @@ exactly two isometries, one orientation-preserving and one reflected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
-from .model import Location
+from .model import Location, _Record
 
 __all__ = [
     "IDENTITY",
@@ -34,10 +33,11 @@ GEOMETRIC_TOL = 1e-6
 ALGEBRAIC_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Isometry:
-    linear: Matrix
-    offset: Point
+class Isometry(_Record):
+    __slots__ = ("linear", "offset")
+
+    def __init__(self, linear: Matrix, offset: Point):
+        self.linear, self.offset = linear, offset
 
     def apply(self, point: Point) -> Point:
         (a, b), (c, d) = self.linear

@@ -8,14 +8,14 @@ message prefixes carry an influence range, the set of locations a message can
 reach.
 
 All values here are immutable and hashable, so terms can serve directly as
-dictionary keys for state-space exploration.
+dictionary keys for state-space exploration. A term's hash is fixed when it is
+built, so hashing never walks a term, and comparing terms never recurses.
 """
 
 from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
 __all__ = [
@@ -55,6 +55,60 @@ class ModelError(Exception):
     """Malformed term: dangling constant, unguarded recursion, bad index."""
 
 
+class _Record:
+    """A value made of the fields named by its ``__slots__``: it compares
+    equal, hashes and prints field by field, in slot order."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Term(_Record):
+    """A term node, equal by its ``_fields``. Its hash is fixed at
+    construction from theirs, a child node's being its stored ``_hash``, so
+    hashing takes constant time; equality walks two trees with a stack.
+    Fields are never reassigned after construction: the hash depends on them."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
+                return False
+            for name in a._fields:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, _Term):
+                    pending.append((x, y))
+                elif x is not y and x != y:
+                    return False
+        return True
+
+
 class ActionType(enum.Enum):
     SPONTANEOUS = "."
     BROADCAST_OUT = "!"
@@ -62,23 +116,32 @@ class ActionType(enum.Enum):
     UNICAST_OUT = "!!"
     UNICAST_IN = "??"
 
-    @property
-    def glyph(self) -> str:
-        return self.value
+    # members are singletons: hash them by identity, in C, not by name
+    __hash__ = object.__hash__
+
+    def __init__(self, glyph: str):
+        self.glyph = glyph
 
 
-@dataclass(frozen=True)
-class ActionId:
+class ActionId(_Term):
     """An action identifier: a type glyph plus a message label."""
 
-    act_type: ActionType
-    label: str
+    __slots__ = ("act_type", "label", "text")
+    _fields = ("act_type", "label")
 
-    @property
-    def text(self) -> str:
-        if self.act_type is ActionType.SPONTANEOUS:
-            return self.label
-        return self.act_type.glyph + self.label
+    def __init__(self, act_type: ActionType, label: str):
+        self.act_type, self.label = act_type, label
+        self.text = label if act_type is ActionType.SPONTANEOUS else act_type.glyph + label
+        self._hash = hash((act_type, label))
+
+    def __eq__(self, other: object) -> bool:
+        # the engine looks steps up by equal but distinct actions, so this
+        # flat comparison is the hot one
+        if other.__class__ is not ActionId:
+            return NotImplemented
+        return self.act_type is other.act_type and self.label == other.label
+
+    __hash__ = _Term.__hash__  # defining __eq__ would unset it
 
     @staticmethod
     def parse(text: str) -> "ActionId":
@@ -95,74 +158,73 @@ class ActionId:
         return ActionId(act_type, label)
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(_Term):
     """A named point in the plane. Identity is by name alone."""
 
-    name: str
-    point: tuple[float, float] = field(compare=False)
+    __slots__ = ("name", "point")
+    _fields = ("name",)
+
+    def __init__(self, name: str, point: tuple[float, float]):
+        self.name, self.point = name, point
+        self._hash = hash((name,))
 
 
 # The influence range of a message prefix, expanded to concrete locations.
 InfluenceRange = frozenset[Location]
 
 
-@dataclass(frozen=True)
-class UnicastOut:
-    label: str
-    rate: float
-    influence: InfluenceRange
+class UnicastOut(_Term):
+    __slots__ = _fields = ("label", "rate", "influence")
 
-    def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise ModelError(f"unicast rate must be positive, got {self.rate}")
-
-
-@dataclass(frozen=True)
-class UnicastIn:
-    label: str
-    act_prob: float
-    weight: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.act_prob <= 1.0:
-            raise ModelError(f"act probability out of range: {self.act_prob}")
-        if not self.weight > 0:
-            raise ModelError(f"receive weight must be positive, got {self.weight}")
+    def __init__(self, label: str, rate: float, influence: InfluenceRange):
+        if not rate > 0:
+            raise ModelError(f"unicast rate must be positive, got {rate}")
+        self.label, self.rate, self.influence = label, rate, influence
+        self._hash = hash((label, rate, influence))
 
 
-@dataclass(frozen=True)
-class BroadcastOut:
-    label: str
-    rate: float
-    influence: InfluenceRange
+class UnicastIn(_Term):
+    __slots__ = _fields = ("label", "act_prob", "weight")
 
-    def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise ModelError(f"broadcast rate must be positive, got {self.rate}")
-
-
-@dataclass(frozen=True)
-class BroadcastIn:
-    label: str
-    act_prob: float
-    recv_prob: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.act_prob <= 1.0:
-            raise ModelError(f"act probability out of range: {self.act_prob}")
-        if not 0.0 <= self.recv_prob <= 1.0:
-            raise ModelError(f"receive probability out of range: {self.recv_prob}")
+    def __init__(self, label: str, act_prob: float, weight: float):
+        if not 0.0 <= act_prob <= 1.0:
+            raise ModelError(f"act probability out of range: {act_prob}")
+        if not weight > 0:
+            raise ModelError(f"receive weight must be positive, got {weight}")
+        self.label, self.act_prob, self.weight = label, act_prob, weight
+        self._hash = hash((label, act_prob, weight))
 
 
-@dataclass(frozen=True)
-class Spontaneous:
-    label: str
-    rate: float
+class BroadcastOut(_Term):
+    __slots__ = _fields = ("label", "rate", "influence")
 
-    def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise ModelError(f"rate must be positive, got {self.rate}")
+    def __init__(self, label: str, rate: float, influence: InfluenceRange):
+        if not rate > 0:
+            raise ModelError(f"broadcast rate must be positive, got {rate}")
+        self.label, self.rate, self.influence = label, rate, influence
+        self._hash = hash((label, rate, influence))
+
+
+class BroadcastIn(_Term):
+    __slots__ = _fields = ("label", "act_prob", "recv_prob")
+
+    def __init__(self, label: str, act_prob: float, recv_prob: float):
+        if not 0.0 <= act_prob <= 1.0:
+            raise ModelError(f"act probability out of range: {act_prob}")
+        if not 0.0 <= recv_prob <= 1.0:
+            raise ModelError(f"receive probability out of range: {recv_prob}")
+        self.label, self.act_prob, self.recv_prob = label, act_prob, recv_prob
+        self._hash = hash((label, act_prob, recv_prob))
+
+
+class Spontaneous(_Term):
+    __slots__ = _fields = ("label", "rate")
+
+    def __init__(self, label: str, rate: float):
+        if not rate > 0:
+            raise ModelError(f"rate must be positive, got {rate}")
+        self.label, self.rate = label, rate
+        self._hash = hash((label, rate))
 
 
 Prefix = Union[UnicastOut, UnicastIn, BroadcastOut, BroadcastIn, Spontaneous]
@@ -179,35 +241,43 @@ _PREFIX_TYPES = {
 _PREFIX_NAMES = {kind: cls.__name__ for cls, kind in _PREFIX_TYPES.items()}
 
 
-@dataclass(frozen=True)
-class ConstantRef:
+class ConstantRef(_Term):
     """Reference to a defining equation, keyed by (name, location)."""
 
-    name: str
-    location: Location
+    __slots__ = _fields = ("name", "location")
+
+    def __init__(self, name: str, location: Location):
+        self.name, self.location = name, location
+        self._hash = hash((name, location._hash))
 
 
-@dataclass(frozen=True)
-class PrefixGuarded:
-    prefix: Prefix
-    continuation: ConstantRef
+class PrefixGuarded(_Term):
+    __slots__ = _fields = ("prefix", "continuation")
+
+    def __init__(self, prefix: Prefix, continuation: ConstantRef):
+        self.prefix, self.continuation = prefix, continuation
+        self._hash = hash((prefix._hash, continuation._hash))
 
 
-@dataclass(frozen=True)
-class Choice:
-    left: "SeqComponent"
-    right: "SeqComponent"
+class Choice(_Term):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: "SeqComponent", right: "SeqComponent"):
+        self.left, self.right = left, right
+        self._hash = hash((left._hash, right._hash))
 
 
 SeqBody = Union[PrefixGuarded, Choice, ConstantRef]
 
 
-@dataclass(frozen=True)
-class SeqComponent:
+class SeqComponent(_Term):
     """A single located agent: a behaviour body tagged with its location."""
 
-    body: SeqBody
-    location: Location
+    __slots__ = _fields = ("body", "location")
+
+    def __init__(self, body: SeqBody, location: Location):
+        self.body, self.location = body, location
+        self._hash = hash((body._hash, location._hash))
 
 
 # Parallel composition, in written order. The empty tuple is the empty
@@ -281,7 +351,6 @@ class _AgentState:
         return found[0] if found else None
 
 
-@dataclass
 class Definitions:
     """Declared locations and constant-defining equations of one model.
 
@@ -293,18 +362,15 @@ class Definitions:
     lock, so one instance can be shared between threads.
     """
 
-    locations: dict[str, Location]
-    equations: dict[tuple[str, str], SeqComponent]
-    _unfolded: dict[tuple[str, str], SeqComponent] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _ids: dict[SeqComponent, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _by_resolved: dict[SeqComponent, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _agents: list[_AgentState] = field(
-        default_factory=list, init=False, repr=False, compare=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False)
+    def __init__(self, locations: dict[str, Location],
+                 equations: dict[tuple[str, str], SeqComponent]):
+        self.locations = locations
+        self.equations = equations
+        self._unfolded: dict[tuple[str, str], SeqComponent] = {}
+        self._ids: dict[SeqComponent, int] = {}
+        self._by_resolved: dict[SeqComponent, int] = {}
+        self._agents: list[_AgentState] = []
+        self._lock = threading.Lock()
 
     def all_locations(self) -> frozenset[Location]:
         return frozenset(self.locations.values())
@@ -375,7 +441,6 @@ class Definitions:
             found = self._ids.get(comp)
             if found is None:
                 resolved = self.resolve(comp)
-                # one lookup, because hashing a resolved tree walks all of it
                 fresh = len(self._agents)
                 found = self._by_resolved.setdefault(resolved, fresh)
                 if found == fresh:
@@ -510,15 +575,20 @@ def render_prefix(prefix: Prefix, all_locations: frozenset[Location] | None = No
 
 
 def render_seq(comp: SeqComponent, all_locations: frozenset[Location] | None = None) -> str:
-    body = comp.body
-    if isinstance(body, ConstantRef):
-        return f"{body.name}({body.location.name})"
-    if isinstance(body, PrefixGuarded):
-        cont = body.continuation
-        return (f"{render_prefix(body.prefix, all_locations)}"
-                f".{cont.name}({cont.location.name})")
-    return (f"{render_seq(body.left, all_locations)} + "
-            f"{render_seq(body.right, all_locations)}")
+    # a choice prints as its operands joined by " + ": its leaves, left to right
+    parts: list[str] = []
+    stack = [comp]
+    while stack:
+        body = stack.pop().body
+        if isinstance(body, Choice):
+            stack += (body.right, body.left)
+        elif isinstance(body, ConstantRef):
+            parts.append(f"{body.name}({body.location.name})")
+        else:
+            cont = body.continuation
+            parts.append(f"{render_prefix(body.prefix, all_locations)}"
+                         f".{cont.name}({cont.location.name})")
+    return " + ".join(parts)
 
 
 def render_model(component: ModelComponent,

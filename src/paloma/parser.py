@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 
 from .geometry import GEOMETRIC_TOL, _PointGrid
 from .model import (
@@ -47,6 +46,7 @@ from .model import (
     Spontaneous,
     UnicastIn,
     UnicastOut,
+    _Record,
     _syntactic_leaves,
     format_number,
     render_seq,
@@ -62,34 +62,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" | "warning"
-    message: str
-    line: int
-    column: int
+class Diagnostic(_Record):
+    __slots__ = ("severity", "message", "line", "column")  # severity: "error" | "warning"
+
+    def __init__(self, severity: str, message: str, line: int, column: int):
+        self.severity, self.message, self.line, self.column = severity, message, line, column
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.line}:{self.column}: {self.message}"
 
 
-@dataclass
-class ModelDefinition:
+class ModelDefinition(_Record):
     """A parsed and elaborated model file."""
 
-    params: dict[str, float] = field(default_factory=dict)
-    locations: dict[str, Location] = field(default_factory=dict)
-    equations: dict[tuple[str, str], SeqComponent] = field(default_factory=dict)
-    systems: dict[str, ModelComponent] = field(default_factory=dict)
+    __slots__ = ("params", "locations", "equations", "systems")
+    __hash__ = None  # mutable, like the dicts it holds
+
+    def __init__(self, params: dict[str, float] | None = None,
+                 locations: dict[str, Location] | None = None,
+                 equations: dict[tuple[str, str], SeqComponent] | None = None,
+                 systems: dict[str, ModelComponent] | None = None):
+        self.params = {} if params is None else params
+        self.locations = {} if locations is None else locations
+        self.equations = {} if equations is None else equations
+        self.systems = {} if systems is None else systems
 
     def definitions(self) -> Definitions:
         return Definitions(self.locations, self.equations)
 
 
-@dataclass
-class ParseResult:
-    definition: ModelDefinition | None
-    diagnostics: list[Diagnostic]
+class ParseResult(_Record):
+    __slots__ = ("definition", "diagnostics")
+    __hash__ = None  # mutable, like the list it holds
+
+    def __init__(self, definition: ModelDefinition | None, diagnostics: list[Diagnostic]):
+        self.definition, self.diagnostics = definition, diagnostics
 
     @property
     def ok(self) -> bool:

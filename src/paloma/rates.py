@@ -13,7 +13,6 @@ and the private helpers work on those tables directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .model import (
@@ -28,6 +27,7 @@ from .model import (
     SeqComponent,
     UnicastOut,
     _AgentState,
+    _Record,
     _agents_of,
 )
 
@@ -170,15 +170,17 @@ def broadcast_system_rate(defs: Definitions, target: Location,
     return system.incoming_rate(target.name, -1)
 
 
-@dataclass(frozen=True)
-class RateQuery:
+class RateQuery(_Record):
     """What to measure: an action performed by ``subject`` within
     ``context``, optionally restricted to agents in ``locations``."""
 
-    action: ActionId
-    subject: Union[SeqComponent, ModelComponent]
-    context: ModelComponent = EMPTY
-    locations: frozenset[Location] | None = None
+    __slots__ = ("action", "subject", "context", "locations")
+
+    def __init__(self, action: ActionId, subject: Union[SeqComponent, ModelComponent],
+                 context: ModelComponent = EMPTY,
+                 locations: frozenset[Location] | None = None):
+        self.action, self.subject, self.context, self.locations = (
+            action, subject, context, locations)
 
 
 def exit_rate(defs: Definitions, query: RateQuery) -> float:

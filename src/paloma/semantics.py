@@ -23,7 +23,6 @@ terms.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .model import (
     ActionId,
@@ -35,6 +34,7 @@ from .model import (
     SeqComponent,
     StateKey,
     _AgentState,
+    _Record,
     _agents_of,
     _state_key,
     remove_at,
@@ -63,32 +63,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CapLabel:
+class CapLabel(_Record):
     """Label of a capability transition: an input offer carried to listeners."""
 
-    kind: ActionType  # BROADCAST_IN or UNICAST_IN
-    label: str
-    influence: frozenset[Location]
-    context: ModelComponent
+    __slots__ = ("kind", "label", "influence", "context")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (ActionType.BROADCAST_IN, ActionType.UNICAST_IN):
-            raise ModelError(f"capability labels are input-typed, got {self.kind}")
+    def __init__(self, kind: ActionType, label: str, influence: frozenset[Location],
+                 context: ModelComponent):
+        if kind not in (ActionType.BROADCAST_IN, ActionType.UNICAST_IN):
+            raise ModelError(f"capability labels are input-typed, got {kind}")
+        self.kind, self.label, self.influence, self.context = kind, label, influence, context
 
 
-@dataclass(frozen=True)
-class StochLabel:
-    """Label of a stochastic transition; spontaneous actions carry no range."""
+class StochLabel(_Record):
+    """Label of a stochastic transition of kind SPONTANEOUS, BROADCAST_OUT or
+    UNICAST_OUT; spontaneous actions carry no range."""
 
-    kind: ActionType  # SPONTANEOUS, BROADCAST_OUT or UNICAST_OUT
-    label: str
-    influence: frozenset[Location]
-    context: ModelComponent
+    __slots__ = ("kind", "label", "influence", "context")
 
-    def __post_init__(self) -> None:
-        if self.kind is ActionType.SPONTANEOUS and self.influence:
+    def __init__(self, kind: ActionType, label: str, influence: frozenset[Location],
+                 context: ModelComponent):
+        if kind is ActionType.SPONTANEOUS and influence:
             raise ModelError("spontaneous labels carry an empty range")
+        self.kind, self.label, self.influence, self.context = kind, label, influence, context
 
     @property
     def text(self) -> str:
@@ -244,21 +241,22 @@ def cap_step(defs: Definitions, subject: ModelComponent | SeqComponent,
                                for changes, mass in joint])
 
 
-@dataclass(frozen=True)
-class Step:
-    """One joint outcome of a derivation: who ends where, at what rate."""
+class Step(_Record):
+    """One joint outcome of a derivation: who ends where, at what rate.
+    ``received`` holds the positions that received and acted."""
 
-    successor: ModelComponent
-    rate: float
-    received: frozenset[int]  # positions that received and acted
+    __slots__ = ("successor", "rate", "received")
+
+    def __init__(self, successor: ModelComponent, rate: float, received: frozenset[int]):
+        self.successor, self.rate, self.received = successor, rate, received
 
 
-@dataclass(frozen=True)
-class Derivation:
-    label: StochLabel
-    sender: int
-    sender_succ: SeqComponent
-    steps: tuple[Step, ...]
+class Derivation(_Record):
+    __slots__ = ("label", "sender", "sender_succ", "steps")
+
+    def __init__(self, label: StochLabel, sender: int, sender_succ: SeqComponent,
+                 steps: tuple[Step, ...]):
+        self.label, self.sender, self.sender_succ, self.steps = label, sender, sender_succ, steps
 
     def continuation(self, defs: Definitions) -> Continuation:
         return Continuation(defs, [(s.successor, s.rate) for s in self.steps])
@@ -326,21 +324,22 @@ class BoundExceeded(Exception):
         self.bound = bound
 
 
-@dataclass(frozen=True)
-class Transition:
-    source: int
-    target: int
-    rate: float
-    kind: ActionType
-    label: str
-    influence: frozenset[Location]
+class Transition(_Record):
+    __slots__ = ("source", "target", "rate", "kind", "label", "influence")
+
+    def __init__(self, source: int, target: int, rate: float, kind: ActionType,
+                 label: str, influence: frozenset[Location]):
+        self.source, self.target, self.rate = source, target, rate
+        self.kind, self.label, self.influence = kind, label, influence
 
 
-@dataclass
-class Ctmc:
-    states: list[ModelComponent]
-    transitions: list[Transition]
-    initial: int = 0
+class Ctmc(_Record):
+    __slots__ = ("states", "transitions", "initial")
+    __hash__ = None  # mutable, like the lists it holds
+
+    def __init__(self, states: list[ModelComponent], transitions: list[Transition],
+                 initial: int = 0):
+        self.states, self.transitions, self.initial = states, transitions, initial
 
 
 def build_ctmc(defs: Definitions, initial: ModelComponent, bound: int) -> Ctmc:
@@ -403,14 +402,15 @@ def agent_steps(defs: Definitions, system: ModelComponent,
             for step in component_steps(defs, context, system[position])}
 
 
-@dataclass(frozen=True)
-class LiftedStep:
+class LiftedStep(_Record):
     """A component-level step: the whole subject's action and successor,
-    observed inside a surrounding context."""
+    observed inside a surrounding context. ``label_text`` is the system
+    transition's own label, e.g. "!!move"."""
 
-    action: ActionId
-    label_text: str  # the system transition's own label, e.g. "!!move"
-    successor: ModelComponent
+    __slots__ = ("action", "label_text", "successor")
+
+    def __init__(self, action: ActionId, label_text: str, successor: ModelComponent):
+        self.action, self.label_text, self.successor = action, label_text, successor
 
 
 def component_steps(defs: Definitions, context: ModelComponent,

@@ -34,19 +34,25 @@ from paloma.parser import ModelDefinition
 EdgeKey = tuple[str, str, tuple[str, ...], ModelComponent]
 
 
-def alternatives(defs: Definitions, comp: SeqComponent, _depth: int = 0):
-    """All prefix alternatives of one agent, unfolding constants and choice."""
-    if _depth > 100:
-        raise RuntimeError("runaway constant unfolding")
-    body = comp.body
-    if isinstance(body, ConstantRef):
-        eq = defs.equations[(body.name, body.location.name)]
-        return alternatives(defs, eq, _depth + 1)
-    if isinstance(body, Choice):
-        return alternatives(defs, body.left, _depth + 1) + alternatives(
-            defs, body.right, _depth + 1)
-    assert isinstance(body, PrefixGuarded)
-    return [(body.prefix, body.continuation)]
+def alternatives(defs: Definitions, comp: SeqComponent):
+    """All prefix alternatives of one agent, unfolding constants and choice,
+    left to right. Choice is walked with a stack, so a wide choice is fine;
+    more than 100 nested constant unfoldings mean unguarded recursion."""
+    found = []
+    stack = [(comp, 0)]
+    while stack:
+        comp, unfolded = stack.pop()
+        if unfolded > 100:
+            raise RuntimeError("runaway constant unfolding")
+        body = comp.body
+        if isinstance(body, ConstantRef):
+            stack.append((defs.equations[(body.name, body.location.name)], unfolded + 1))
+        elif isinstance(body, Choice):
+            stack += [(body.right, unfolded), (body.left, unfolded)]
+        else:
+            assert isinstance(body, PrefixGuarded)
+            found.append((body.prefix, body.continuation))
+    return found
 
 
 def weight_for(defs: Definitions, agent: SeqComponent, label: str) -> float:

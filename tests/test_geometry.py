@@ -136,6 +136,19 @@ def test_map_location_agrees_with_a_scan_in_declared_order():
     assert outcomes == {0, 1, 2}
 
 
+def test_grid_matches_a_point_whose_distance_rounds_to_the_tolerance():
+    # each probe lies 1e-6 + 1e-22 from its location, which math.dist rounds
+    # to exactly the tolerance; in cells one tolerance wide the two points
+    # would sit two cells apart (-1 and 1), outside each other's 3 x 3 block
+    from paloma.geometry import _PointGrid
+
+    for point, probe in (((1e-6, 0.0), (-1e-22, 0.0)), ((0.0, 1e-6), (0.0, -1e-22))):
+        assert math.dist(point, probe) == 1e-6
+        loc = Location("l", point)
+        assert _PointGrid([loc], tol=1e-6).match(probe) is loc
+        assert map_location(IDENTITY, Location("p", probe), {"l": loc}) is loc
+
+
 def test_map_locations_is_elementwise_with_raw_fallback():
     from paloma.geometry import map_locations
 

@@ -48,7 +48,8 @@ def test_shipped_models_are_valid():
 def test_sources_are_standard_library_python_3_10():
     # README promises pure standard-library Python (3.10+): every module
     # parses under the 3.10 grammar and imports only the standard library or
-    # the package itself, and the package declares no dependencies
+    # the package itself, and the package declares no dependencies. No module
+    # imports dataclasses: generating the classes was a fifth of every call
     import ast
     import sys
 
@@ -67,5 +68,21 @@ def test_sources_are_standard_library_python_3_10():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "paloma", (path.name, name)
+                assert top != "dataclasses", (path.name, name)
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", pyproject, flags=re.MULTILINE)
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # a fresh interpreter, as every command-line call is: importing the CLI
+    # must not pull in dataclasses, nor inspect, which it imports
+    import subprocess
+    import sys
+
+    probe = ("import sys, paloma.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
