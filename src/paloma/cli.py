@@ -19,11 +19,26 @@ import os
 import sys
 from pathlib import Path
 
-from .equivalence import BisimResult, bisimilar, check_bisim_phi, naive_bisim
 from .geometry import Isometry
-from .model import ActionId, EMPTY, ModelError, action_labels
+from .model import ActionId, EMPTY, Definitions, ModelError, action_labels
 from .parser import ModelDefinition, parse_model, validate
-from .semantics import BoundExceeded, build_ctmc, export_dot, export_tsv
+
+# Names from the CTMC and bisimulation layers. Each is taken from the package
+# when it is first read off this module (PEP 562), and the package loads the
+# module that defines it, so ``check`` and ``rate`` import neither layer and
+# ``ctmc`` skips bisimulation. Commands read these names through ``_cli``,
+# this module, so a name rebound here (as a tracing harness does) is the one
+# they call.
+_LAYER_NAMES = {"BoundExceeded", "build_ctmc", "export_dot", "export_tsv",
+                "BisimResult", "bisimilar", "check_bisim_phi", "naive_bisim"}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 EXIT_OK = 0
 EXIT_NOT_RELATED = 1
@@ -54,7 +69,9 @@ def _bound(given: int | None) -> int:
     return given
 
 
-def _load(path: str) -> tuple[ModelDefinition, list]:
+def _load(path: str) -> tuple[ModelDefinition, Definitions]:
+    """The model at ``path``, and the ``Definitions`` that validating it
+    filled, which the command goes on to query."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -66,7 +83,7 @@ def _load(path: str) -> tuple[ModelDefinition, list]:
     diagnostics += validate(result.definition)
     if any(d.severity == "error" for d in diagnostics):
         raise _InputError("\n".join(str(d) for d in diagnostics))
-    return result.definition, diagnostics
+    return result.definition, result.definition._validated
 
 
 def _system(defn: ModelDefinition, name: str):
@@ -106,15 +123,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_ctmc(args: argparse.Namespace) -> int:
-    defn, _ = _load(args.model)
+    defn, defs = _load(args.model)
     system = _system(defn, args.system)
     bound = _bound(args.bound)
     try:
-        ctmc = build_ctmc(defn.definitions(), system, bound)
-    except BoundExceeded as exc:
+        ctmc = _cli.build_ctmc(defs, system, bound)
+    except _cli.BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    text = export_dot(ctmc) if args.format == "dot" else export_tsv(ctmc)
+    text = _cli.export_dot(ctmc) if args.format == "dot" else _cli.export_tsv(ctmc)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -122,8 +139,7 @@ def cmd_ctmc(args: argparse.Namespace) -> int:
 def cmd_rate(args: argparse.Namespace) -> int:
     from .rates import RateQuery, exit_rate
 
-    defn, _ = _load(args.model)
-    defs = defn.definitions()
+    defn, defs = _load(args.model)
     try:
         action = ActionId.parse(args.action)
     except ModelError as exc:
@@ -179,24 +195,23 @@ def _bisim_report(result: BisimResult) -> str:
 
 
 def cmd_bisim(args: argparse.Namespace) -> int:
-    defn, _ = _load(args.model)
-    defs = defn.definitions()
+    defn, defs = _load(args.model)
     left = _system(defn, args.left)
     right = _system(defn, args.right)
     context = _system(defn, args.context)
     bound = _bound(args.bound)
     if args.mode == "isometry":
-        result = bisimilar(defs, left, right, context, bound)
+        result = _cli.bisimilar(defs, left, right, context, bound)
     elif args.mode == "naive":
         if len(left) != 1 or len(right) != 1:
             raise _InputError("naive mode compares single agents; pick systems "
                               "with exactly one component")
-        result = naive_bisim(defs, left[0], right[0], context, bound)
+        result = _cli.naive_bisim(defs, left[0], right[0], context, bound)
     else:
         if args.matrix is None or args.offset is None:
             raise _InputError("fixed-phi mode needs --matrix and --offset")
         phi = _parse_phi(args.matrix, args.offset)
-        result = check_bisim_phi(defs, left, right, context, phi, bound)
+        result = _cli.check_bisim_phi(defs, left, right, context, phi, bound)
     _emit(_bisim_report(result), args.out)
     if result.related:
         return EXIT_OK

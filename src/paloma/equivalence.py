@@ -111,6 +111,15 @@ def _rates_close(a: float, b: float) -> bool:
 # A pair of side states: their keys, and the terms that represent them.
 PairKey = tuple[StateKey, StateKey]
 PairRep = tuple[ModelComponent, ModelComponent]
+# A failed condition at a pair: a Counterexample's kind and its details,
+# rendered into one only for the pair a verdict reports.
+Gap = tuple[str, dict]
+
+
+def _counterexample(rep: PairRep, gap: Gap | None) -> Counterexample | None:
+    if gap is None:
+        return None
+    return Counterexample(gap[0], render_model(rep[0]), render_model(rep[1]), **gap[1])
 
 
 class _PairChecker:
@@ -166,8 +175,7 @@ class _PairChecker:
                                          for action in self.actions]
         return tables
 
-    def rate_failure(self, key: PairKey, rep: PairRep,
-                     phi: Isometry) -> Counterexample | None:
+    def rate_gap(self, key: PairKey, rep: PairRep, phi: Isometry) -> Gap | None:
         """First violated rate condition at this pair under ``phi``, if any."""
         left, right = rep
         left_rates, right_rates = self.rates(key[0]), self.rates(key[1])
@@ -175,15 +183,12 @@ class _PairChecker:
             left_locs = sorted(l.name for l in locations_of(left))
             right_locs = sorted(l.name for l in locations_of(right))
             if left_locs != right_locs:
-                return Counterexample(
-                    "location-mismatch", render_model(left), render_model(right),
-                    location=f"{left_locs} vs {right_locs}")
+                return "location-mismatch", {"location": f"{left_locs} vs {right_locs}"}
             for index, action in enumerate(self.actions):
                 lv, rv = left_rates[index][1], right_rates[index][1]
                 if not _rates_close(lv, rv):
-                    return Counterexample(
-                        "rate-mismatch", render_model(left), render_model(right),
-                        action=action.text, location="(total)", values=(lv, rv))
+                    return "rate-mismatch", {"action": action.text, "location": "(total)",
+                                             "values": (lv, rv)}
             return None
 
         phi_inv = invert(phi)
@@ -202,13 +207,12 @@ class _PairChecker:
                 rv = 0.0 if right_loc is None else right_table.get(right_loc.name, 0.0)
                 if not _rates_close(lv, rv):
                     where = left_loc.name if left_loc is not None else f"{point}"
-                    return Counterexample(
-                        "rate-mismatch", render_model(left), render_model(right),
-                        action=action.text, location=where, values=(lv, rv))
+                    return "rate-mismatch", {"action": action.text, "location": where,
+                                             "values": (lv, rv)}
         return None
 
-    def transfer_failure(self, key: PairKey, rep: PairRep,
-                         relation: set[PairKey] | None) -> Counterexample | None:
+    def transfer_gap(self, key: PairKey, rep: PairRep,
+                     relation: set[PairKey] | None) -> Gap | None:
         """A step on either side that the other cannot match into ``relation``;
         with ``None``, a step under an action the other side lacks."""
         left_steps, left_by_action = self.steps(key[0], rep[0])
@@ -221,9 +225,8 @@ class _PairChecker:
                     if relation is None or pair in relation:
                         break
                 else:
-                    return Counterexample(
-                        "unmatched-transition", render_model(rep[0]), render_model(rep[1]),
-                        action=sa.action.text, transition=sa.label_text)
+                    return "unmatched-transition", {"action": sa.action.text,
+                                                    "transition": sa.label_text}
             return None
 
         failure = unmatched(left_steps, right_by_action, left_first=True)
@@ -268,10 +271,11 @@ class _PairChecker:
         root_rep = (left, right)
         # a root that fails a rate condition is outside every candidate
         # relation, so the verdict needs no exploration
-        failure = self.rate_failure(root, root_rep, phi)
-        if failure is not None:
-            gap = self.transfer_failure(root, root_rep, None)
-            return BisimResult(related=False, counterexample=gap or failure)
+        rate_gap = self.rate_gap(root, root_rep, phi)
+        if rate_gap is not None:
+            step_gap = self.transfer_gap(root, root_rep, None)
+            return BisimResult(related=False,
+                               counterexample=_counterexample(root_rep, step_gap or rate_gap))
 
         reps = self.explore(root, root_rep)
         if reps is None:
@@ -279,13 +283,13 @@ class _PairChecker:
                 related=False, inconclusive=True,
                 note=f"state bound {self.bound} exceeded while exploring the pair space")
         relation = {key: rep for key, rep in reps.items()
-                    if self.rate_failure(key, rep, phi) is None}
+                    if self.rate_gap(key, rep, phi) is None}
         changed = True
         while changed:
             changed = False
             keys = set(relation)
             for key in list(relation):
-                if self.transfer_failure(key, relation[key], keys) is not None:
+                if self.transfer_gap(key, relation[key], keys) is not None:
                     del relation[key]
                     keys.discard(key)
                     changed = True
@@ -299,9 +303,9 @@ class _PairChecker:
 
         # report the most telling root failure: a step the other side cannot
         # take at all, else the closure failure left after refinement
-        failure = (self.transfer_failure(root, root_rep, None)
-                   or self.transfer_failure(root, root_rep, set(relation)))
-        return BisimResult(related=False, counterexample=failure)
+        gap = (self.transfer_gap(root, root_rep, None)
+               or self.transfer_gap(root, root_rep, set(relation)))
+        return BisimResult(related=False, counterexample=_counterexample(root_rep, gap))
 
 
 def check_bisim_phi(defs: Definitions, left: ModelComponent, right: ModelComponent,
@@ -334,9 +338,9 @@ def recheck_transfer(defs: Definitions, context: ModelComponent, phi: Isometry,
     keyed = [((_state_key(defs, l), _state_key(defs, r)), (l, r)) for l, r in pairs]
     keys = {key for key, _ in keyed}
     for key, rep in keyed:
-        failure = checker.transfer_failure(key, rep, keys)
-        if failure is not None:
-            return failure
+        gap = checker.transfer_gap(key, rep, keys)
+        if gap is not None:
+            return _counterexample(rep, gap)
     return None
 
 

@@ -73,8 +73,21 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        # records nest as deep as a choice is wide: expand them with a stack
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, _Record):
+                out.append(item)
+                continue
+            parts: list = [f"{type(item).__name__}("]
+            for k, (name, value) in enumerate(zip(item.__slots__, item._values())):
+                parts += (f"{', ' if k else ''}{name}=",
+                          value if isinstance(value, _Record) else repr(value))
+            parts.append(")")
+            stack += reversed(parts)
+        return "".join(out)
 
 
 class _Term(_Record):
@@ -431,6 +444,14 @@ class Definitions:
                     done.append(item)
         return done[0]
 
+    def _resolve_equation(self, key: tuple[str, str]) -> SeqComponent:
+        """The resolved body of the equation ``key``, kept as that constant's
+        unfolding: what resolving a reference to it yields."""
+        found = self._unfolded.get(key)
+        if found is None:
+            found = self._unfolded[key] = self.resolve(self.equations[key])
+        return found
+
     def _intern(self, comp: SeqComponent) -> int:
         """The agent state id of ``comp``; terms that resolve to equal trees
         share one id, and each distinct term is resolved once."""
@@ -440,7 +461,12 @@ class Definitions:
         with self._lock:
             found = self._ids.get(comp)
             if found is None:
-                resolved = self.resolve(comp)
+                # a constant that was already unfolded needs no resolve call
+                body = comp.body
+                resolved = (self._unfolded.get((body.name, body.location.name))
+                            if isinstance(body, ConstantRef) else None)
+                if resolved is None:
+                    resolved = self.resolve(comp)
                 fresh = len(self._agents)
                 found = self._by_resolved.setdefault(resolved, fresh)
                 if found == fresh:

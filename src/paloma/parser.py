@@ -75,7 +75,9 @@ class Diagnostic(_Record):
 class ModelDefinition(_Record):
     """A parsed and elaborated model file."""
 
-    __slots__ = ("params", "locations", "equations", "systems")
+    # the last slot is not a field: the Definitions that the latest
+    # validate filled, which the command line goes on to query
+    __slots__ = ("params", "locations", "equations", "systems", "_validated")
     __hash__ = None  # mutable, like the dicts it holds
 
     def __init__(self, params: dict[str, float] | None = None,
@@ -86,6 +88,10 @@ class ModelDefinition(_Record):
         self.locations = {} if locations is None else locations
         self.equations = {} if equations is None else equations
         self.systems = {} if systems is None else systems
+        self._validated: Definitions | None = None
+
+    def _values(self) -> tuple:
+        return self.params, self.locations, self.equations, self.systems
 
     def definitions(self) -> Definitions:
         return Definitions(self.locations, self.equations)
@@ -103,115 +109,126 @@ class ParseResult(_Record):
         return self.definition is not None
 
 
-# No two alternatives can start with the same character, so their order only
-# decides how soon the common tokens match. Blanks without a newline get a
-# group of their own, so that only ``newline`` matches move the line count.
+# One token per match, after the blanks and comments in front of it; the
+# empty match at the end of the text is the end-of-input token. No two
+# alternatives start with the same character, so their order only decides
+# how soon the common tokens match. A character that starts none of them is
+# a token of its own, a stray character, which no rule of the grammar
+# accepts: a model that holds one always fails its first parse.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<blank>[^\S\n]+)
-  | (?P<op>:=|\|\||!!|\?\?|[!?()+{},;.@=])
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<newline>\s+)
-  | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<comment>//[^\n]*)
-  | (?P<bad>.)
+    \s*(?://[^\n]*\s*)*
+    ( :=|\|\||!!|\?\?|[!?()+{},;.@=]
+    | [A-Za-z_][A-Za-z0-9_]*
+    | -?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?
+    | \Z
+    | .
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
 
+# A token's kind follows from its text: an operator, a name (its first
+# character in _NAME_START), a number, the empty end of input, or else a
+# stray character.
+_OPERATORS = frozenset((":=", "||", "!!", "??", *"!?()+{},;.@="))
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _KEYWORDS = {"param", "location", "system", "all"}
 
 
-# A token is a plain tuple (kind, text, line, column), kind being "number",
-# "ident", "op" or "eof"; the grammar reads token[0] and token[1]. A
-# NamedTuple per token would cost about as much again as the regex scan.
-_Token = tuple[str, str, int, int]
+def _is_number(token: str) -> bool:
+    # \d matches any Unicode decimal digit, as isdecimal does, so "٣" is 3.0
+    return token.lstrip("-")[:1].isdecimal()
 
 
 class _ParseError(Exception):
-    def __init__(self, message: str, token: _Token):
+    def __init__(self, message: str, at: int):
         super().__init__(message)
-        _, _, line, column = token
-        self.diagnostic = Diagnostic("error", message, line, column)
+        self.at = at  # the index of the offending token
 
 
-def _tokenize(text: str) -> tuple[list[_Token], list[Diagnostic]]:
-    """One pass over ``text``. Every character falls in some match, the
-    catch-all ``bad`` group included, so positions follow from match
-    offsets."""
-    tokens: list[_Token] = []
+def _place(text: str) -> tuple[list[str], list[tuple[int, int]], list[Diagnostic]]:
+    """Scan ``text`` again after a failed parse: its tokens without the stray
+    characters, the line and column of each, and an error for each stray
+    character. Only LF ends a line, and columns count characters."""
+    tokens: list[str] = []
+    places: list[tuple[int, int]] = []
     diagnostics: list[Diagnostic] = []
     line, line_start = 1, 0
     for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "blank" or kind == "comment":
-            continue
-        if kind == "newline":
-            lexeme = match.group()
-            line += lexeme.count("\n")
-            line_start = match.start() + lexeme.rfind("\n") + 1
-        elif kind == "bad":
-            diagnostics.append(Diagnostic("error", f"unexpected character {match.group()!r}",
-                                          line, match.start() - line_start + 1))
+        token, start = match.group(1), match.start(1)
+        # only the skipped blanks in front of a token can hold a newline
+        newlines = text.count("\n", match.start(), start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", match.start(), start) + 1
+        place = (line, start - line_start + 1)
+        if not token or token in _OPERATORS or token[:1] in _NAME_START or _is_number(token):
+            tokens.append(token)
+            places.append(place)
         else:
-            tokens.append((kind, match.group(), line, match.start() - line_start + 1))
-    tokens.append(("eof", "", line, len(text) - line_start + 1))
-    return tokens, diagnostics
+            diagnostics.append(Diagnostic("error", f"unexpected character {token!r}", *place))
+    return tokens, places, diagnostics
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        # the stream ends in one "eof" token, which the parser never passes
-        self.rest = iter(tokens)
-        self.current: _Token = next(self.rest)
+    """The grammar, over token strings that end in the one empty end-of-input
+    token, which the parser never passes. ``places`` holds each token's line
+    and column; without them, diagnostics are placed at 0:0."""
+
+    def __init__(self, tokens: list[str], places: list[tuple[int, int]] | None = None):
+        self.tokens = tokens
+        self.places = places
+        self.index = 0
+        self.current = tokens[0]
         self.diagnostics: list[Diagnostic] = []
         self.definition = ModelDefinition()
 
     # -- token helpers -------------------------------------------------
 
-    def advance(self) -> _Token:
-        token = self.current
-        self.current = next(self.rest, token)
-        return token
+    def advance(self) -> int:
+        """Consume the current token; its index."""
+        index = self.index
+        self.index = index + 1
+        self.current = self.tokens[index + 1]
+        return index
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> None:
         """Consume the operator ``text``. No other kind of token can share
         an operator's text, so the text alone decides, as in ``at``."""
-        token = self.current
-        if token[1] != text:
-            raise _ParseError(f"expected {text!r}, found {token[1] or 'end of input'!r}",
-                              token)
-        self.current = next(self.rest, token)
-        return token
+        if self.current != text:
+            raise _ParseError(f"expected {text!r}, found {self.current or 'end of input'!r}",
+                              self.index)
+        self.index += 1
+        self.current = self.tokens[self.index]
 
-    def expect_number(self) -> _Token:
-        token = self.current
-        if token[0] != "number":
-            raise _ParseError(f"expected 'number', found {token[1] or 'end of input'!r}",
-                              token)
+    def expect_number(self) -> int:
+        if not _is_number(self.current):
+            raise _ParseError(
+                f"expected 'number', found {self.current or 'end of input'!r}", self.index)
         return self.advance()
 
     def at(self, text: str) -> bool:
         """Whether the current token is the operator or keyword ``text``."""
-        return self.current[1] == text
+        return self.current == text
 
-    def error(self, message: str, token: _Token | None = None) -> None:
-        _, _, line, column = token or self.current
+    def error(self, message: str, at: int) -> None:
+        line, column = (0, 0) if self.places is None else self.places[at]
         self.diagnostics.append(Diagnostic("error", message, line, column))
 
     def synchronize(self) -> None:
-        while self.current[0] != "eof":
-            if self.advance()[1] == ";":
+        while self.current:
+            if self.tokens[self.advance()] == ";":
                 return
 
     # -- grammar -------------------------------------------------------
 
     def parse(self) -> None:
-        while self.current[0] != "eof":
+        while self.current:
             try:
                 self.statement()
             except _ParseError as exc:
-                self.diagnostics.append(exc.diagnostic)
+                self.error(str(exc), exc.at)
                 self.synchronize()
 
     def statement(self) -> None:
@@ -221,28 +238,29 @@ class _Parser:
             self.location_stmt()
         elif self.at("system"):
             self.system_stmt()
-        elif self.current[0] == "ident":
+        elif self.current[:1] in _NAME_START:
             self.equation_stmt()
         else:
-            token = self.current
-            raise _ParseError(f"expected a statement, found {token[1]!r}", token)
+            raise _ParseError(f"expected a statement, found {self.current!r}", self.index)
 
     def param_stmt(self) -> None:
         self.advance()
+        at = self.index
         name = self.ident("parameter name")
         self.expect("=")
-        token = self.expect_number()
+        number = self.expect_number()
         self.expect(";")
-        value = self.number(token)
-        if name[1] in self.definition.params:
-            self.error(f"duplicate parameter {name[1]!r}", name)
+        value = self.number(number)
+        if name in self.definition.params:
+            self.error(f"duplicate parameter {name!r}", at)
         elif not value > 0:
-            self.error(f"parameter {name[1]!r} must be positive", token)
+            self.error(f"parameter {name!r} must be positive", number)
         else:
-            self.definition.params[name[1]] = value
+            self.definition.params[name] = value
 
     def location_stmt(self) -> None:
         self.advance()
+        at = self.index
         name = self.ident("location name")
         self.expect("=")
         self.expect("(")
@@ -251,13 +269,14 @@ class _Parser:
         y = self.number(self.expect_number())
         self.expect(")")
         self.expect(";")
-        if name[1] in self.definition.locations:
-            self.error(f"duplicate location {name[1]!r}", name)
+        if name in self.definition.locations:
+            self.error(f"duplicate location {name!r}", at)
         else:
-            self.definition.locations[name[1]] = Location(name[1], (x, y))
+            self.definition.locations[name] = Location(name, (x, y))
 
     def system_stmt(self) -> None:
         self.advance()
+        at = self.index
         name = self.ident("system name")
         self.expect("=")
         parts = [self.constref()]
@@ -265,13 +284,14 @@ class _Parser:
             self.advance()
             parts.append(self.constref())
         self.expect(";")
-        if name[1] in self.definition.systems:
-            self.error(f"duplicate system {name[1]!r}", name)
+        if name in self.definition.systems:
+            self.error(f"duplicate system {name!r}", at)
         else:
-            self.definition.systems[name[1]] = tuple(
+            self.definition.systems[name] = tuple(
                 SeqComponent(ref, ref.location) for ref in parts)
 
     def equation_stmt(self) -> None:
+        at = self.index
         name = self.ident("constant name")
         self.expect("(")
         loc = self.location_name()
@@ -279,9 +299,9 @@ class _Parser:
         self.expect(":=")
         body = self.body(loc)
         self.expect(";")
-        key = (name[1], loc.name)
+        key = (name, loc.name)
         if key in self.definition.equations:
-            self.error(f"duplicate equation for {name[1]}({loc.name})", name)
+            self.error(f"duplicate equation for {name}({loc.name})", at)
         else:
             self.definition.equations[key] = body
 
@@ -293,7 +313,7 @@ class _Parser:
         return term
 
     def term(self, location: Location) -> SeqComponent:
-        if self.current[0] == "ident":
+        if self.current[:1] in _NAME_START:
             ref = self.constref()
             return SeqComponent(ref, ref.location)
         prefix = self.prefix()
@@ -306,57 +326,58 @@ class _Parser:
         self.expect("(")
         loc = self.location_name()
         self.expect(")")
-        return ConstantRef(name[1], loc)
+        return ConstantRef(name, loc)
 
     def prefix(self) -> Prefix:
-        glyph = self.current[1]
+        glyph = self.current
         if glyph == "!!":
             self.advance()
-            label, value, vtok = self.label_value()
+            label, value, at = self.label_value()
             influence = self.range_clause("Ir")
-            self.check_rate(value, vtok)
+            self.check_rate(value, at)
             return UnicastOut(label, value, influence)
         if glyph == "??":
             self.advance()
-            label, prob, ptok = self.label_value()
+            label, prob, at = self.label_value()
             self.expect("@")
             self.keyword_ident("Wt")
             self.expect("{")
-            weight, wtok = self.value()
+            weight, weight_at = self.value()
             self.expect("}")
-            self.check_prob(prob, ptok)
-            self.check_positive(weight, "weight", wtok)
+            self.check_prob(prob, at)
+            self.check_positive(weight, "weight", weight_at)
             return UnicastIn(label, prob, weight)
         if glyph == "!":
             self.advance()
-            label, value, vtok = self.label_value()
+            label, value, at = self.label_value()
             influence = self.range_clause("Ir")
-            self.check_rate(value, vtok)
+            self.check_rate(value, at)
             return BroadcastOut(label, value, influence)
         if glyph == "?":
             self.advance()
-            label, prob, ptok = self.label_value()
+            label, prob, at = self.label_value()
             self.expect("@")
             self.keyword_ident("Prob")
             self.expect("{")
-            recv, rtok = self.value()
+            recv, recv_at = self.value()
             self.expect("}")
-            self.check_prob(prob, ptok)
-            self.check_prob(recv, rtok)
+            self.check_prob(prob, at)
+            self.check_prob(recv, recv_at)
             return BroadcastIn(label, prob, recv)
         if glyph == "(":
-            label, value, vtok = self.label_value()
-            self.check_rate(value, vtok)
+            label, value, at = self.label_value()
+            self.check_rate(value, at)
             return Spontaneous(label, value)
-        raise _ParseError(f"expected a prefix, found {glyph!r}", self.current)
+        raise _ParseError(f"expected a prefix, found {glyph!r}", self.index)
 
-    def label_value(self) -> tuple[str, float, _Token]:
+    def label_value(self) -> tuple[str, float, int]:
+        """The label and value of ``(label, value)``, and the value's index."""
         self.expect("(")
         label = self.ident("action label")
         self.expect(",")
-        value, token = self.value()
+        value, at = self.value()
         self.expect(")")
-        return label[1], value, token
+        return label, value, at
 
     def range_clause(self, keyword: str) -> frozenset[Location]:
         self.expect("@")
@@ -368,7 +389,7 @@ class _Parser:
             locations = frozenset(self.definition.locations.values())
             if not locations:
                 raise _ParseError("'all' range used but no locations are declared",
-                                  self.current)
+                                  self.index)
             return locations
         names = [self.location_name()]
         while self.at(","):
@@ -377,78 +398,84 @@ class _Parser:
         self.expect("}")
         return frozenset(names)
 
-    def value(self) -> tuple[float, _Token]:
-        token = self.current
-        kind, text = token[0], token[1]
-        if kind == "number":
+    def value(self) -> tuple[float, int]:
+        """A number or a parameter's value, and the token's index."""
+        at, text = self.index, self.current
+        if _is_number(text):
             self.advance()
-            return self.number(token), token
-        if kind == "ident":
+            return self.number(at), at
+        if text[:1] in _NAME_START:
             self.advance()
             if text in self.definition.params:
-                return self.definition.params[text], token
-            raise _ParseError(f"undeclared parameter {text!r}", token)
-        raise _ParseError(f"expected a number or parameter, found {text!r}", token)
+                return self.definition.params[text], at
+            raise _ParseError(f"undeclared parameter {text!r}", at)
+        raise _ParseError(f"expected a number or parameter, found {text!r}", at)
 
-    def number(self, token: _Token) -> float:
-        value = float(token[1])
+    def number(self, at: int) -> float:
+        value = float(self.tokens[at])
         if not math.isfinite(value):
-            raise _ParseError(f"number {token[1]!r} is not finite", token)
+            raise _ParseError(f"number {self.tokens[at]!r} is not finite", at)
         return value
 
-    def ident(self, what: str) -> _Token:
+    def ident(self, what: str) -> str:
+        """Consume a name that is not a keyword; its text."""
         token = self.current
-        if token[0] != "ident" or token[1] in _KEYWORDS:
-            raise _ParseError(f"expected {what}, found {token[1] or 'end of input'!r}",
-                              token)
-        self.current = next(self.rest, token)
+        if token[:1] not in _NAME_START or token in _KEYWORDS:
+            raise _ParseError(f"expected {what}, found {token or 'end of input'!r}", self.index)
+        self.index += 1
+        self.current = self.tokens[self.index]
         return token
 
     def keyword_ident(self, expected: str) -> None:
-        token = self.current
-        if token[0] != "ident" or token[1] != expected:
-            raise _ParseError(f"expected {expected!r}, found {token[1]!r}", token)
-        self.current = next(self.rest, token)
+        if self.current != expected:
+            raise _ParseError(f"expected {expected!r}, found {self.current!r}", self.index)
+        self.index += 1
+        self.current = self.tokens[self.index]
 
     def location_name(self) -> Location:
-        token = self.ident("location name")
-        loc = self.definition.locations.get(token[1])
+        at = self.index
+        name = self.ident("location name")
+        loc = self.definition.locations.get(name)
         if loc is None:
-            raise _ParseError(f"undeclared location {token[1]!r}", token)
+            raise _ParseError(f"undeclared location {name!r}", at)
         return loc
 
-    def check_rate(self, value: float, token: _Token) -> None:
+    def check_rate(self, value: float, at: int) -> None:
         if not value > 0:
-            raise _ParseError(f"rate must be positive, got {format_number(value)}", token)
+            raise _ParseError(f"rate must be positive, got {format_number(value)}", at)
 
-    def check_positive(self, value: float, what: str, token: _Token) -> None:
+    def check_positive(self, value: float, what: str, at: int) -> None:
         if not value > 0:
-            raise _ParseError(f"{what} must be positive, got {format_number(value)}", token)
+            raise _ParseError(f"{what} must be positive, got {format_number(value)}", at)
 
-    def check_prob(self, value: float, token: _Token) -> None:
+    def check_prob(self, value: float, at: int) -> None:
         if not 0.0 <= value <= 1.0:
-            raise _ParseError(f"probability out of range: {format_number(value)}", token)
+            raise _ParseError(f"probability out of range: {format_number(value)}", at)
 
 
 def parse_model(text: str) -> ParseResult:
     """Parse model source into an elaborated definition.
 
     Returns the definition together with any diagnostics; the definition is
-    ``None`` whenever an error diagnostic was produced.
+    ``None`` whenever an error diagnostic was produced. The first parse
+    reads bare token strings. Only a model that fails it is scanned again
+    for positions and stray characters, and parsed again to place each
+    diagnostic.
     """
-    tokens, diagnostics = _tokenize(text)
-    parser = _Parser(tokens)
+    parser = _Parser(_TOKEN_RE.findall(text))
     parser.parse()
-    diagnostics.extend(parser.diagnostics)
-    if any(d.severity == "error" for d in diagnostics):
-        return ParseResult(None, diagnostics)
-    return ParseResult(parser.definition, diagnostics)
+    if not parser.diagnostics:
+        return ParseResult(parser.definition, [])
+    tokens, places, diagnostics = _place(text)
+    parser = _Parser(tokens, places)
+    parser.parse()
+    return ParseResult(None, diagnostics + parser.diagnostics)
 
 
 def validate(definition: ModelDefinition) -> list[Diagnostic]:
     """Cross-equation checks; errors here make the model unusable."""
     out: list[Diagnostic] = []
-    defs = definition.definitions()
+    defs = definition._validated = definition.definitions()
 
     def err(message: str) -> None:
         out.append(Diagnostic("error", message, 0, 0))
@@ -511,9 +538,9 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
     # Constant definitions must be guarded: following aliases and choice
     # operands from any equation must terminate in prefixes.
     resolved: dict[tuple[str, str], SeqComponent] = {}
-    for (name, locname), body in definition.equations.items():
+    for name, locname in definition.equations:
         try:
-            resolved[(name, locname)] = defs.resolve(body)
+            resolved[(name, locname)] = defs._resolve_equation((name, locname))
         except Exception as exc:  # ModelError carries the offending cycle
             err(f"{name}({locname}): {exc}")
     if any(d.severity == "error" for d in out):

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from paloma.parser import ModelDefinition, parse_model, validate
+
+# the benchmark's seeded model families (perfbench/families.py), which some
+# tests pin behaviour on
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 # Mirrored transmitter/receiver pair: the transmitter hops between the two
 # locations on every send, the receiver hops on every successful receive.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -466,3 +467,48 @@ def test_sender_is_not_in_its_own_receiver_pool(self_listening_path, argv, stdou
     proc = run_cli(argv[0], self_listening_path, *argv[1:])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == stdout
+
+
+def test_rate_call_resolves_each_equation_once(tmp_path, monkeypatch, capsys):
+    # validate fills one Definitions and the query reuses it: wide-150 has
+    # 151 equations, and interning the agents resolves none of them again
+    import families
+    from paloma import cli
+    from paloma.model import Definitions
+
+    path = tmp_path / "wide-150.paloma"
+    path.write_text(families.wide(150, 1), encoding="utf-8")
+    calls = []
+    resolve = Definitions.resolve
+
+    def counting(self, comp):
+        calls.append(comp)
+        return resolve(self, comp)
+
+    monkeypatch.setattr(Definitions, "resolve", counting)
+    for argv in (("--system", "Main", "--action", "??msg"),
+                 ("--system", "Probe", "--context", "Main", "--action", "??msg")):
+        calls.clear()
+        assert cli.main(["rate", str(path), *argv]) == 0
+        assert len(calls) == 151
+    assert capsys.readouterr().out == "89.999999999999858\n0.71999999999999997\n"
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (("ctmc", "--system", "Scenario1"), {"semantics.build_ctmc", "semantics.export_tsv"}),
+    (("rate", "--system", "Scenario1", "--action", "??message_move"), {"rates.exit_rate"}),
+    (("bisim", "--left", "Scenario1", "--right", "Scenario2"), {"equivalence.bisimilar"}),
+], ids=["ctmc", "rate", "bisim"])
+def test_traced_cli_records_a_span_per_layer(scenario_path, tmp_path, argv, layers):
+    # perfbench/tracing.py rebinds the CLI's calls into the layers on
+    # paloma.cli, so every command must call what is bound there
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(MODELS.parent / "perfbench" / "tracing.py"), str(spans), "0", "--",
+         argv[0], scenario_path, *argv[1:]],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(MODELS.parent / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(argv[0], scenario_path, *argv[1:]).stdout
+    names = {span["name"] for span in json.loads(spans.read_text(encoding="utf-8"))}
+    assert {"cli.main", "parser.parse_model", "parser.validate"} | layers <= names

@@ -327,3 +327,28 @@ def test_one_checker_derives_each_state_once_across_candidates(scenario, monkeyp
     # and the second candidate refined the pair set the first explored
     root = (_state_key(defs, left), _state_key(defs, right))
     assert checker.explore(root, (left, right)) is checker.explore(root, (left, right))
+
+
+def test_counterexamples_are_built_only_for_a_verdict(monkeypatch):
+    # the rate filter and the refinement only ask whether a pair fails; the
+    # Counterexample, which renders both sides, is built for the reported
+    # root pair alone
+    import families
+    import paloma.equivalence as equivalence
+
+    built = []
+    real = equivalence.Counterexample
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "Counterexample", counting)
+    ring = load(families.ring(3, 1))
+    assert bisimilar(ring.definitions(), ring.systems["Main"], ring.systems["Rot"],
+                     EMPTY).related
+    assert built == []
+    duo = load(families.duo(4, 1))
+    result = bisimilar(duo.definitions(), duo.systems["Main"], duo.systems["Odd"], EMPTY)
+    assert not result.related
+    assert len(built) == len(result.candidate_failures) == 4

@@ -279,3 +279,26 @@ def test_interning_from_many_threads_agrees():
             assert len(defs._agents) == len({defs.resolve(t) for t in terms})
     finally:
         sys.setswitchinterval(old_interval)
+
+
+def test_repr_walks_a_deep_choice_without_recursing():
+    # records nest as deep as a choice is wide; repr expands them with a stack
+    body = " + ".join(f"(a{k}, 1.0).D(l0)" for k in range(3000))
+    defn = load(f"location l0 = (0.0, 0.0);\nD(l0) := {body};\nsystem S = D(l0);\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        text = repr(defn.equations[("D", "l0")])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text.startswith("SeqComponent(body=Choice(left=SeqComponent(body=Choice(")
+    assert text.count("PrefixGuarded(prefix=Spontaneous(label=") == 3000
+    # the format of a shallow term is the field-by-field one it always had
+    term = SeqComponent(Choice(guarded(Spontaneous("t", 1.0), ConstantRef("D", L0), L0),
+                               constant("D", L0)), L0)
+    at = "Location(name='l0', point=(-1.0, 0.0))"
+    assert repr(term) == (
+        f"SeqComponent(body=Choice(left=SeqComponent(body=PrefixGuarded("
+        f"prefix=Spontaneous(label='t', rate=1.0), continuation=ConstantRef(name='D', "
+        f"location={at})), location={at}), right=SeqComponent(body=ConstantRef(name='D', "
+        f"location={at}), location={at})), location={at})")

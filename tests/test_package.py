@@ -4,6 +4,8 @@ import os
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -86,3 +88,58 @@ def test_cli_import_skips_dataclasses_and_inspect():
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _fresh_interpreter(probe: str) -> str:
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["check", "models/scenario.paloma"], "cli geometry model parser"),
+    (["rate", "models/scenario.paloma", "--system", "Scenario1",
+      "--action", "!!message_move"], "cli geometry model parser rates"),
+    (["ctmc", "models/scenario.paloma", "--system", "Scenario1"],
+     "cli geometry model parser rates semantics"),
+    (["bisim", "models/scenario.paloma", "--left", "Scenario1", "--right", "Scenario2"],
+     "cli equivalence geometry model parser rates semantics"),
+], ids=["check", "rate", "ctmc", "bisim"])
+def test_a_command_loads_only_the_layers_it_runs(argv, loaded):
+    # every command-line call is a fresh interpreter: check and rate never
+    # import the CTMC or bisimulation layers, and ctmc skips bisimulation
+    probe = ("import contextlib, io, sys\n"
+             "from paloma import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    assert cli.main({argv!r}) == 0\n"
+             "print(*sorted(m[7:] for m in sys.modules if m.startswith('paloma.')))")
+    assert _fresh_interpreter(probe) == loaded + "\n"
+
+
+def test_every_exported_name_resolves_on_first_use():
+    # importing the package loads no module; each exported name loads the
+    # module that defines it, and is the very object that module holds
+    probe = """
+import importlib, sys
+import paloma
+assert [m for m in sys.modules if m.startswith("paloma.")] == []
+assert len(paloma.__all__) == 80 and set(paloma.__all__) <= set(dir(paloma))
+for name in paloma.__all__:
+    module = importlib.import_module("paloma." + paloma._MODULE_OF[name])
+    assert getattr(paloma, name) is getattr(module, name), name
+namespace = {}
+exec("from paloma import *", namespace)
+assert set(paloma.__all__) <= set(namespace)
+for module in ("equivalence", "geometry", "model", "parser", "rates", "semantics"):
+    assert getattr(paloma, module) is sys.modules["paloma." + module]
+try:
+    paloma.no_such_name
+except AttributeError:
+    print("ok")
+"""
+    assert _fresh_interpreter(probe) == "ok\n"

@@ -278,6 +278,17 @@ def test_roundtrip_scenario_is_structurally_identical():
         assert again.locations[name].point == loc.point
 
 
+def test_validating_a_definition_leaves_it_equal():
+    # validate keeps the Definitions it filled on the definition, outside
+    # its fields: equality and repr do not see it
+    defn = parse_model(SCENARIO_SOURCE).definition
+    before = repr(defn)
+    assert validate(defn) == []
+    assert defn._validated is not None
+    assert defn == parse_model(SCENARIO_SOURCE).definition
+    assert repr(defn) == before
+
+
 def test_roundtrip_preserves_choice_association():
     source = """
     location l0 = (0.0, 0.0);
@@ -371,6 +382,10 @@ PINNED_DIAGNOSTICS = [
     ("location l0 = (0.0, 0.0);\n;;\n",
      [("error", "expected a statement, found ';'", 2, 1),
       ("error", "expected a statement, found ';'", 2, 2)]),
+    # a non-ASCII letter is a stray character, even where a name would fit
+    ("location l0 = (0.0, 0.0);\nS(l0) := (é, 1.0).S(l0);\n",
+     [("error", "unexpected character 'é'", 2, 11),
+      ("error", "expected action label, found ','", 2, 12)]),
 ]
 
 
@@ -380,6 +395,14 @@ def test_diagnostic_positions_are_pinned(source, expected):
     assert not result.ok
     assert [(d.severity, d.message, d.line, d.column)
             for d in result.diagnostics] == expected
+
+
+def test_unicode_decimal_digits_are_numbers():
+    # \d in the token pattern matches any Unicode decimal digit
+    result = parse_model("param r = \u0663.\u0665;\nlocation l0 = (-\u0663, 1e\u0663);\n")
+    assert result.ok, [str(d) for d in result.diagnostics]
+    assert result.definition.params == {"r": 3.5}
+    assert result.definition.locations["l0"].point == (-3.0, 1000.0)
 
 
 def test_validate_reports_every_dangling_operand_in_written_order():
