@@ -15,6 +15,7 @@ PALOMA_BOUND sets the default bound.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -99,8 +100,11 @@ def _system(defn: ModelDefinition, name: str):
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _InputError(f"cannot write {out}: {exc}") from None
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -165,8 +169,10 @@ def _parse_phi(matrix: str, offset: str) -> Isometry:
     try:
         a, b, c, d = (float(part) for part in matrix.split(","))
         tx, ty = (float(part) for part in offset.split(","))
+        if not all(map(math.isfinite, (a, b, c, d, tx, ty))):
+            raise ValueError
     except ValueError:
-        raise _InputError("expected --matrix a,b,c,d and --offset tx,ty") from None
+        raise _InputError("expected finite --matrix a,b,c,d and --offset tx,ty") from None
     phi = Isometry(((a, b), (c, d)), (tx, ty))
     if not phi.is_orthogonal():
         raise _InputError("the given matrix is not orthogonal: not an isometry")

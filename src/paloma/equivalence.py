@@ -14,9 +14,8 @@ cannot be matched within what remains.
 
 from __future__ import annotations
 
-import functools
 import math
-from collections import deque
+from collections import defaultdict, deque
 
 from .geometry import (
     ALGEBRAIC_TOL,
@@ -31,6 +30,7 @@ from .model import (
     ActionId,
     ActionType,
     Definitions,
+    Location,
     ModelComponent,
     SeqComponent,
     StateKey,
@@ -122,12 +122,49 @@ def _counterexample(rep: PairRep, gap: Gap | None) -> Counterexample | None:
     return Counterexample(gap[0], render_model(rep[0]), render_model(rep[1]), **gap[1])
 
 
+# A state's steps by action text, each with its successor's key; and the
+# successor keys under each action.
+Steps = tuple[dict[str, list[tuple[LiftedStep, StateKey]]], dict[str, frozenset[StateKey]]]
+Relation = tuple[dict[StateKey, set[StateKey]], dict[StateKey, set[StateKey]]]
+
+
+def _relation(keys) -> Relation:
+    """A pair set indexed by either side: each left key's right keys, and back."""
+    relation: Relation = ({}, {})
+    for left, right in keys:
+        relation[0].setdefault(left, set()).add(right)
+        relation[1].setdefault(right, set()).add(left)
+    return relation
+
+
+class _Frames(dict):
+    """Rate frames under ``phi``, built on first use: for two states' location
+    names, each matched point's report name and the location each side reads."""
+
+    def __init__(self, phi: Isometry, located, named: dict[str, Location]):
+        super().__init__()
+        self.phi, self.phi_inv, self.located, self.named = phi, invert(phi), located, named
+
+    def __missing__(self, names: tuple[tuple[str, ...], tuple[str, ...]]):
+        points: dict[tuple[float, float], Point] = {}
+        for point in [self.named[name].point for name in names[0]] + [
+                self.phi_inv.apply(self.named[name].point) for name in names[1]]:
+            points.setdefault(tuple(round(c, 9) for c in point), point)
+        matched = [(points[p], self.located(points[p]), self.located(self.phi.apply(points[p])))
+                   for p in sorted(points)]
+        frame = self[names] = (
+            [left.name if left is not None else f"{point}" for point, left, _ in matched],
+            tuple(left and left.name for _, left, _ in matched),
+            tuple(right and right.name for _, _, right in matched))
+        return frame
+
+
 class _PairChecker:
     """Shared engine behind the bisimilarity checks of one call. Pairs are
     keyed by the two sides' state keys; each pair keeps the first
     representative terms seen, for display. Only the rate conditions depend
-    on the isometry, so all candidates share each state's steps and exit
-    rates and the pairs reachable from a root, computed once."""
+    on the isometry, and only through the sides' location sets, so all
+    candidates share each state's steps, exit rates and reachable pairs."""
 
     def __init__(self, defs: Definitions, context: ModelComponent,
                  bound: float = math.inf, same_location: bool = False):
@@ -137,102 +174,83 @@ class _PairChecker:
         self.bound = bound
         self.same_location = same_location
         self.actions = _model_actions(defs)
-        # the declared location at a point; candidates ask about the same few
-        # points again and again
-        self.located = functools.cache(_PointGrid(defs.locations.values()).match)
-        self._steps_cache: dict[StateKey, tuple[
-            list[tuple[LiftedStep, StateKey]],
-            dict[ActionId, list[tuple[LiftedStep, StateKey]]]]] = {}
-        self._rates: dict[StateKey, list[tuple[dict[str, float], float]]] = {}
+        self.located = _PointGrid(defs.locations.values()).match
+        self._named: dict[str, Location] = {}
+        self._steps_cache: dict[StateKey, Steps] = {}
+        self._rates: dict[StateKey, tuple[tuple[str, ...], list]] = {}
+        self._vectors: dict[tuple[StateKey, tuple], tuple[float, ...]] = {}
         self._explored: dict[PairKey, dict[PairKey, PairRep] | None] = {}
 
-    def steps(self, key: StateKey, subject: ModelComponent
-              ) -> tuple[list[tuple[LiftedStep, StateKey]],
-                         dict[ActionId, list[tuple[LiftedStep, StateKey]]]]:
-        """The steps of the state ``key`` (represented by ``subject``) in a
-        fixed order, each with its successor's key; and the same steps
-        grouped by action."""
+    def steps(self, key: StateKey, subject: ModelComponent) -> Steps:
+        """The steps of the state ``key`` (represented by ``subject``), in a
+        fixed order: by action text, label text, then rendered successor."""
         cached = self._steps_cache.get(key)
         if cached is None:
             keyed = _keyed_component_steps(self.defs, self.context, subject)
-            ordered = sorted(
-                ((step, succ_key) for (_, succ_key), step in keyed.items()),
-                key=lambda pair: (pair[0].action.text, pair[0].label_text,
-                                  render_model(pair[0].successor)))
-            by_action: dict[ActionId, list[tuple[LiftedStep, StateKey]]] = {}
-            for entry in ordered:
-                by_action.setdefault(entry[0].action, []).append(entry)
-            cached = self._steps_cache[key] = (ordered, by_action)
+            by_action: dict[str, list[tuple[LiftedStep, StateKey]]] = {}
+            for (text, succ_key), step in sorted(
+                    keyed.items(), key=lambda item: (item[0][0], item[1].label_text,
+                                                     render_model(item[1].successor))):
+                by_action.setdefault(text, []).append((step, succ_key))
+            succs = {text: frozenset(k for _, k in group) for text, group in by_action.items()}
+            cached = self._steps_cache[key] = (by_action, succs)
         return cached
 
-    def rates(self, key: StateKey) -> list[tuple[dict[str, float], float]]:
-        """Exit rates of each model action by the state ``key``: by location
-        name of its agents, and in total."""
-        tables = self._rates.get(key)
-        if tables is None:
+    def rates(self, key: StateKey) -> tuple[tuple[str, ...], list[tuple[dict[str, float], float]]]:
+        """The sorted location names of the agents of ``key``, and its exit
+        rates of each model action: by location name, and in total."""
+        found = self._rates.get(key)
+        if found is None:
             subject = [self.defs._agents[a] for a in key]
-            tables = self._rates[key] = [_rate_table(self.context_agents, subject, action)
-                                         for action in self.actions]
-        return tables
+            located = {agent.location.name: agent.location for agent in subject}
+            self._named.update(located)
+            found = self._rates[key] = (tuple(sorted(located)), [
+                _rate_table(self.context_agents, subject, action) for action in self.actions])
+        return found
 
-    def rate_gap(self, key: PairKey, rep: PairRep, phi: Isometry) -> Gap | None:
-        """First violated rate condition at this pair under ``phi``, if any."""
-        left, right = rep
-        left_rates, right_rates = self.rates(key[0]), self.rates(key[1])
+    def vector(self, key: StateKey, names: tuple[str | None, ...]) -> tuple[float, ...]:
+        """The exit rates of ``key`` at each of ``names``, action by action."""
+        found = self._vectors.get((key, names))
+        if found is None:
+            found = self._vectors[key, names] = tuple(
+                table.get(name, 0.0) for table, _ in self.rates(key)[1] for name in names)
+        return found
+
+    def rate_gap(self, key: PairKey, frames: _Frames) -> Gap | None:
+        """First violated rate condition at this pair under ``frames.phi``."""
+        (left, left_rates), (right, right_rates) = self.rates(key[0]), self.rates(key[1])
         if self.same_location:
-            left_locs = sorted(l.name for l in locations_of(left))
-            right_locs = sorted(l.name for l in locations_of(right))
-            if left_locs != right_locs:
-                return "location-mismatch", {"location": f"{left_locs} vs {right_locs}"}
-            for index, action in enumerate(self.actions):
-                lv, rv = left_rates[index][1], right_rates[index][1]
-                if not _rates_close(lv, rv):
-                    return "rate-mismatch", {"action": action.text, "location": "(total)",
-                                             "values": (lv, rv)}
-            return None
-
-        phi_inv = invert(phi)
-        points: dict[tuple[float, float], Point] = {}
-        for loc in sorted(locations_of(left), key=lambda l: l.name):
-            points.setdefault(tuple(round(c, 9) for c in loc.point), loc.point)
-        for loc in sorted(locations_of(right), key=lambda l: l.name):
-            pre = phi_inv.apply(loc.point)
-            points.setdefault(tuple(round(c, 9) for c in pre), pre)
-        matched = [(points[p], self.located(points[p]), self.located(phi.apply(points[p])))
-                   for p in sorted(points)]
-        for index, action in enumerate(self.actions):
-            left_table, right_table = left_rates[index][0], right_rates[index][0]
-            for point, left_loc, right_loc in matched:
-                lv = 0.0 if left_loc is None else left_table.get(left_loc.name, 0.0)
-                rv = 0.0 if right_loc is None else right_table.get(right_loc.name, 0.0)
-                if not _rates_close(lv, rv):
-                    where = left_loc.name if left_loc is not None else f"{point}"
-                    return "rate-mismatch", {"action": action.text, "location": where,
-                                             "values": (lv, rv)}
+            if left != right:
+                return "location-mismatch", {"location": f"{list(left)} vs {list(right)}"}
+            wheres = ["(total)"]
+            left_rates, right_rates = [t for _, t in left_rates], [t for _, t in right_rates]
+        else:
+            wheres, left_names, right_names = frames[left, right]
+            left_rates = self.vector(key[0], left_names)
+            right_rates = self.vector(key[1], right_names)
+        if left_rates != right_rates:
+            for index, (lv, rv) in enumerate(zip(left_rates, right_rates)):
+                if lv != rv and not _rates_close(lv, rv):
+                    action, at = divmod(index, len(wheres))
+                    return "rate-mismatch", {"action": self.actions[action].text,
+                                             "location": wheres[at], "values": (lv, rv)}
         return None
 
     def transfer_gap(self, key: PairKey, rep: PairRep,
-                     relation: set[PairKey] | None) -> Gap | None:
+                     relation: Relation | None) -> Gap | None:
         """A step on either side that the other cannot match into ``relation``;
         with ``None``, a step under an action the other side lacks."""
-        left_steps, left_by_action = self.steps(key[0], rep[0])
-        right_steps, right_by_action = self.steps(key[1], rep[1])
-
-        def unmatched(steps_a, by_action_b, left_first: bool):
-            for sa, key_a in steps_a:
-                for _, key_b in by_action_b.get(sa.action, ()):
-                    pair = (key_a, key_b) if left_first else (key_b, key_a)
-                    if relation is None or pair in relation:
-                        break
-                else:
-                    return "unmatched-transition", {"action": sa.action.text,
-                                                    "transition": sa.label_text}
-            return None
-
-        failure = unmatched(left_steps, right_by_action, left_first=True)
-        if failure is not None:
-            return failure
-        return unmatched(right_steps, left_by_action, left_first=False)
+        left, right = self.steps(key[0], rep[0]), self.steps(key[1], rep[1])
+        for (by_action, _), (_, other_succs), partners in (
+                (left, right, relation and relation[0]), (right, left, relation and relation[1])):
+            for text, group in by_action.items():
+                keys = other_succs.get(text)
+                for step, succ in group:
+                    if keys is None or (partners is not None
+                                        and keys.isdisjoint(partners.get(succ, ()))):
+                        return "unmatched-transition", {"action": text,
+                                                        "transition": step.label_text}
+        return None
 
     def explore(self, root: PairKey, root_rep: PairRep) -> dict[PairKey, PairRep] | None:
         """The pairs reachable from ``root`` through matched steps, each with
@@ -241,7 +259,8 @@ class _PairChecker:
         if root in self._explored:
             return self._explored[root]
         reps = self._explored[root] = {root: root_rep}
-        left_seen = {root[0]}
+        # a left key enters only to take a partner at once, so it counts as seen
+        partners = defaultdict(set, {root[0]: {root[1]}})
         right_seen = {root[1]}
         queue = deque([root])
         while queue:
@@ -249,29 +268,39 @@ class _PairChecker:
             l_rep, r_rep = reps[key]
             # left first: a state both sides reach caches the steps of the
             # representative that asks first
-            left_steps, _ = self.steps(key[0], l_rep)
-            _, right_by_action = self.steps(key[1], r_rep)
-            for sl, key_l in left_steps:
-                for sr, key_r in right_by_action.get(sl.action, ()):
-                    new_key = (key_l, key_r)
-                    if new_key in reps:
+            left_by_action = self.steps(key[0], l_rep)[0]
+            right_by_action, right_succs = self.steps(key[1], r_rep)
+            # steps sort by action first: this walk keeps their order
+            for text, left_group in left_by_action.items():
+                keys_r = right_succs.get(text)
+                if keys_r is None:
+                    continue
+                for sl, key_l in left_group:
+                    # a step whose successor pairs are all known adds none
+                    known = partners[key_l]
+                    if keys_r <= known:
                         continue
-                    left_seen.add(key_l)
-                    right_seen.add(key_r)
-                    if len(left_seen) > self.bound or len(right_seen) > self.bound:
-                        self._explored[root] = None
-                        return None
-                    reps[new_key] = (sl.successor, sr.successor)
-                    queue.append(new_key)
+                    for sr, key_r in right_by_action[text]:
+                        if key_r in known:
+                            continue
+                        known.add(key_r)
+                        right_seen.add(key_r)
+                        if len(partners) > self.bound or len(right_seen) > self.bound:
+                            self._explored[root] = None
+                            return None
+                        new_key = (key_l, key_r)
+                        reps[new_key] = (sl.successor, sr.successor)
+                        queue.append(new_key)
         return reps
 
     def run(self, left: ModelComponent, right: ModelComponent,
             phi: Isometry) -> BisimResult:
         root = (_state_key(self.defs, left), _state_key(self.defs, right))
         root_rep = (left, right)
+        frames = _Frames(phi, self.located, self._named)
         # a root that fails a rate condition is outside every candidate
         # relation, so the verdict needs no exploration
-        rate_gap = self.rate_gap(root, root_rep, phi)
+        rate_gap = self.rate_gap(root, frames)
         if rate_gap is not None:
             step_gap = self.transfer_gap(root, root_rep, None)
             return BisimResult(related=False,
@@ -283,15 +312,16 @@ class _PairChecker:
                 related=False, inconclusive=True,
                 note=f"state bound {self.bound} exceeded while exploring the pair space")
         relation = {key: rep for key, rep in reps.items()
-                    if self.rate_gap(key, rep, phi) is None}
+                    if self.rate_gap(key, frames) is None}
+        indexed = _relation(relation)
         changed = True
         while changed:
             changed = False
-            keys = set(relation)
             for key in list(relation):
-                if self.transfer_gap(key, relation[key], keys) is not None:
+                if self.transfer_gap(key, relation[key], indexed) is not None:
                     del relation[key]
-                    keys.discard(key)
+                    indexed[0][key[0]].discard(key[1])
+                    indexed[1][key[1]].discard(key[0])
                     changed = True
 
         if root in relation:
@@ -304,7 +334,7 @@ class _PairChecker:
         # report the most telling root failure: a step the other side cannot
         # take at all, else the closure failure left after refinement
         gap = (self.transfer_gap(root, root_rep, None)
-               or self.transfer_gap(root, root_rep, set(relation)))
+               or self.transfer_gap(root, root_rep, indexed))
         return BisimResult(related=False, counterexample=_counterexample(root_rep, gap))
 
 
@@ -336,9 +366,9 @@ def recheck_transfer(defs: Definitions, context: ModelComponent, phi: Isometry,
     transfer conditions do not depend on ``phi``."""
     checker = _PairChecker(defs, context)
     keyed = [((_state_key(defs, l), _state_key(defs, r)), (l, r)) for l, r in pairs]
-    keys = {key for key, _ in keyed}
+    relation = _relation(key for key, _ in keyed)
     for key, rep in keyed:
-        gap = checker.transfer_gap(key, rep, keys)
+        gap = checker.transfer_gap(key, rep, relation)
         if gap is not None:
             return _counterexample(rep, gap)
     return None

@@ -427,15 +427,15 @@ def component_steps(defs: Definitions, context: ModelComponent,
 
 def _keyed_component_steps(defs: Definitions, context: ModelComponent,
                            subject: ModelComponent | SeqComponent
-                           ) -> dict[tuple[ActionId, StateKey], LiftedStep]:
-    """``component_steps``, each keyed by its action and the state key of
-    its successor."""
+                           ) -> dict[tuple[str, StateKey], LiftedStep]:
+    """``component_steps``, each keyed by its action's text and the state
+    key of its successor."""
     part = _as_component(subject)
     offset = len(context)
     system = context + part
     key = _state_key(defs, system)
     agents = [defs._agents[a] for a in key]
-    found: dict[tuple[ActionId, StateKey], LiftedStep] = {}
+    found: dict[tuple[str, StateKey], LiftedStep] = {}
     for i, _, kind, label, _, steps in _derive(agents):
         text = ActionId(kind, label).text
         for changes, _ in steps:
@@ -447,9 +447,9 @@ def _keyed_component_steps(defs: Definitions, context: ModelComponent,
             if actions:
                 succ_key = _moved(key, agents, changes, defs._next)[offset:]
                 for action in actions:
-                    if (action, succ_key) not in found:
+                    if (action.text, succ_key) not in found:
                         succ = _moved(system, agents, changes, _term)[offset:]
-                        found[(action, succ_key)] = LiftedStep(action, text, succ)
+                        found[action.text, succ_key] = LiftedStep(action, text, succ)
     return found
 
 

@@ -222,6 +222,36 @@ def test_bisim_rejects_non_orthogonal_matrix(scenario_path):
     assert "not an isometry" in proc.stderr
 
 
+@pytest.mark.parametrize("matrix, offset", [
+    ("-1,0,0,1", "nan,0"), ("-1,0,0,1", "inf,0"), ("-1,0,0,1", "0,-inf"),
+    ("nan,0,0,1", "0,0"), ("-1,0,0,inf", "0,0"),
+])
+def test_bisim_rejects_non_finite_phi(scenario_path, matrix, offset):
+    proc = run_cli("bisim", scenario_path, "--left", "Scenario1",
+                   "--right", "Scenario2", "--mode", "fixed-phi",
+                   f"--matrix={matrix}", f"--offset={offset}")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: expected finite --matrix a,b,c,d and --offset tx,ty\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("argv", [
+    ("ctmc", "--system", "Scenario1"),
+    ("rate", "--system", "Scenario1", "--action", "!!message_move"),
+    ("bisim", "--left", "Scenario1", "--right", "Scenario2"),
+], ids=["ctmc", "rate", "bisim"])
+def test_unwritable_out_is_an_input_error(scenario_path, tmp_path, argv, where):
+    # exit 1 means only "not related": a failed write is an input error
+    out = tmp_path if where == "directory" else tmp_path / "absent" / "out.txt"
+    proc = run_cli(argv[0], scenario_path, *argv[1:], "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+    assert proc.stdout == ""
+
+
 def test_bisim_bound_inconclusive(scenario_path):
     proc = run_cli("bisim", scenario_path, "--left", "Scenario1",
                    "--right", "Scenario2", "--bound", "1")
@@ -350,11 +380,26 @@ def golden_models(tmp_path_factory):
             "ring": str(ring)}
 
 
+# the hash seed changes set iteration order, which no output may depend on
+@pytest.mark.parametrize("hash_seed", ["0", "123"])
 @pytest.mark.parametrize("model, argv, code, digest", GOLDEN)
-def test_output_matches_golden_digest(golden_models, model, argv, code, digest):
-    proc = run_cli(argv[0], golden_models[model], *argv[1:])
+def test_output_matches_golden_digest(golden_models, model, argv, code, digest, hash_seed):
+    proc = run_cli(argv[0], golden_models[model], *argv[1:],
+                   env={"PYTHONHASHSEED": hash_seed})
     assert proc.returncode == code, proc.stderr
     assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("bound, code, verdict", [
+    ("26", 3, "inconclusive"), ("27", 0, "related"),
+])
+def test_ring_bound_threshold(golden_models, bound, code, verdict):
+    # ring-3 Main against Rot pairs all 27 states of either side: a bound of
+    # 26 stops the exploration, and 27 lets it finish
+    proc = run_cli("bisim", golden_models["ring"], "--left", "Main", "--right", "Rot",
+                   "--bound", bound)
+    assert proc.returncode == code
+    assert proc.stdout.splitlines()[0] == f"verdict: {verdict}"
 
 
 def test_root_rate_failure_is_definite_within_any_bound(golden_models):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from paloma.equivalence import (
     bisimilar,
     check_bisim_phi,
@@ -352,3 +354,68 @@ def test_counterexamples_are_built_only_for_a_verdict(monkeypatch):
     result = bisimilar(duo.definitions(), duo.systems["Main"], duo.systems["Odd"], EMPTY)
     assert not result.related
     assert len(built) == len(result.candidate_failures) == 4
+
+
+def test_rate_frames_are_built_once_per_location_sets(monkeypatch):
+    # a pair's rate conditions depend on the isometry only through the two
+    # sides' location sets: the candidate is inverted once, and points are
+    # matched once per pair of location sets, not once per explored pair
+    import families
+    import paloma.equivalence as equivalence
+    from paloma.geometry import Isometry
+    from paloma.model import _state_key, locations_of
+
+    ring = load(families.ring(3, 1))
+    defs = ring.definitions()
+    left, right = ring.systems["Main"], ring.systems["Rot"]
+    inverted, applied = [], []
+    real_invert, real_apply = equivalence.invert, Isometry.apply
+    monkeypatch.setattr(equivalence, "invert",
+                        lambda phi: inverted.append(phi) or real_invert(phi))
+    monkeypatch.setattr(Isometry, "apply",
+                        lambda self, point: applied.append(point) or real_apply(self, point))
+    checker = equivalence._PairChecker(defs, EMPTY)
+    assert checker.run(left, right, IDENTITY).related
+    explored = checker.explore((_state_key(defs, left), _state_key(defs, right)),
+                               (left, right))
+    location_sets = {(locations_of(l), locations_of(r)) for l, r in explored.values()}
+    assert len(location_sets) * 10 < len(explored)
+    assert inverted == [IDENTITY]
+    # a frame maps each right location back, and each matched point forward
+    assert len(applied) <= sum(len(l) + 2 * len(r) for l, r in location_sets)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1), max_agents=st.integers(1, 3),
+       n_locations=st.integers(1, 3), max_alternatives=st.integers(1, 3))
+def test_checker_matches_the_reference_on_drawn_models(seed, max_agents, n_locations,
+                                                       max_alternatives):
+    # Main against Alt is seldom related; a system against itself in another
+    # composition order always is, and refinement has a large pair set to cut
+    import bisim_reference as reference
+    from paloma.cli import _bisim_report
+    from paloma.geometry import candidate_isometries
+    from paloma.model import locations_of
+
+    defn = random_model(random.Random(seed), max_agents=max_agents,
+                        n_locations=n_locations, max_alternatives=max_alternatives)
+    defs = defn.definitions()
+    main, alt = defn.systems["Main"], defn.systems["Alt"]
+
+    def same(engine, expected):
+        assert engine == expected
+        assert _bisim_report(engine) == _bisim_report(expected)
+
+    for left, right in ((main, alt), (main, main[1:] + main[:1]), (alt, alt[::-1])):
+        for context in (EMPTY, alt[:1]):
+            points = [[loc.point for loc in locations_of(context + side)]
+                      for side in (left, right)]
+            candidates = candidate_isometries(*points)[0]
+            for bound in (1, 2, 5, 60):
+                same(bisimilar(defs, left, right, context, bound),
+                     reference.bisimilar(defs, left, right, context, bound))
+                for phi in candidates:
+                    same(check_bisim_phi(defs, left, right, context, phi, bound),
+                         reference.check_bisim_phi(defs, left, right, context, phi, bound))
+                same(naive_bisim(defs, left[0], right[0], context, bound),
+                     reference.naive_bisim(defs, left[0], right[0], context, bound))
