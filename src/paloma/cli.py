@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .geometry import Isometry
 from .model import ActionId, EMPTY, Definitions, ModelError, action_labels
-from .parser import ModelDefinition, parse_model, validate
+from .parser import Diagnostic, ModelDefinition, parse_model, validate
 
 # Names from the CTMC and bisimulation layers. Each is taken from the package
 # when it is first read off this module (PEP 562), and the package loads the
@@ -50,7 +50,12 @@ DEFAULT_BOUND = 10000
 
 
 class _InputError(Exception):
-    pass
+    """Bad input, printed on stderr as ``error: MESSAGE``."""
+
+
+class _InvalidModel(Exception):
+    """A model with errors. Its diagnostics name their own severity, so
+    they are printed on stderr as they stand."""
 
 
 def _bound(given: int | None) -> int:
@@ -70,21 +75,29 @@ def _bound(given: int | None) -> int:
     return given
 
 
+def _read(path: str) -> tuple[ModelDefinition | None, list[Diagnostic]]:
+    """The model at ``path`` and its diagnostics, from parsing and then
+    validating it; the model is ``None`` when it has errors."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InputError(f"cannot read {path}: {exc}") from None
+    result = parse_model(text)
+    if not result.ok:
+        return None, result.diagnostics
+    diagnostics = validate(result.definition)
+    if any(d.severity == "error" for d in diagnostics):
+        return None, diagnostics
+    return result.definition, diagnostics
+
+
 def _load(path: str) -> tuple[ModelDefinition, Definitions]:
     """The model at ``path``, and the ``Definitions`` that validating it
     filled, which the command goes on to query."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from None
-    result = parse_model(text)
-    diagnostics = list(result.diagnostics)
-    if not result.ok:
-        raise _InputError("\n".join(str(d) for d in diagnostics) or "parse failed")
-    diagnostics += validate(result.definition)
-    if any(d.severity == "error" for d in diagnostics):
-        raise _InputError("\n".join(str(d) for d in diagnostics))
-    return result.definition, result.definition._validated
+    defn, diagnostics = _read(path)
+    if defn is None:
+        raise _InvalidModel(diagnostics)
+    return defn, defn._validated
 
 
 def _system(defn: ModelDefinition, name: str):
@@ -108,21 +121,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.model).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {args.model}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    result = parse_model(text)
-    diagnostics = list(result.diagnostics)
-    if result.ok:
-        diagnostics += validate(result.definition)
+    defn, diagnostics = _read(args.model)
     for diagnostic in diagnostics:
         print(diagnostic)
-    if any(d.severity == "error" for d in diagnostics):
+    if defn is None:
         return EXIT_INPUT
-    print(f"ok: {len(result.definition.equations)} equations, "
-          f"{len(result.definition.systems)} systems")
+    print(f"ok: {len(defn.equations)} equations, {len(defn.systems)} systems")
     return EXIT_OK
 
 
@@ -275,12 +279,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except _InvalidModel as exc:
+        print(*exc.args[0], sep="\n", file=sys.stderr)
+    except (_InputError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

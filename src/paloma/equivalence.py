@@ -98,10 +98,7 @@ class BisimResult(_Record):
 
 def _model_actions(defs: Definitions) -> list[ActionId]:
     return [ActionId(act_type, label)
-            for label in action_labels(defs)
-            for act_type in (ActionType.SPONTANEOUS, ActionType.BROADCAST_OUT,
-                             ActionType.BROADCAST_IN, ActionType.UNICAST_OUT,
-                             ActionType.UNICAST_IN)]
+            for label in action_labels(defs) for act_type in ActionType]
 
 
 def _rates_close(a: float, b: float) -> bool:
@@ -183,14 +180,13 @@ class _PairChecker:
 
     def steps(self, key: StateKey, subject: ModelComponent) -> Steps:
         """The steps of the state ``key`` (represented by ``subject``), in a
-        fixed order: by action text, label text, then rendered successor."""
+        fixed order: by action text, then rendered successor."""
         cached = self._steps_cache.get(key)
         if cached is None:
             keyed = _keyed_component_steps(self.defs, self.context, subject)
             by_action: dict[str, list[tuple[LiftedStep, StateKey]]] = {}
             for (text, succ_key), step in sorted(
-                    keyed.items(), key=lambda item: (item[0][0], item[1].label_text,
-                                                     render_model(item[1].successor))):
+                    keyed.items(), key=lambda item: (item[0][0], render_model(item[1].successor))):
                 by_action.setdefault(text, []).append((step, succ_key))
             succs = {text: frozenset(k for _, k in group) for text, group in by_action.items()}
             cached = self._steps_cache[key] = (by_action, succs)

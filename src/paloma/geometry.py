@@ -172,10 +172,12 @@ class _PointGrid:
 def map_locations(iso: Isometry, locations, declared: dict[str, Location],
                   tol: float = GEOMETRIC_TOL) -> list[Location | Point]:
     """Elementwise image of a location set; undeclared images stay raw points."""
+    grid = _PointGrid(declared.values(), tol)
     out: list[Location | Point] = []
     for location in sorted(locations, key=lambda l: l.name):
-        matched = map_location(iso, location, declared, tol)
-        out.append(matched if matched is not None else iso.apply(location.point))
+        image = iso.apply(location.point)
+        matched = grid.match(image)
+        out.append(matched if matched is not None else image)
     return out
 
 
@@ -213,8 +215,9 @@ def candidate_isometries(points_a: list[Point], points_b: list[Point],
     Synthesised from distance-matched ordered pairs; a single occupied point
     on each side yields the plain translation between them. Only candidates
     that map every point within ``tol`` of a point of the other set are
-    kept. Mismatched set sizes admit no bijective matching, reported through
-    the note. Candidates are deduplicated and ordered deterministically:
+    kept, one for each orientation and correspondence of points, the first
+    synthesised. Mismatched set sizes admit no bijective matching, reported
+    through the note. Candidates are ordered deterministically:
     identity first, then orientation-reversing before orientation-preserving,
     then by rounded parameters.
     """
@@ -244,17 +247,20 @@ def candidate_isometries(points_a: list[Point], points_b: list[Point],
     unique: dict[tuple, Isometry] = {}
     for iso in candidates:
         unique.setdefault(_round_key(iso), iso)
-    ordered = sorted((iso for iso in unique.values() if _maps_onto(iso, set_a, set_b, tol)),
+    # the targets are named by their index; one candidate is kept for each
+    # orientation and tuple of matched targets
+    targets = _PointGrid((Location(str(k), point) for k, point in enumerate(set_b)), tol)
+    matching: dict[tuple, Isometry] = {}
+    for iso in unique.values():
+        matched = []
+        for point in set_a:
+            matched.append(targets.match(iso.apply(point)))
+            if matched[-1] is None:
+                break
+        else:
+            matching.setdefault((iso.determinant > 0.0, tuple(matched)), iso)
+    ordered = sorted(matching.values(),
                      key=lambda iso: (not iso.is_identity(),
                                       round(iso.determinant, 9),
                                       _round_key(iso)))
     return ordered, None
-
-
-def _maps_onto(iso: Isometry, set_a: list[Point], set_b: list[Point],
-               tol: float) -> bool:
-    for point in set_a:
-        image = iso.apply(point)
-        if not any(math.dist(image, target) <= tol for target in set_b):
-            return False
-    return True

@@ -147,15 +147,6 @@ class ActionId(_Term):
         self.text = label if act_type is ActionType.SPONTANEOUS else act_type.glyph + label
         self._hash = hash((act_type, label))
 
-    def __eq__(self, other: object) -> bool:
-        # the engine looks steps up by equal but distinct actions, so this
-        # flat comparison is the hot one
-        if other.__class__ is not ActionId:
-            return NotImplemented
-        return self.act_type is other.act_type and self.label == other.label
-
-    __hash__ = _Term.__hash__  # defining __eq__ would unset it
-
     @staticmethod
     def parse(text: str) -> "ActionId":
         """Parse an action string such as ``!!move``, ``?ping`` or ``tick``."""
@@ -362,6 +353,16 @@ class _AgentState:
                 f"agent has {len(found)} {_PREFIX_NAMES[kind]} prefixes on "
                 f"label {label!r}; at most one is allowed")
         return found[0] if found else None
+
+
+def _receiver_pool(system: Iterable[_AgentState],
+                   influence: frozenset[Location], label: str,
+                   sender: int | None = None) -> float:
+    """Receive weight on ``label`` of every agent of ``system`` within
+    ``influence``, except the sender at position ``sender``: a sender never
+    receives its own unicast, even when it listens on the label."""
+    return sum(agent.weight.get(label, 0) for j, agent in enumerate(system)
+               if j != sender and agent.location in influence)
 
 
 class Definitions:

@@ -194,19 +194,21 @@ class _Parser:
         return index
 
     def expect(self, text: str) -> None:
-        """Consume the operator ``text``. No other kind of token can share
-        an operator's text, so the text alone decides, as in ``at``."""
+        """Consume the operator or keyword ``text``. No other kind of token
+        can share its text, so the text alone decides, as in ``at``."""
         if self.current != text:
-            raise _ParseError(f"expected {text!r}, found {self.current or 'end of input'!r}",
-                              self.index)
+            raise _ParseError(f"expected {text!r}, found {self.found()}", self.index)
         self.index += 1
         self.current = self.tokens[self.index]
 
     def expect_number(self) -> int:
         if not _is_number(self.current):
-            raise _ParseError(
-                f"expected 'number', found {self.current or 'end of input'!r}", self.index)
+            raise _ParseError(f"expected 'number', found {self.found()}", self.index)
         return self.advance()
+
+    def found(self) -> str:
+        """The current token as a diagnostic names it."""
+        return repr(self.current or "end of input")
 
     def at(self, text: str) -> bool:
         """Whether the current token is the operator or keyword ``text``."""
@@ -241,7 +243,7 @@ class _Parser:
         elif self.current[:1] in _NAME_START:
             self.equation_stmt()
         else:
-            raise _ParseError(f"expected a statement, found {self.current!r}", self.index)
+            raise _ParseError(f"expected a statement, found {self.found()}", self.index)
 
     def param_stmt(self) -> None:
         self.advance()
@@ -330,34 +332,28 @@ class _Parser:
 
     def prefix(self) -> Prefix:
         glyph = self.current
-        if glyph == "!!":
+        if glyph == "!!" or glyph == "!":
             self.advance()
             label, value, at = self.label_value()
             influence = self.range_clause("Ir")
-            self.check_rate(value, at)
-            return UnicastOut(label, value, influence)
+            self.check_positive(value, "rate", at)
+            return (UnicastOut if glyph == "!!" else BroadcastOut)(label, value, influence)
         if glyph == "??":
             self.advance()
             label, prob, at = self.label_value()
             self.expect("@")
-            self.keyword_ident("Wt")
+            self.expect("Wt")
             self.expect("{")
             weight, weight_at = self.value()
             self.expect("}")
             self.check_prob(prob, at)
             self.check_positive(weight, "weight", weight_at)
             return UnicastIn(label, prob, weight)
-        if glyph == "!":
-            self.advance()
-            label, value, at = self.label_value()
-            influence = self.range_clause("Ir")
-            self.check_rate(value, at)
-            return BroadcastOut(label, value, influence)
         if glyph == "?":
             self.advance()
             label, prob, at = self.label_value()
             self.expect("@")
-            self.keyword_ident("Prob")
+            self.expect("Prob")
             self.expect("{")
             recv, recv_at = self.value()
             self.expect("}")
@@ -366,9 +362,9 @@ class _Parser:
             return BroadcastIn(label, prob, recv)
         if glyph == "(":
             label, value, at = self.label_value()
-            self.check_rate(value, at)
+            self.check_positive(value, "rate", at)
             return Spontaneous(label, value)
-        raise _ParseError(f"expected a prefix, found {glyph!r}", self.index)
+        raise _ParseError(f"expected a prefix, found {self.found()}", self.index)
 
     def label_value(self) -> tuple[str, float, int]:
         """The label and value of ``(label, value)``, and the value's index."""
@@ -381,7 +377,7 @@ class _Parser:
 
     def range_clause(self, keyword: str) -> frozenset[Location]:
         self.expect("@")
-        self.keyword_ident(keyword)
+        self.expect(keyword)
         self.expect("{")
         if self.at("all"):
             self.advance()
@@ -409,7 +405,7 @@ class _Parser:
             if text in self.definition.params:
                 return self.definition.params[text], at
             raise _ParseError(f"undeclared parameter {text!r}", at)
-        raise _ParseError(f"expected a number or parameter, found {text!r}", at)
+        raise _ParseError(f"expected a number or parameter, found {self.found()}", at)
 
     def number(self, at: int) -> float:
         value = float(self.tokens[at])
@@ -421,16 +417,10 @@ class _Parser:
         """Consume a name that is not a keyword; its text."""
         token = self.current
         if token[:1] not in _NAME_START or token in _KEYWORDS:
-            raise _ParseError(f"expected {what}, found {token or 'end of input'!r}", self.index)
+            raise _ParseError(f"expected {what}, found {self.found()}", self.index)
         self.index += 1
         self.current = self.tokens[self.index]
         return token
-
-    def keyword_ident(self, expected: str) -> None:
-        if self.current != expected:
-            raise _ParseError(f"expected {expected!r}, found {self.current!r}", self.index)
-        self.index += 1
-        self.current = self.tokens[self.index]
 
     def location_name(self) -> Location:
         at = self.index
@@ -439,10 +429,6 @@ class _Parser:
         if loc is None:
             raise _ParseError(f"undeclared location {name!r}", at)
         return loc
-
-    def check_rate(self, value: float, at: int) -> None:
-        if not value > 0:
-            raise _ParseError(f"rate must be positive, got {format_number(value)}", at)
 
     def check_positive(self, value: float, what: str, at: int) -> None:
         if not value > 0:

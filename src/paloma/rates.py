@@ -29,6 +29,7 @@ from .model import (
     _AgentState,
     _Record,
     _agents_of,
+    _receiver_pool,
 )
 
 __all__ = [
@@ -108,16 +109,6 @@ def _broadcast_act_prob(agent: _AgentState, label: str) -> float:
     if agent.single_input(ActionType.BROADCAST_IN, label) is None:
         return 0.0
     return agent.pq[label]
-
-
-def _receiver_pool(system: Iterable[_AgentState],
-                   influence: frozenset[Location], label: str,
-                   sender: int | None = None) -> float:
-    """Receive weight on ``label`` of every agent of ``system`` within
-    ``influence``, except the sender at position ``sender``: a sender never
-    receives its own unicast, even when it listens on the label."""
-    return sum(agent.weight.get(label, 0) for j, agent in enumerate(system)
-               if j != sender and agent.location in influence)
 
 
 def unicast_cap_rate(defs: Definitions, target: Location,
@@ -206,29 +197,26 @@ def exit_rate(defs: Definitions, query: RateQuery) -> float:
     subject = query.subject
     if isinstance(subject, SeqComponent):
         subject = (subject,)
-    context = _agents_of(defs, query.context)
-    system = _System(context + _agents_of(defs, subject), query.action)
-    total = 0.0
-    for i, part in enumerate(subject):
-        if query.locations is None or part.location in query.locations:
-            total += system.agent_rate(len(context) + i)
-    return total
+    return _rate_table(_agents_of(defs, query.context), _agents_of(defs, subject),
+                       query.action, query.locations)[1]
 
 
-def _rate_table(context: list[_AgentState], subject: list[_AgentState],
-                action: ActionId) -> tuple[dict[str, float], float]:
-    """``exit_rate`` of ``action`` by the composed ``subject`` inside
-    ``context``, restricted to each location name the subject occupies, and
-    in total, from one index of the system. Each sum adds in subject order
-    from 0.0, as ``exit_rate`` does, so every value equals its query's."""
+def _rate_table(context: list[_AgentState], subject: list[_AgentState], action: ActionId,
+                locations: frozenset[Location] | None = None
+                ) -> tuple[dict[str, float], float]:
+    """The exit rate of ``action`` by the composed ``subject`` inside
+    ``context``, from one index of the system: by each location name the
+    subject occupies, and in total. With ``locations``, only agents
+    stationed there count. Each sum adds in subject order from 0.0."""
     system = _System(context + subject, action)
     by_location: dict[str, float] = {}
     total = 0.0
     for i, agent in enumerate(subject):
-        rate = system.agent_rate(len(context) + i)
-        name = agent.location.name
-        by_location[name] = by_location.get(name, 0.0) + rate
-        total += rate
+        if locations is None or agent.location in locations:
+            rate = system.agent_rate(len(context) + i)
+            name = agent.location.name
+            by_location[name] = by_location.get(name, 0.0) + rate
+            total += rate
     return by_location, total
 
 

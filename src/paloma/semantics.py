@@ -36,11 +36,11 @@ from .model import (
     _AgentState,
     _Record,
     _agents_of,
+    _receiver_pool,
     _state_key,
     remove_at,
     render_model,
 )
-from .rates import _receiver_pool
 
 __all__ = [
     "BoundExceeded",
@@ -216,10 +216,6 @@ def _moved(base: tuple, agents: list[_AgentState], changes: dict[int, int],
     return tuple(succ)
 
 
-def _term(agent: _AgentState, leaf: int) -> SeqComponent:
-    return agent.continuation(leaf)
-
-
 def cap_step(defs: Definitions, subject: ModelComponent | SeqComponent,
              label: CapLabel) -> Continuation | None:
     """Capability of ``subject`` under an input offer, or ``None``.
@@ -237,7 +233,7 @@ def cap_step(defs: Definitions, subject: ModelComponent | SeqComponent,
     joint = _joint_outcomes(agents, label.kind, label.label, label.influence, pool_agents)
     if joint is None:
         return None
-    return Continuation(defs, [(_moved(part, agents, changes, _term), mass)
+    return Continuation(defs, [(_moved(part, agents, changes, _AgentState.continuation), mass)
                                for changes, mass in joint])
 
 
@@ -302,7 +298,7 @@ def derivations(defs: Definitions, system: ModelComponent) -> list[Derivation]:
     agents = _agents_of(defs, system)
     out: list[Derivation] = []
     for i, k, kind, label, influence, steps in _derive(agents):
-        succs = tuple(Step(_moved(system, agents, changes, _term), rate,
+        succs = tuple(Step(_moved(system, agents, changes, _AgentState.continuation), rate,
                            frozenset(j for j in changes if j != i))
                       for changes, rate in steps)
         out.append(Derivation(StochLabel(kind, label, influence, system), i,
@@ -376,7 +372,7 @@ def build_ctmc(defs: Definitions, initial: ModelComponent, bound: int) -> Ctmc:
                     dst = len(states)
                     index[succ] = dst
                     keys.append(succ)
-                    states.append(_moved(states[src], agents, changes, _term))
+                    states.append(_moved(states[src], agents, changes, _AgentState.continuation))
                     queue.append(dst)
                 into[dst] = into.get(dst, 0.0) + rate
             for dst, rate in into.items():
@@ -448,7 +444,7 @@ def _keyed_component_steps(defs: Definitions, context: ModelComponent,
                 succ_key = _moved(key, agents, changes, defs._next)[offset:]
                 for action in actions:
                     if (action.text, succ_key) not in found:
-                        succ = _moved(system, agents, changes, _term)[offset:]
+                        succ = _moved(system, agents, changes, _AgentState.continuation)[offset:]
                         found[action.text, succ_key] = LiftedStep(action, text, succ)
     return found
 

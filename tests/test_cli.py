@@ -81,6 +81,47 @@ def test_check_unreadable_file():
     assert "cannot read" in proc.stderr
 
 
+COMMANDS_ON_M = pytest.mark.parametrize("argv", [
+    ("check",),
+    ("ctmc", "--system", "M"),
+    ("rate", "--system", "M", "--action", "tick"),
+    ("bisim", "--left", "M", "--right", "M"),
+], ids=["check", "ctmc", "rate", "bisim"])
+
+
+@COMMANDS_ON_M
+def test_non_utf8_model_is_an_input_error(tmp_path, argv):
+    # exit 1 means only "not related": a file that is not UTF-8 is an input error
+    path = tmp_path / "latin1.paloma"
+    path.write_bytes(b"location l0 = (0.0, 0.0);\n// caf\xe9 \xff\n")
+    proc = run_cli(argv[0], str(path), *argv[1:])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"error: cannot read {path}: ")
+    assert proc.stdout == ""
+
+
+@COMMANDS_ON_M
+@pytest.mark.parametrize("source, diagnostics", [
+    ("location l0 = (0.0, 0.0)\nA(l0) := (tick, 1.0).A(l0);\nsystem M = A(l0);\n",
+     "error: 2:1: expected ';', found 'A'\nerror: 3:14: undeclared location 'l0'\n"),
+    ("location l0 = (0.0, 0.0);\nA(l0) := (tick, 1.0).B(l0);\nsystem M = A(l0);\n",
+     "error: 0:0: A(l0): continuation B(l0) has no defining equation\n"),
+], ids=["parse", "validate"])
+def test_an_invalid_model_prints_its_diagnostics_once(tmp_path, argv, source, diagnostics):
+    # every command prints the diagnostics as check does: check on stdout,
+    # the analyses on stderr
+    path = tmp_path / "invalid.paloma"
+    path.write_text(source, encoding="utf-8")
+    proc = run_cli(argv[0], str(path), *argv[1:])
+    assert proc.returncode == 2
+    printed, silent = (proc.stdout, proc.stderr) if argv[0] == "check" else (
+        proc.stderr, proc.stdout)
+    assert printed == diagnostics
+    assert silent == ""
+
+
 def test_ctmc_scenario_tsv(scenario_path):
     proc = run_cli("ctmc", scenario_path, "--system", "Scenario1", "--bound", "100")
     assert proc.returncode == 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import candidates_reference as reference
 from paloma.geometry import (
     IDENTITY,
     Isometry,
@@ -236,3 +237,66 @@ def test_candidate_order_is_deterministic():
     first, _ = candidate_isometries(points, points)
     second, _ = candidate_isometries(points, points)
     assert first == second
+
+
+def _polygon(n: int, radius: float, decimals: int) -> list[tuple[float, float]]:
+    return [(round(radius * math.cos(2.0 * math.pi * k / n), decimals),
+             round(radius * math.sin(2.0 * math.pi * k / n), decimals)) for k in range(n)]
+
+
+def test_each_symmetry_is_one_candidate():
+    # coordinates written to a few decimals make the isometries synthesised
+    # for one symmetry differ past the 9th decimal; the parent's rounded
+    # parameters kept each of them
+    hexagon = _polygon(6, 10.0, 7)
+    assert len(reference.candidate_isometries(hexagon, hexagon)[0]) > 12
+    candidates, note = candidate_isometries(hexagon, hexagon)
+    assert note is None and len(candidates) == 12
+    assert sorted(round(iso.determinant) for iso in candidates) == [-1] * 6 + [1] * 6
+    dodecagon = _polygon(12, 10.0, 9)
+    assert len(candidate_isometries(dodecagon, dodecagon)[0]) == 24
+
+
+def test_two_points_keep_both_orientations():
+    # the identity and the reflection in the line through two points match
+    # the same targets; they differ in orientation, so both stay
+    import families
+    from paloma.model import locations_of
+    from paloma.parser import parse_model
+
+    duo = parse_model(families.duo(4, 1)).definition
+    for points in ([(-1.0, 0.0), (1.0, 0.0)],
+                   [loc.point for loc in locations_of(duo.systems["Main"])]):
+        candidates, _ = candidate_isometries(points, points)
+        assert [round(iso.determinant) for iso in candidates] == [1, -1, -1, 1]
+        assert candidates == reference.candidate_isometries(points, points)[0]
+
+
+def _correspondence(iso: Isometry, points: list, targets: list) -> tuple:
+    """The orientation of ``iso`` and the first target each point maps to."""
+    ordered = sorted(set(targets))
+    return (iso.determinant > 0.0,
+            tuple(next((k for k, q in enumerate(ordered) if math.dist(iso.apply(p), q) <= 1e-6),
+                       None) for p in sorted(set(points))))
+
+
+def test_candidates_equal_the_reference_wherever_it_lists_each_symmetry_once():
+    rng = random.Random(12)
+    compared = 0
+    for trial in range(900):
+        n = rng.randint(1, 6)
+        if trial % 3 == 0:
+            # collinear points, where reflection in the line fixes them all
+            direction = rng.uniform(0.0, math.pi)
+            spots = [rng.uniform(-4, 4) for _ in range(n)]
+            points = [(s * math.cos(direction), s * math.sin(direction)) for s in spots]
+        else:
+            points = [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(n)]
+        phi = random_isometry(rng)
+        images = [phi.apply(p) for p in points]
+        expected = reference.candidate_isometries(points, images)
+        keys = [_correspondence(iso, points, images) for iso in expected[0]]
+        if len(set(keys)) == len(keys):
+            assert candidate_isometries(points, images) == expected
+            compared += 1
+    assert compared > 850

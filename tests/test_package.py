@@ -106,7 +106,7 @@ def _fresh_interpreter(probe: str) -> str:
     (["rate", "models/scenario.paloma", "--system", "Scenario1",
       "--action", "!!message_move"], "cli geometry model parser rates"),
     (["ctmc", "models/scenario.paloma", "--system", "Scenario1"],
-     "cli geometry model parser rates semantics"),
+     "cli geometry model parser semantics"),
     (["bisim", "models/scenario.paloma", "--left", "Scenario1", "--right", "Scenario2"],
      "cli equivalence geometry model parser rates semantics"),
 ], ids=["check", "rate", "ctmc", "bisim"])

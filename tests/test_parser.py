@@ -373,6 +373,12 @@ PINNED_DIAGNOSTICS = [
      [("error", "unexpected character '#'", 1, 55)]),
     ("location l0 = (0.0, 0.0);\nS(l0) := (tick, 1.0)//.S(l0);",
      [("error", "expected '.', found 'end of input'", 2, 30)]),
+    ("location l0 = (0.0, 0.0);\nS(l0) := !!(msg, 1.0)@",
+     [("error", "expected 'Ir', found 'end of input'", 2, 23)]),
+    ("location l0 = (0.0, 0.0);\nS(l0) :=",
+     [("error", "expected a prefix, found 'end of input'", 2, 9)]),
+    ("location l0 = (0.0, 0.0);\nS(l0) := (tick, ",
+     [("error", "expected a number or parameter, found 'end of input'", 2, 17)]),
     ("location l0 = (0.0, 0.0);\nS(l0) := ?!(m, 1.0).S(l0);\nT(l0) := (tick, 0.0).T(l0);\n",
      [("error", "expected '(', found '!'", 2, 11),
       ("error", "rate must be positive, got 0.0", 3, 17)]),
