@@ -312,38 +312,38 @@ _CLOSE_CHOICE = object()
 
 class _AgentState:
     """Compiled tables of one interned agent state, read off its resolved
-    choice tree: what the semantics and rate layers ask of an agent."""
+    choice tree: what the semantics and rate layers ask of an agent.
+    ``listens`` and ``next`` are filled on first use, and ``derived`` is the
+    semantics layer's memo of the derivations this agent sends."""
 
-    __slots__ = ("location", "leaves", "kinds", "outputs", "groups", "weight",
-                 "pq", "next_ids")
+    __slots__ = ("location", "leaves", "groups", "weight", "sends", "listens", "derived",
+                 "next")
 
     def __init__(self, resolved: SeqComponent):
         self.location = resolved.location
         self.leaves = tuple(_syntactic_leaves(resolved))
-        self.kinds = tuple(_PREFIX_TYPES[type(leaf.prefix)] for leaf in self.leaves)
-        # leaf indices of the output and spontaneous alternatives
-        self.outputs = tuple(k for k, kind in enumerate(self.kinds)
-                             if kind not in (ActionType.UNICAST_IN, ActionType.BROADCAST_IN))
         # leaf indices by (kind, label), in written order
         self.groups: dict[tuple[ActionType, str], tuple[int, ...]] = {}
-        # unicast receive weight and broadcast p·q, by label
+        # unicast receive weight by label
         self.weight: dict[str, float] = {}
-        self.pq: dict[str, float] = {}
-        # interned id of each leaf's continuation, filled on first use
-        self.next_ids: list[int | None] = [None] * len(self.leaves)
-        for k, (leaf, kind) in enumerate(zip(self.leaves, self.kinds)):
+        # (leaf, kind, prefix, influence, names in range) of each output and
+        # spontaneous alternative
+        self.sends: list[tuple[int, ActionType, Prefix, InfluenceRange, frozenset[str]]] = []
+        # (leaf, weight, act probability) by input (kind, label), or None
+        self.listens: dict[tuple[ActionType, str], tuple[int, float, float] | None] = {}
+        self.derived: dict[tuple[int, tuple[int, ...]], list] = {}
+        # (state id, term) of each leaf's continuation
+        self.next: list[tuple[int, SeqComponent] | None] = [None] * len(self.leaves)
+        for k, leaf in enumerate(self.leaves):
             prefix = leaf.prefix
-            key = (kind, prefix.label)
-            self.groups[key] = self.groups.get(key, ()) + (k,)
+            kind = _PREFIX_TYPES[type(prefix)]
+            self.groups[kind, prefix.label] = self.groups.get((kind, prefix.label), ()) + (k,)
             if kind is ActionType.UNICAST_IN:
                 self.weight[prefix.label] = self.weight.get(prefix.label, 0) + prefix.weight
-            elif kind is ActionType.BROADCAST_IN:
-                self.pq[prefix.label] = prefix.act_prob * prefix.recv_prob
-
-    def continuation(self, leaf: int) -> SeqComponent:
-        """The agent term the ``leaf``-th alternative continues as."""
-        cont = self.leaves[leaf].continuation
-        return SeqComponent(cont, cont.location)
+            elif kind is not ActionType.BROADCAST_IN:
+                influence = getattr(prefix, "influence", frozenset())
+                self.sends.append((k, kind, prefix, influence,
+                                   frozenset(loc.name for loc in influence)))
 
     def single_input(self, kind: ActionType, label: str) -> int | None:
         """Leaf index of the agent's one ``kind`` input on ``label``, if any."""
@@ -354,15 +354,25 @@ class _AgentState:
                 f"label {label!r}; at most one is allowed")
         return found[0] if found else None
 
+    def listen(self, kind: ActionType, label: str) -> tuple[int, float, float] | None:
+        """``(leaf, weight, act probability)`` of the agent's one ``kind``
+        input on ``label``, ``None`` if it has none. A broadcast listener
+        acts with probability p·q and has weight 1."""
+        if (kind, label) not in self.listens:
+            k = self.single_input(kind, label)
+            prefix = None if k is None else self.leaves[k].prefix
+            self.listens[kind, label] = None if prefix is None else (
+                (k, prefix.weight, prefix.act_prob) if kind is ActionType.UNICAST_IN
+                else (k, 1.0, prefix.act_prob * prefix.recv_prob))
+        return self.listens[kind, label]
 
-def _receiver_pool(system: Iterable[_AgentState],
-                   influence: frozenset[Location], label: str,
-                   sender: int | None = None) -> float:
-    """Receive weight on ``label`` of every agent of ``system`` within
-    ``influence``, except the sender at position ``sender``: a sender never
+
+def _receiver_pool(system: Iterable[_AgentState], influence: frozenset[Location],
+                   label: str) -> float:
+    """Receive weight on ``label`` of the agents of ``system`` within
+    ``influence``. Callers leave a sender out of its own pool: it never
     receives its own unicast, even when it listens on the label."""
-    return sum(agent.weight.get(label, 0) for j, agent in enumerate(system)
-               if j != sender and agent.location in influence)
+    return sum(agent.weight.get(label, 0) for agent in system if agent.location in influence)
 
 
 class Definitions:
@@ -478,11 +488,14 @@ class Definitions:
     def _agent(self, comp: SeqComponent) -> _AgentState:
         return self._agents[self._intern(comp)]
 
-    def _next(self, agent: _AgentState, leaf: int) -> int:
-        """The state id ``agent`` moves to through its ``leaf``-th alternative."""
-        found = agent.next_ids[leaf]
+    def _next(self, agent: _AgentState, leaf: int) -> tuple[int, SeqComponent]:
+        """The state id and the agent term that ``agent`` moves to through
+        its ``leaf``-th alternative, built once."""
+        found = agent.next[leaf]
         if found is None:
-            found = agent.next_ids[leaf] = self._intern(agent.continuation(leaf))
+            cont = agent.leaves[leaf].continuation
+            term = SeqComponent(cont, cont.location)
+            found = agent.next[leaf] = (self._intern(term), term)
         return found
 
 

@@ -63,12 +63,19 @@ __all__ = [
 
 
 class Diagnostic(_Record):
+    """A parse or validation finding. Validation findings concern whole
+    equations and carry no source position: ``line`` and ``column`` are
+    ``None`` and the printed form leaves the position out."""
+
     __slots__ = ("severity", "message", "line", "column")  # severity: "error" | "warning"
 
-    def __init__(self, severity: str, message: str, line: int, column: int):
+    def __init__(self, severity: str, message: str, line: int | None = None,
+                 column: int | None = None):
         self.severity, self.message, self.line, self.column = severity, message, line, column
 
     def __str__(self) -> str:
+        if self.line is None:
+            return f"{self.severity}: {self.message}"
         return f"{self.severity}: {self.line}:{self.column}: {self.message}"
 
 
@@ -174,7 +181,7 @@ def _place(text: str) -> tuple[list[str], list[tuple[int, int]], list[Diagnostic
 class _Parser:
     """The grammar, over token strings that end in the one empty end-of-input
     token, which the parser never passes. ``places`` holds each token's line
-    and column; without them, diagnostics are placed at 0:0."""
+    and column; without them, diagnostics carry no position."""
 
     def __init__(self, tokens: list[str], places: list[tuple[int, int]] | None = None):
         self.tokens = tokens
@@ -215,8 +222,8 @@ class _Parser:
         return self.current == text
 
     def error(self, message: str, at: int) -> None:
-        line, column = (0, 0) if self.places is None else self.places[at]
-        self.diagnostics.append(Diagnostic("error", message, line, column))
+        place = () if self.places is None else self.places[at]
+        self.diagnostics.append(Diagnostic("error", message, *place))
 
     def synchronize(self) -> None:
         while self.current:
@@ -464,10 +471,10 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
     defs = definition._validated = definition.definitions()
 
     def err(message: str) -> None:
-        out.append(Diagnostic("error", message, 0, 0))
+        out.append(Diagnostic("error", message))
 
     def warn(message: str) -> None:
-        out.append(Diagnostic("warning", message, 0, 0))
+        out.append(Diagnostic("warning", message))
 
     # Locations must lie further apart than the tolerance of geometric
     # matching, so that matching points back to names stays unambiguous.

@@ -96,8 +96,8 @@ def unicast_act_prob(defs: Definitions, comp: SeqComponent, label: str) -> float
 
 
 def _unicast_act_prob(agent: _AgentState, label: str) -> float:
-    k = agent.single_input(ActionType.UNICAST_IN, label)
-    return agent.leaves[k].prefix.act_prob if k is not None else 0.0
+    entry = agent.listen(ActionType.UNICAST_IN, label)
+    return entry[2] if entry else 0.0
 
 
 def broadcast_act_prob(defs: Definitions, comp: SeqComponent, label: str) -> float:
@@ -106,9 +106,8 @@ def broadcast_act_prob(defs: Definitions, comp: SeqComponent, label: str) -> flo
 
 
 def _broadcast_act_prob(agent: _AgentState, label: str) -> float:
-    if agent.single_input(ActionType.BROADCAST_IN, label) is None:
-        return 0.0
-    return agent.pq[label]
+    entry = agent.listen(ActionType.BROADCAST_IN, label)
+    return entry[2] if entry else 0.0
 
 
 def unicast_cap_rate(defs: Definitions, target: Location,

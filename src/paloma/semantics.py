@@ -15,14 +15,16 @@ choice alternatives it holds.
 
 `build_ctmc` closes the stochastic relation from an initial system by
 breadth-first search, merging states whose agents resolve to equal terms.
-Inside the engine a state is a tuple of interned agent ids and each agent is
-read through its compiled tables; the public functions take and return
-terms.
+Inside the engine a state is a tuple of interned agent ids, and each agent
+is read through tables compiled once per interned state: a send table of its
+outputs, a listen table by input (kind, label), filled on first use, and
+its continuations' ids and terms. A derivation's steps depend only on the
+sender's leaf and on the ids of the agents in its range, in position order;
+they are kept on that key in the sender's memo and reused by every state
+that repeats it. The public functions take and return terms.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .model import (
     ActionId,
@@ -143,76 +145,47 @@ def _as_component(subject: ModelComponent | SeqComponent) -> ModelComponent:
     return (subject,) if isinstance(subject, SeqComponent) else subject
 
 
-def _branches(agent: _AgentState, kind: ActionType, label: str,
-              influence: frozenset[Location], pool: float
-              ) -> list[tuple[int | None, float]] | None:
-    """Acted/stayed branches of one agent facing an input offer, as
-    ``(leaf taken or None, mass)`` pairs, or ``None`` when it cannot take
-    part. A broadcast listener acts with probability p·q; a unicast listener
-    is selected with its weight's share of the receiver pool and then acts
-    with probability p."""
-    if agent.location not in influence:
-        return None
-    k = agent.single_input(kind, label)
-    if k is None:
-        return None
-    if kind is ActionType.BROADCAST_IN:
-        share, acted = 1.0, agent.pq[label]
-    else:
-        if pool <= 0.0:
-            return None
-        prefix = agent.leaves[k].prefix
-        share, acted = prefix.weight / pool, prefix.act_prob
-    branches: list[tuple[int | None, float]] = []
-    if acted > 0.0:
-        branches.append((k, share * acted))
-    if acted < 1.0:
-        branches.append((None, share * (1.0 - acted)))
-    return branches
-
-
-def _joint_outcomes(agents: list[_AgentState], kind: ActionType, label: str,
-                    influence: frozenset[Location], pool_agents: list[_AgentState],
-                    sender: int | None = None
-                    ) -> list[tuple[dict[int, int], float]] | None:
-    """Joint outcomes of an input offer over ``agents`` other than
-    ``sender``, as ``(changes, mass)`` pairs; ``changes`` maps each position
-    that received and acted to the leaf it took. Unicast receivers compete
-    within the pool of ``pool_agents``, where the sender, if given, sits at
-    the same position and takes no share.
-
-    Broadcast yields the product over the in-range listeners, unicast one
-    alternative per branch of each selectable receiver. ``None`` when no
-    agent can take the offer.
-    """
-    pool = 0.0
-    if kind is ActionType.UNICAST_IN:
-        pool = _receiver_pool(pool_agents, influence, label, sender)
+def _outcomes(defs: Definitions, kind: ActionType, label: str,
+              influence: frozenset[Location], listeners: list[_AgentState], pool: float
+              ) -> list[tuple[tuple, float]] | None:
+    """Joint outcomes of an input offer to ``listeners``, in position order,
+    as ``(moves, mass)`` pairs; ``moves`` holds ``(index in listeners, next
+    state id, continuation term)`` for each listener that received and
+    acted. A broadcast listener within ``influence`` acts with probability
+    p·q, independently of the others; a unicast listener is selected with
+    its weight's share of the receiver pool ``pool`` and then acts with
+    probability p, one alternative per branch. ``None`` when no listener
+    can take the offer."""
     per_agent = []
-    for j, agent in enumerate(agents):
-        if j != sender:
-            branches = _branches(agent, kind, label, influence, pool)
-            if branches is not None:
-                per_agent.append((j, branches))
+    for j, agent in enumerate(listeners):
+        entry = agent.location in influence and agent.listen(kind, label)
+        if not entry or (kind is ActionType.UNICAST_IN and pool <= 0.0):
+            continue
+        k, weight, acted = entry
+        share = weight / pool if kind is ActionType.UNICAST_IN else 1.0
+        branches = []
+        if acted > 0.0:
+            branches.append((((j, *defs._next(agent, k)),), share * acted))
+        if acted < 1.0:
+            branches.append(((), share * (1.0 - acted)))
+        per_agent.append(branches)
     if not per_agent:
         return None
     if kind is ActionType.UNICAST_IN:
-        return [({j: k} if k is not None else {}, mass)
-                for j, branches in per_agent for k, mass in branches]
-    joint: list[tuple[dict[int, int], float]] = [({}, 1.0)]
-    for j, branches in per_agent:
-        joint = [({**changes, j: k} if k is not None else changes, mass * m)
-                 for changes, mass in joint for k, m in branches]
+        return [branch for branches in per_agent for branch in branches]
+    joint: list[tuple[tuple, float]] = [((), 1.0)]
+    for branches in per_agent:
+        joint = [(moves + more, mass * m) for moves, mass in joint for more, m in branches]
     return joint
 
 
-def _moved(base: tuple, agents: list[_AgentState], changes: dict[int, int],
-           pick) -> tuple:
-    """``base`` with each position in ``changes`` replaced by ``pick(agent,
-    leaf)``: a continuation term, or a continuation id."""
+def _apply(base: tuple, moves: tuple, slot: int, at: list[int] | range) -> tuple:
+    """``base`` with the position ``at[index]`` of each move ``(index, next
+    state id, continuation term)`` replaced by the move's ``slot``-th field:
+    1 for the id, 2 for the term."""
     succ = list(base)
-    for j, k in changes.items():
-        succ[j] = pick(agents[j], k)
+    for move in moves:
+        succ[at[move[0]]] = move[slot]
     return tuple(succ)
 
 
@@ -226,15 +199,15 @@ def cap_step(defs: Definitions, subject: ModelComponent | SeqComponent,
     alternative per agent that could be selected.
     """
     part = _as_component(subject)
-    agents = _agents_of(defs, part)
-    pool_agents = []
+    pool = 0.0
     if label.kind is ActionType.UNICAST_IN:
-        pool_agents = _agents_of(defs, label.context)
-    joint = _joint_outcomes(agents, label.kind, label.label, label.influence, pool_agents)
+        pool = _receiver_pool(_agents_of(defs, label.context), label.influence, label.label)
+    joint = _outcomes(defs, label.kind, label.label, label.influence,
+                      _agents_of(defs, part), pool)
     if joint is None:
         return None
-    return Continuation(defs, [(_moved(part, agents, changes, _AgentState.continuation), mass)
-                               for changes, mass in joint])
+    return Continuation(defs, [(_apply(part, moves, 2, range(len(part))), mass)
+                               for moves, mass in joint])
 
 
 class Step(_Record):
@@ -258,51 +231,63 @@ class Derivation(_Record):
         return Continuation(defs, [(s.successor, s.rate) for s in self.steps])
 
 
-def _derive(agents: list[_AgentState]
-            ) -> list[tuple[int, int, ActionType, str, frozenset[Location],
-                            list[tuple[dict[int, int], float]]]]:
-    """The stochastic derivations of the system whose agents are
-    ``agents``: one ``(sender, leaf, kind, label, influence, steps)`` per
-    enabled sender alternative, in position order. Each step is ``(changes,
-    rate)``, where ``changes`` maps the sender and each receiver that acted
-    to the leaf it took."""
+def _derive(defs: Definitions, key: StateKey) -> list[tuple]:
+    """The stochastic derivations of the state ``key``: one ``(sender,
+    kind, label, influence, steps, at)`` per enabled sender alternative, in
+    position order. ``at`` lists the positions within range
+    and then the sender's. Each step is ``(rate, moves)``, where ``moves``
+    holds ``(index into at, next state id, continuation term)`` for each
+    receiver that acted and then the sender.
+
+    Steps depend only on the sender's alternative and on the agent ids
+    within its range, in position order, so they are derived once per such
+    key and kept in the sender's ``derived`` memo."""
+    agents = [defs._agents[a] for a in key]
+    names = [agent.location.name for agent in agents]
     out = []
     for i, agent in enumerate(agents):
-        for k in agent.outputs:
-            kind = agent.kinds[k]
-            prefix = agent.leaves[k].prefix
-            if kind is ActionType.SPONTANEOUS:
-                influence: frozenset[Location] = frozenset()
-                joint = [({}, 1.0)]
-            else:
-                influence = prefix.influence
-                joint = _joint_outcomes(agents, _INPUT_OF[kind], prefix.label,
-                                        influence, agents, i)
-                if joint is None:
-                    # broadcast never blocks, so the sender acts alone; a
-                    # unicast sender with nobody selectable is blocked
-                    joint = [({}, 1.0)] if kind is ActionType.BROADCAST_OUT else []
-            steps = []
-            for changes, mass in joint:
-                rate = prefix.rate * mass
-                if rate > 0.0:
-                    steps.append(({**changes, i: k}, rate))
+        for s, (_, kind, prefix, influence, reach) in enumerate(agent.sends):
+            at = [j for j, name in enumerate(names) if j != i and name in reach]
+            near = tuple([key[j] for j in at])
+            steps = agent.derived.get((s, near))
+            if steps is None:
+                steps = agent.derived[s, near] = _steps(defs, agent, s, near)
             if steps:
-                out.append((i, k, kind, prefix.label, influence, steps))
+                at.append(i)
+                out.append((i, kind, prefix.label, influence, steps, at))
     return out
+
+
+def _steps(defs: Definitions, agent: _AgentState, s: int, near: tuple[int, ...]) -> list:
+    """``_derive``'s steps for ``agent`` sending through its ``s``-th send
+    table entry to the agents ``near`` within its range."""
+    k, kind, prefix, influence, _ = agent.sends[s]
+    listeners = [defs._agents[a] for a in near]
+    if kind is ActionType.SPONTANEOUS:
+        joint = [((), 1.0)]
+    else:
+        joint = _outcomes(defs, _INPUT_OF[kind], prefix.label, influence, listeners,
+                          _receiver_pool(listeners, influence, prefix.label))
+        if joint is None:
+            # broadcast never blocks, so the sender acts alone; a unicast
+            # sender with nobody selectable is blocked
+            joint = [((), 1.0)] if kind is ActionType.BROADCAST_OUT else []
+    own = (len(near), *defs._next(agent, k))
+    return [(prefix.rate * mass, moves + (own,))
+            for moves, mass in joint if prefix.rate * mass > 0.0]
 
 
 def derivations(defs: Definitions, system: ModelComponent) -> list[Derivation]:
     """All stochastic derivations of ``system``, one per enabled sender
     alternative, in position order."""
-    agents = _agents_of(defs, system)
+    key = _state_key(defs, system)
     out: list[Derivation] = []
-    for i, k, kind, label, influence, steps in _derive(agents):
-        succs = tuple(Step(_moved(system, agents, changes, _AgentState.continuation), rate,
-                           frozenset(j for j in changes if j != i))
-                      for changes, rate in steps)
+    for i, kind, label, influence, steps, at in _derive(defs, key):
+        succs = tuple(Step(_apply(system, moves, 2, at), rate,
+                           frozenset(at[move[0]] for move in moves[:-1]))
+                      for rate, moves in steps)
         out.append(Derivation(StochLabel(kind, label, influence, system), i,
-                              agents[i].continuation(k), succs))
+                              steps[0][1][-1][2], succs))
     return out
 
 
@@ -352,38 +337,33 @@ def build_ctmc(defs: Definitions, initial: ModelComponent, bound: int) -> Ctmc:
     index: dict[StateKey, int] = {start_key: 0}
     keys: list[StateKey] = [start_key]
     states: list[ModelComponent] = [initial]
-    queue: deque[int] = deque([0])
-    edges: dict[tuple[int, int, ActionType, str, frozenset[Location]], float] = {}
-    agents_of = defs._agents
-    while queue:
-        src = queue.popleft()
-        key = keys[src]
-        agents = [agents_of[a] for a in key]
-        for _, _, kind, label, influence, steps in _derive(agents):
+    transitions: list[Transition] = []
+    names: dict[frozenset[Location], list[str]] = {}
+    # states are explored in discovery order, each one's edges merged and
+    # sorted before the next one is explored
+    for src, key in enumerate(keys):
+        edges: dict[tuple[int, ActionType, str, frozenset[Location]], float] = {}
+        for _, kind, label, influence, steps, at in _derive(defs, key):
+            if influence not in names:
+                names[influence] = sorted(loc.name for loc in influence)
             # sum per target within the derivation before adding to the edge,
             # so each edge adds its derivations' continuation totals
             into: dict[int, float] = {}
-            for changes, rate in steps:
-                succ = _moved(key, agents, changes, defs._next)
+            for rate, moves in steps:
+                succ = _apply(key, moves, 1, at)
                 dst = index.get(succ)
                 if dst is None:
                     if len(states) + 1 > bound:
                         raise BoundExceeded(len(states) + 1, bound)
-                    dst = len(states)
-                    index[succ] = dst
+                    dst = index[succ] = len(states)
                     keys.append(succ)
-                    states.append(_moved(states[src], agents, changes, _AgentState.continuation))
-                    queue.append(dst)
+                    states.append(_apply(states[src], moves, 2, at))
                 into[dst] = into.get(dst, 0.0) + rate
             for dst, rate in into.items():
-                edge = (src, dst, kind, label, influence)
+                edge = (dst, kind, label, influence)
                 edges[edge] = edges.get(edge, 0.0) + rate
-    transitions = [
-        Transition(src, dst, rate, kind, label, influence)
-        for (src, dst, kind, label, influence), rate in edges.items()
-    ]
-    transitions.sort(key=lambda t: (t.source, t.target, t.kind.glyph, t.label,
-                                    sorted(loc.name for loc in t.influence)))
+        for edge in sorted(edges, key=lambda e: (e[0], e[1].glyph, e[2], names[e[3]])):
+            transitions.append(Transition(src, edge[0], edges[edge], *edge[1:]))
     return Ctmc(states, transitions)
 
 
@@ -430,21 +410,20 @@ def _keyed_component_steps(defs: Definitions, context: ModelComponent,
     offset = len(context)
     system = context + part
     key = _state_key(defs, system)
-    agents = [defs._agents[a] for a in key]
     found: dict[tuple[str, StateKey], LiftedStep] = {}
-    for i, _, kind, label, _, steps in _derive(agents):
+    for i, kind, label, _, steps, at in _derive(defs, key):
         text = ActionId(kind, label).text
-        for changes, _ in steps:
+        for _, moves in steps:
             actions = []
             if i >= offset:
                 actions.append(ActionId(kind, label))
-            if any(j >= offset and j != i for j in changes):
+            if any(at[move[0]] >= offset for move in moves[:-1]):
                 actions.append(ActionId(_INPUT_OF[kind], label))
             if actions:
-                succ_key = _moved(key, agents, changes, defs._next)[offset:]
+                succ_key = _apply(key, moves, 1, at)[offset:]
                 for action in actions:
                     if (action.text, succ_key) not in found:
-                        succ = _moved(system, agents, changes, _AgentState.continuation)[offset:]
+                        succ = _apply(system, moves, 2, at)[offset:]
                         found[action.text, succ_key] = LiftedStep(action, text, succ)
     return found
 
@@ -464,8 +443,14 @@ def export_tsv(ctmc: Ctmc) -> str:
         lines.append(f"{i}\t{render_model(state)}")
     lines.append("")
     lines.append("# transitions")
+    # few distinct rates and labels recur over many transitions: format each
+    # (rate, kind, label) tail once
+    tails: dict[tuple[float, ActionType, str], str] = {}
     for t in ctmc.transitions:
-        lines.append(f"{t.source}\t{t.target}\t{t.rate:.17g}\t{t.kind.glyph}\t{t.label}")
+        tail = tails.get((t.rate, t.kind, t.label))
+        if tail is None:
+            tail = tails[t.rate, t.kind, t.label] = f"\t{t.rate:.17g}\t{t.kind.glyph}\t{t.label}"
+        lines.append(f"{t.source}\t{t.target}{tail}")
     return "\n".join(lines) + "\n"
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import families
 from conftest import BLOCKING_SOURCE, SCENARIO_P, SCENARIO_R, SCENARIO_SOURCE
 
 NAIVE_SOURCE = """
@@ -107,7 +108,7 @@ def test_non_utf8_model_is_an_input_error(tmp_path, argv):
     ("location l0 = (0.0, 0.0)\nA(l0) := (tick, 1.0).A(l0);\nsystem M = A(l0);\n",
      "error: 2:1: expected ';', found 'A'\nerror: 3:14: undeclared location 'l0'\n"),
     ("location l0 = (0.0, 0.0);\nA(l0) := (tick, 1.0).B(l0);\nsystem M = A(l0);\n",
-     "error: 0:0: A(l0): continuation B(l0) has no defining equation\n"),
+     "error: A(l0): continuation B(l0) has no defining equation\n"),
 ], ids=["parse", "validate"])
 def test_an_invalid_model_prints_its_diagnostics_once(tmp_path, argv, source, diagnostics):
     # every command prints the diagnostics as check does: check on stdout,
@@ -409,6 +410,11 @@ GOLDEN = [
      "9b1e9e7e3cd1a7f9e1b62acff82909854778793d15a86124b6e43ba966b019c6"),
     ("ring", ("rate", "--system", "Main", "--action", "!!msg", "--context", "Odd"), 0,
      "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2"),
+    # the TSV digest is the one perfbench/reference.py pins for ctmc-ring
+    ("ring4", ("ctmc", "--system", "Main"), 0,
+     "19c0d84d9717bb48fa29dda6024b609dab1a9ff9e5bbf1d30e0c51c6ba20bade"),
+    ("ring4", ("ctmc", "--system", "Main", "--format", "dot"), 0,
+     "209e8340a1d58acea31ddfe539efd866e8bbcc5c4907c2d0a9eb047133b35fda"),
 ]
 
 
@@ -416,9 +422,14 @@ GOLDEN = [
 def golden_models(tmp_path_factory):
     ring = tmp_path_factory.mktemp("models") / "ring3.paloma"
     ring.write_text(RING_SOURCE, encoding="utf-8")
+    # ring-4 as the ctmc-ring benchmark workload builds it: agents come to
+    # share a location, and the listeners in a sender's range change from
+    # state to state
+    ring4 = ring.with_name("ring4.paloma")
+    ring4.write_text(families.ring(4, 0), encoding="utf-8")
     return {"scenario": str(MODELS / "scenario.paloma"),
             "blocking": str(MODELS / "blocking.paloma"),
-            "ring": str(ring)}
+            "ring": str(ring), "ring4": str(ring4)}
 
 
 # the hash seed changes set iteration order, which no output may depend on
@@ -558,7 +569,6 @@ def test_sender_is_not_in_its_own_receiver_pool(self_listening_path, argv, stdou
 def test_rate_call_resolves_each_equation_once(tmp_path, monkeypatch, capsys):
     # validate fills one Definitions and the query reuses it: wide-150 has
     # 151 equations, and interning the agents resolves none of them again
-    import families
     from paloma import cli
     from paloma.model import Definitions
 

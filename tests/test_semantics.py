@@ -564,3 +564,101 @@ def test_build_ctmc_resolves_each_agent_term_once(scenario, monkeypatch):
     terms = {part for state in ctmc.states for part in state}
     assert len(ctmc.states) == 4
     assert sorted(map(repr, calls)) == sorted(map(repr, terms))
+
+
+# -- engine vs the derivation it replaced (tests/ctmc_reference.py) ----------
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1), max_agents=st.integers(1, 3),
+       n_locations=st.integers(1, 3), max_alternatives=st.integers(1, 3))
+def test_derivation_matches_the_reference_on_drawn_models(seed, max_agents, n_locations,
+                                                          max_alternatives):
+    # equal bytes and equal values, not closeness: every rate is summed in
+    # the same order as before
+    import ctmc_reference as reference
+    from paloma.semantics import _keyed_component_steps
+
+    defn = random_model(random.Random(seed), max_agents=max_agents,
+                        n_locations=n_locations, max_alternatives=max_alternatives)
+    defs = defn.definitions()
+    everywhere = defs.all_locations()
+    for system in (defn.systems["Main"], defn.systems["Alt"]):
+        engine = build_ctmc(defs, system, bound=2000)
+        expected = reference.build_ctmc(defs, system, bound=2000)
+        assert engine == expected
+        assert export_tsv(engine) == reference.export_tsv(expected)
+        assert export_dot(engine) == export_dot(expected)
+        for state in engine.states[:12]:
+            assert derivations(defs, state) == reference.derivations(defs, state)
+            for cut in range(len(state)):
+                context, subject = state[:cut], state[cut:]
+                assert (list(_keyed_component_steps(defs, context, subject).items())
+                        == list(reference._keyed_component_steps(defs, context, subject).items()))
+            for kind in (ActionType.BROADCAST_IN, ActionType.UNICAST_IN):
+                for label in ("m0", "m1"):
+                    offer = CapLabel(kind, label, everywhere, state)
+                    for subject in (state, state[0]):
+                        found = cap_step(defs, subject, offer)
+                        wanted = reference.cap_step(defs, subject, offer)
+                        assert (found is None) == (wanted is None)
+                        assert found is None or found.items() == wanted.items()
+        for bound in (1, 2, 3):
+            outcomes = []
+            for build in (build_ctmc, reference.build_ctmc):
+                try:
+                    outcomes.append(build(defs, system, bound))
+                except BoundExceeded as exc:
+                    outcomes.append(exc.discovered)
+            assert outcomes[0] == outcomes[1]
+
+
+# -- the per-agent tables -----------------------------------------------------
+
+
+@pytest.mark.parametrize("reach, fails", [("l1", True), ("l0", False)])
+def test_two_inputs_on_one_label_fail_only_in_range(reach, fails):
+    # without validate, an agent with two ??msg prefixes is found out when a
+    # unicast reaches it, as it was before the listen tables
+    import ctmc_reference as reference
+    from paloma.parser import parse_model
+
+    result = parse_model(
+        "location l0 = (0.0, 0.0);\nlocation l1 = (1.0, 0.0);\n"
+        f"A(l0) := !!(msg, 1.0)@Ir{{{reach}}}.A(l0);\n"
+        "B(l1) := ??(msg, 0.5)@Wt{1.0}.B(l1) + ??(msg, 0.25)@Wt{2.0}.B(l1);\n"
+        "system S = A(l0) || B(l1);\n")
+    assert result.ok
+    system = result.definition.systems["S"]
+    for build in (build_ctmc, reference.build_ctmc):
+        defs = result.definition.definitions()
+        if fails:
+            with pytest.raises(ModelError, match="at most one"):
+                build(defs, system, bound=10)
+        else:
+            assert build(defs, system, bound=10).transitions == []
+
+
+def test_ring4_fills_each_listen_entry_once_and_reuses_derivations(monkeypatch):
+    import families
+    from paloma.model import _AgentState
+
+    defn = load(families.ring(4, 0))
+    defs = defn.definitions()
+    calls = []
+    single_input = _AgentState.single_input
+
+    def counting(self, kind, label):
+        calls.append((id(self), kind, label))
+        return single_input(self, kind, label)
+
+    monkeypatch.setattr(_AgentState, "single_input", counting)
+    ctmc = build_ctmc(defs, defn.systems["Main"], bound=1000)
+    assert len(ctmc.states) == 256 and len(ctmc.transitions) == 4768
+    inputs = {(ActionType.UNICAST_IN, "msg"), (ActionType.BROADCAST_IN, "bc")}
+    assert sorted(calls, key=repr) == sorted(
+        ((id(agent), kind, label) for agent in defs._agents for kind, label in inputs), key=repr)
+    assert all(agent.listens.keys() == inputs for agent in defs._agents)
+    # 4 agent states, each sending on 3 alternatives: far fewer derivations
+    # are computed than the 3,072 that the 256 states ask for
+    assert sum(len(agent.derived) for agent in defs._agents) < len(ctmc.states)
