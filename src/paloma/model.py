@@ -175,6 +175,7 @@ class Location(_Term):
 
 # The influence range of a message prefix, expanded to concrete locations.
 InfluenceRange = frozenset[Location]
+_NO_RANGE: InfluenceRange = frozenset()  # a spontaneous action's, shared
 
 
 class UnicastOut(_Term):
@@ -326,9 +327,8 @@ class _AgentState:
         self.groups: dict[tuple[ActionType, str], tuple[int, ...]] = {}
         # unicast receive weight by label
         self.weight: dict[str, float] = {}
-        # (leaf, kind, prefix, influence, names in range) of each output and
-        # spontaneous alternative
-        self.sends: list[tuple[int, ActionType, Prefix, InfluenceRange, frozenset[str]]] = []
+        # (leaf, kind, prefix, influence) of each output and spontaneous alternative
+        self.sends: list[tuple[int, ActionType, Prefix, InfluenceRange]] = []
         # (leaf, weight, act probability) by input (kind, label), or None
         self.listens: dict[tuple[ActionType, str], tuple[int, float, float] | None] = {}
         self.derived: dict[tuple[int, tuple[int, ...]], list] = {}
@@ -341,9 +341,7 @@ class _AgentState:
             if kind is ActionType.UNICAST_IN:
                 self.weight[prefix.label] = self.weight.get(prefix.label, 0) + prefix.weight
             elif kind is not ActionType.BROADCAST_IN:
-                influence = getattr(prefix, "influence", frozenset())
-                self.sends.append((k, kind, prefix, influence,
-                                   frozenset(loc.name for loc in influence)))
+                self.sends.append((k, kind, prefix, getattr(prefix, "influence", _NO_RANGE)))
 
     def single_input(self, kind: ActionType, label: str) -> int | None:
         """Leaf index of the agent's one ``kind`` input on ``label``, if any."""
@@ -394,6 +392,8 @@ class Definitions:
         self._ids: dict[SeqComponent, int] = {}
         self._by_resolved: dict[SeqComponent, int] = {}
         self._agents: list[_AgentState] = []
+        # each range's location names as a set and sorted, for the semantics
+        self._reach: dict[InfluenceRange, tuple[frozenset[str], list[str]]] = {}
         self._lock = threading.Lock()
 
     def all_locations(self) -> frozenset[Location]:

@@ -234,20 +234,22 @@ class Derivation(_Record):
 def _derive(defs: Definitions, key: StateKey) -> list[tuple]:
     """The stochastic derivations of the state ``key``: one ``(sender,
     kind, label, influence, steps, at)`` per enabled sender alternative, in
-    position order. ``at`` lists the positions within range
-    and then the sender's. Each step is ``(rate, moves)``, where ``moves``
-    holds ``(index into at, next state id, continuation term)`` for each
-    receiver that acted and then the sender.
-
-    Steps depend only on the sender's alternative and on the agent ids
-    within its range, in position order, so they are derived once per such
-    key and kept in the sender's ``derived`` memo."""
+    position order. ``at`` lists the positions within range, then the
+    sender's. Each step is ``(rate, moves)``; ``moves`` holds ``(index into
+    at, next state id, continuation term)`` for each receiver that acted and
+    then the sender. Steps depend only on the sender's alternative and the
+    agent ids within its range, in position order, so they are derived once
+    per such key and kept in the sender's ``derived`` memo."""
     agents = [defs._agents[a] for a in key]
     names = [agent.location.name for agent in agents]
     out = []
     for i, agent in enumerate(agents):
-        for s, (_, kind, prefix, influence, reach) in enumerate(agent.sends):
-            at = [j for j, name in enumerate(names) if j != i and name in reach]
+        for s, (_, kind, prefix, influence) in enumerate(agent.sends):
+            reach = defs._reach.get(influence)
+            if reach is None:
+                inside = sorted(loc.name for loc in influence)
+                reach = defs._reach[influence] = (frozenset(inside), inside)
+            at = [j for j, name in enumerate(names) if j != i and name in reach[0]]
             near = tuple([key[j] for j in at])
             steps = agent.derived.get((s, near))
             if steps is None:
@@ -261,7 +263,7 @@ def _derive(defs: Definitions, key: StateKey) -> list[tuple]:
 def _steps(defs: Definitions, agent: _AgentState, s: int, near: tuple[int, ...]) -> list:
     """``_derive``'s steps for ``agent`` sending through its ``s``-th send
     table entry to the agents ``near`` within its range."""
-    k, kind, prefix, influence, _ = agent.sends[s]
+    k, kind, prefix, influence = agent.sends[s]
     listeners = [defs._agents[a] for a in near]
     if kind is ActionType.SPONTANEOUS:
         joint = [((), 1.0)]
@@ -338,14 +340,11 @@ def build_ctmc(defs: Definitions, initial: ModelComponent, bound: int) -> Ctmc:
     keys: list[StateKey] = [start_key]
     states: list[ModelComponent] = [initial]
     transitions: list[Transition] = []
-    names: dict[frozenset[Location], list[str]] = {}
     # states are explored in discovery order, each one's edges merged and
     # sorted before the next one is explored
     for src, key in enumerate(keys):
         edges: dict[tuple[int, ActionType, str, frozenset[Location]], float] = {}
         for _, kind, label, influence, steps, at in _derive(defs, key):
-            if influence not in names:
-                names[influence] = sorted(loc.name for loc in influence)
             # sum per target within the derivation before adding to the edge,
             # so each edge adds its derivations' continuation totals
             into: dict[int, float] = {}
@@ -362,7 +361,8 @@ def build_ctmc(defs: Definitions, initial: ModelComponent, bound: int) -> Ctmc:
             for dst, rate in into.items():
                 edge = (dst, kind, label, influence)
                 edges[edge] = edges.get(edge, 0.0) + rate
-        for edge in sorted(edges, key=lambda e: (e[0], e[1].glyph, e[2], names[e[3]])):
+        # _derive filled the sorted names of every range
+        for edge in sorted(edges, key=lambda e: (e[0], e[1].glyph, e[2], defs._reach[e[3]][1])):
             transitions.append(Transition(src, edge[0], edges[edge], *edge[1:]))
     return Ctmc(states, transitions)
 
