@@ -1,27 +1,28 @@
 """Bisimulation checks for located-agent components.
 
 Two components are compared inside a fixed surrounding context. A relation
-on component pairs survives when, pair by pair, both sides expose the same
-context-aware exit rates at corresponding locations and can match each
-other's observable steps with related successors. Correspondence of
+on component states is a bisimulation when, pair by pair, both sides expose
+the same context-aware exit rates at corresponding locations and can match
+each other's observable steps with related successors. Correspondence of
 locations is taken up to a planar isometry; the top-level check searches the
 finite candidate isometries synthesised from the occupied locations.
 
-The computation is a greatest fixpoint: start from every reachable pair that
-passes the rate conditions, then repeatedly drop pairs whose transitions
-cannot be matched within what remains.
+The computation is partition refinement over the states the two sides
+reach: blocks start from each state's exit rates, read in the left side's
+frame, and split until every state of a block steps under the same actions
+into the same blocks. The sides are related when their roots share a block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import defaultdict, deque
+from collections import deque
 
 from .geometry import (
-    ALGEBRAIC_TOL,
     IDENTITY,
+    KEY_DIGITS,
     Isometry,
-    Point,
     _PointGrid,
     candidate_isometries,
     invert,
@@ -96,13 +97,9 @@ class BisimResult(_Record):
         self.note = note
 
 
-def _model_actions(defs: Definitions) -> list[ActionId]:
-    return [ActionId(act_type, label)
-            for label in action_labels(defs) for act_type in ActionType]
-
-
-def _rates_close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=ALGEBRAIC_TOL, abs_tol=0.0)
+def _quantised(rate: float) -> float:
+    """``rate`` to ``KEY_DIGITS`` significant digits, the form rates compare in."""
+    return float(f"{rate:.{KEY_DIGITS}g}")
 
 
 # A pair of side states: their keys, and the terms that represent them.
@@ -111,6 +108,14 @@ PairRep = tuple[ModelComponent, ModelComponent]
 # A failed condition at a pair: a Counterexample's kind and its details,
 # rendered into one only for the pair a verdict reports.
 Gap = tuple[str, dict]
+# A state's location names when they must match literally, and its nonzero
+# exit rates keyed by action index, rounded point and report name.
+Signature = tuple[tuple[str, ...] | None, dict[tuple, float]]
+# A side's reached states, numbered breadth first, and each one's steps in
+# order as (action text, successor number, successor term).
+Reach = tuple[dict[StateKey, int], list[tuple[tuple[str, int, ModelComponent], ...]]]
+# A state's steps by action text, each with its successor's key.
+Steps = dict[str, list[tuple[LiftedStep, StateKey]]]
 
 
 def _counterexample(rep: PairRep, gap: Gap | None) -> Counterexample | None:
@@ -119,49 +124,11 @@ def _counterexample(rep: PairRep, gap: Gap | None) -> Counterexample | None:
     return Counterexample(gap[0], render_model(rep[0]), render_model(rep[1]), **gap[1])
 
 
-# A state's steps by action text, each with its successor's key; and the
-# successor keys under each action.
-Steps = tuple[dict[str, list[tuple[LiftedStep, StateKey]]], dict[str, frozenset[StateKey]]]
-Relation = tuple[dict[StateKey, set[StateKey]], dict[StateKey, set[StateKey]]]
-
-
-def _relation(keys) -> Relation:
-    """A pair set indexed by either side: each left key's right keys, and back."""
-    relation: Relation = ({}, {})
-    for left, right in keys:
-        relation[0].setdefault(left, set()).add(right)
-        relation[1].setdefault(right, set()).add(left)
-    return relation
-
-
-class _Frames(dict):
-    """Rate frames under ``phi``, built on first use: for two states' location
-    names, each matched point's report name and the location each side reads."""
-
-    def __init__(self, phi: Isometry, located, named: dict[str, Location]):
-        super().__init__()
-        self.phi, self.phi_inv, self.located, self.named = phi, invert(phi), located, named
-
-    def __missing__(self, names: tuple[tuple[str, ...], tuple[str, ...]]):
-        points: dict[tuple[float, float], Point] = {}
-        for point in [self.named[name].point for name in names[0]] + [
-                self.phi_inv.apply(self.named[name].point) for name in names[1]]:
-            points.setdefault(tuple(round(c, 9) for c in point), point)
-        matched = [(points[p], self.located(points[p]), self.located(self.phi.apply(points[p])))
-                   for p in sorted(points)]
-        frame = self[names] = (
-            [left.name if left is not None else f"{point}" for point, left, _ in matched],
-            tuple(left and left.name for _, left, _ in matched),
-            tuple(right and right.name for _, _, right in matched))
-        return frame
-
-
-class _PairChecker:
-    """Shared engine behind the bisimilarity checks of one call. Pairs are
-    keyed by the two sides' state keys; each pair keeps the first
-    representative terms seen, for display. Only the rate conditions depend
-    on the isometry, and only through the sides' location sets, so all
-    candidates share each state's steps, exit rates and reachable pairs."""
+class _Checker:
+    """Shared engine behind the bisimilarity checks of one call. States are
+    keyed by their state keys; each keeps the first representative term
+    seen, for display. Only the rate signatures depend on the isometry, so
+    all candidates share each state's steps, exit rates and reached states."""
 
     def __init__(self, defs: Definitions, context: ModelComponent,
                  bound: float = math.inf, same_location: bool = False):
@@ -170,13 +137,13 @@ class _PairChecker:
         self.context_agents = _agents_of(defs, context)
         self.bound = bound
         self.same_location = same_location
-        self.actions = _model_actions(defs)
+        self.actions = [ActionId(act_type, label)
+                        for label in action_labels(defs) for act_type in ActionType]
         self.located = _PointGrid(defs.locations.values()).match
         self._named: dict[str, Location] = {}
         self._steps_cache: dict[StateKey, Steps] = {}
         self._rates: dict[StateKey, tuple[tuple[str, ...], list]] = {}
-        self._vectors: dict[tuple[StateKey, tuple], tuple[float, ...]] = {}
-        self._explored: dict[PairKey, dict[PairKey, PairRep] | None] = {}
+        self._reached: dict[StateKey, Reach | None] = {}
 
     def steps(self, key: StateKey, subject: ModelComponent) -> Steps:
         """The steps of the state ``key`` (represented by ``subject``), in a
@@ -184,12 +151,10 @@ class _PairChecker:
         cached = self._steps_cache.get(key)
         if cached is None:
             keyed = _keyed_component_steps(self.defs, self.context, subject)
-            by_action: dict[str, list[tuple[LiftedStep, StateKey]]] = {}
+            cached = self._steps_cache[key] = {}
             for (text, succ_key), step in sorted(
                     keyed.items(), key=lambda item: (item[0][0], render_model(item[1].successor))):
-                by_action.setdefault(text, []).append((step, succ_key))
-            succs = {text: frozenset(k for _, k in group) for text, group in by_action.items()}
-            cached = self._steps_cache[key] = (by_action, succs)
+                cached.setdefault(text, []).append((step, succ_key))
         return cached
 
     def rates(self, key: StateKey) -> tuple[tuple[str, ...], list[tuple[dict[str, float], float]]]:
@@ -204,133 +169,163 @@ class _PairChecker:
                 _rate_table(self.context_agents, subject, action) for action in self.actions])
         return found
 
-    def vector(self, key: StateKey, names: tuple[str | None, ...]) -> tuple[float, ...]:
-        """The exit rates of ``key`` at each of ``names``, action by action."""
-        found = self._vectors.get((key, names))
-        if found is None:
-            found = self._vectors[key, names] = tuple(
-                table.get(name, 0.0) for table, _ in self.rates(key)[1] for name in names)
+    def reach(self, root: StateKey, rep: ModelComponent) -> Reach | None:
+        """The states reachable from ``root``, or ``None`` once there are
+        more than ``bound``. Reached once per root: a state is derived from
+        the first representative that reaches it."""
+        if root in self._reached:
+            return self._reached[root]
+        index, order = {root: 0}, [(root, rep)]
+        for key, rep in order:
+            for group in self.steps(key, rep).values():
+                for step, succ in group:
+                    if succ not in index:
+                        index[succ] = len(order)
+                        order.append((succ, step.successor))
+                        if len(order) > self.bound:
+                            self._reached[root] = None
+                            return None
+        found = self._reached[root] = (index, [
+            tuple((text, index[succ], step.successor)
+                  for text, group in self._steps_cache[key].items() for step, succ in group)
+            for key, _ in order])
         return found
 
-    def rate_gap(self, key: PairKey, frames: _Frames) -> Gap | None:
-        """First violated rate condition at this pair under ``frames.phi``."""
-        (left, left_rates), (right, right_rates) = self.rates(key[0]), self.rates(key[1])
+    def frame(self, phi_inv: Isometry | None):
+        """Where each location name is read in the left side's frame, as its
+        rounded point and report name. A right location (with ``phi_inv``)
+        is mapped back once, onto the declared location there if any."""
+
+        @functools.cache
+        def place(name: str) -> tuple[tuple[float, float], str]:
+            found = self._named[name]
+            if phi_inv is not None:
+                point = phi_inv.apply(found.point)
+                found = self.located(point) or Location(f"{point}", point)
+            return tuple(round(c, KEY_DIGITS) for c in found.point), found.name
+
+        return place
+
+    def signature(self, key: StateKey, place) -> Signature:
+        """The rates of ``key`` that the rate conditions compare, each read
+        at its ``place``; without an isometry, in total at literal names."""
+        names, tables = self.rates(key)
         if self.same_location:
-            if left != right:
-                return "location-mismatch", {"location": f"{list(left)} vs {list(right)}"}
-            wheres = ["(total)"]
-            left_rates, right_rates = [t for _, t in left_rates], [t for _, t in right_rates]
-        else:
-            wheres, left_names, right_names = frames[left, right]
-            left_rates = self.vector(key[0], left_names)
-            right_rates = self.vector(key[1], right_names)
-        if left_rates != right_rates:
-            for index, (lv, rv) in enumerate(zip(left_rates, right_rates)):
-                if lv != rv and not _rates_close(lv, rv):
-                    action, at = divmod(index, len(wheres))
-                    return "rate-mismatch", {"action": self.actions[action].text,
-                                             "location": wheres[at], "values": (lv, rv)}
+            return names, {(index, (), "(total)"): total
+                           for index, (_, total) in enumerate(tables) if total}
+        return None, {(index, *place(name)): rate for index, (table, _) in enumerate(tables)
+                      for name, rate in table.items() if rate}
+
+    def rate_gap(self, left: Signature, right: Signature) -> Gap | None:
+        """The first rate condition on which two signatures differ."""
+        if left[0] != right[0]:
+            return "location-mismatch", {"location": f"{list(left[0])} vs {list(right[0])}"}
+        for where in sorted(left[1].keys() | right[1].keys()):
+            lv, rv = left[1].get(where, 0.0), right[1].get(where, 0.0)
+            if _quantised(lv) != _quantised(rv):
+                return "rate-mismatch", {"action": self.actions[where[0]].text,
+                                         "location": where[2], "values": (lv, rv)}
         return None
 
-    def transfer_gap(self, key: PairKey, rep: PairRep,
-                     relation: Relation | None) -> Gap | None:
-        """A step on either side that the other cannot match into ``relation``;
-        with ``None``, a step under an action the other side lacks."""
+    def refine(self, sides: list[Reach], places: list) -> list[list[int]]:
+        """Each side's block of each of its states. Blocks start from the
+        quantised rate signatures, and split on the set of (action, block)
+        each state steps into, until their number stops growing."""
+        ids: dict = {}
+        blocks = []
+        for (index, _), place in zip(sides, places):
+            blocks.append([])
+            for key in index:
+                names, rates = self.signature(key, place)
+                sign = names, frozenset((where, _quantised(v)) for where, v in rates.items())
+                blocks[-1].append(ids.setdefault(sign, len(ids)))
+        count = len(ids)
+        while True:
+            ids = {}
+            blocks = [[ids.setdefault((own[n], frozenset((text, own[s]) for text, s, _ in steps)),
+                                      len(ids)) for n, steps in enumerate(moves)]
+                      for own, (_, moves) in zip(blocks, sides)]
+            if len(ids) == count:
+                return blocks
+            count = len(ids)
+
+    def transfer_gap(self, key: PairKey, rep: PairRep, related=None) -> Gap | None:
+        """A step on either side that the other cannot match with a step to a
+        successor ``related(left, right)`` to its own; with ``None``, a step
+        under an action the other side lacks."""
         left, right = self.steps(key[0], rep[0]), self.steps(key[1], rep[1])
-        for (by_action, _), (_, other_succs), partners in (
-                (left, right, relation and relation[0]), (right, left, relation and relation[1])):
-            for text, group in by_action.items():
-                keys = other_succs.get(text)
+        for own, other, flipped in ((left, right, False), (right, left, True)):
+            for text, group in own.items():
+                others = other.get(text)
                 for step, succ in group:
-                    if keys is None or (partners is not None
-                                        and keys.isdisjoint(partners.get(succ, ()))):
+                    if others is None or (related is not None and not any(
+                            related(k, succ) if flipped else related(succ, k)
+                            for _, k in others)):
                         return "unmatched-transition", {"action": text,
                                                         "transition": step.label_text}
         return None
 
-    def explore(self, root: PairKey, root_rep: PairRep) -> dict[PairKey, PairRep] | None:
-        """The pairs reachable from ``root`` through matched steps, each with
-        its representative terms, or ``None`` once either side reaches more
-        than ``bound`` states. Explored once per root."""
-        if root in self._explored:
-            return self._explored[root]
-        reps = self._explored[root] = {root: root_rep}
-        # a left key enters only to take a partner at once, so it counts as seen
-        partners = defaultdict(set, {root[0]: {root[1]}})
-        right_seen = {root[1]}
-        queue = deque([root])
+    def relation(self, sides: list[Reach], blocks: list[list[int]],
+                 root_rep: PairRep) -> list[PairRep]:
+        """The pairs reachable from the roots through matched steps whose
+        successors share a block, each as its representative terms."""
+        (_, left_moves), (_, right_moves) = sides
+        width = len(right_moves)
+        # pairs are numbered left state by right state; the roots are 0 and 0
+        reps = {0: root_rep}
+        # each right state's steps by action and successor block, in order
+        grouped: dict[int, dict[tuple[str, int], list]] = {}
+        queue = deque([0])
         while queue:
-            key = queue.popleft()
-            l_rep, r_rep = reps[key]
-            # left first: a state both sides reach caches the steps of the
-            # representative that asks first
-            left_by_action = self.steps(key[0], l_rep)[0]
-            right_by_action, right_succs = self.steps(key[1], r_rep)
-            # steps sort by action first: this walk keeps their order
-            for text, left_group in left_by_action.items():
-                keys_r = right_succs.get(text)
-                if keys_r is None:
-                    continue
-                for sl, key_l in left_group:
-                    # a step whose successor pairs are all known adds none
-                    known = partners[key_l]
-                    if keys_r <= known:
-                        continue
-                    for sr, key_r in right_by_action[text]:
-                        if key_r in known:
-                            continue
-                        known.add(key_r)
-                        right_seen.add(key_r)
-                        if len(partners) > self.bound or len(right_seen) > self.bound:
-                            self._explored[root] = None
-                            return None
-                        new_key = (key_l, key_r)
-                        reps[new_key] = (sl.successor, sr.successor)
-                        queue.append(new_key)
-        return reps
+            left, right = divmod(queue.popleft(), width)
+            partners = grouped.get(right)
+            if partners is None:
+                partners = grouped[right] = {}
+                for text, succ, term in right_moves[right]:
+                    partners.setdefault((text, blocks[1][succ]), []).append((succ, term))
+            for text, succ_l, term_l in left_moves[left]:
+                for succ_r, term_r in partners.get((text, blocks[0][succ_l]), ()):
+                    pair = succ_l * width + succ_r
+                    if pair not in reps:
+                        reps[pair] = (term_l, term_r)
+                        queue.append(pair)
+        return list(reps.values())
 
     def run(self, left: ModelComponent, right: ModelComponent,
             phi: Isometry) -> BisimResult:
         root = (_state_key(self.defs, left), _state_key(self.defs, right))
         root_rep = (left, right)
-        frames = _Frames(phi, self.located, self._named)
-        # a root that fails a rate condition is outside every candidate
-        # relation, so the verdict needs no exploration
-        rate_gap = self.rate_gap(root, frames)
+        places = [self.frame(None), self.frame(invert(phi))]
+        # a root that fails a rate condition is in no bisimulation, so the
+        # verdict needs no reach
+        rate_gap = self.rate_gap(*map(self.signature, root, places))
         if rate_gap is not None:
-            step_gap = self.transfer_gap(root, root_rep, None)
-            return BisimResult(related=False,
-                               counterexample=_counterexample(root_rep, step_gap or rate_gap))
+            gap = self.transfer_gap(root, root_rep, None) or rate_gap
+            return BisimResult(related=False, counterexample=_counterexample(root_rep, gap))
 
-        reps = self.explore(root, root_rep)
-        if reps is None:
+        sides = [self.reach(root[0], left)]
+        sides.append(sides[0] and self.reach(root[1], right))
+        if sides[1] is None:
             return BisimResult(
                 related=False, inconclusive=True,
-                note=f"state bound {self.bound} exceeded while exploring the pair space")
-        relation = {key: rep for key, rep in reps.items()
-                    if self.rate_gap(key, frames) is None}
-        indexed = _relation(relation)
-        changed = True
-        while changed:
-            changed = False
-            for key in list(relation):
-                if self.transfer_gap(key, relation[key], indexed) is not None:
-                    del relation[key]
-                    indexed[0][key[0]].discard(key[1])
-                    indexed[1][key[1]].discard(key[0])
-                    changed = True
+                note=f"state bound {self.bound} exceeded while reaching a side's states")
+        blocks = self.refine(sides, places)
+        (left_index, _), (right_index, _) = sides
 
-        if root in relation:
-            pairs = sorted(relation.values(),
-                           key=lambda pq: (render_model(pq[0]), render_model(pq[1])))
+        def related(l: StateKey, r: StateKey) -> bool:
+            return blocks[0][left_index[l]] == blocks[1][right_index[r]]
+
+        if related(*root):
+            pairs = self.relation(sides, blocks, root_rep)
             rendered = [(render_model(l), render_model(r)) for l, r in pairs]
-            return BisimResult(related=True, witness=phi, relation=rendered,
-                               pairs=pairs)
+            order = sorted(range(len(pairs)), key=rendered.__getitem__)
+            return BisimResult(related=True, witness=phi, relation=[rendered[i] for i in order],
+                               pairs=[pairs[i] for i in order])
 
         # report the most telling root failure: a step the other side cannot
-        # take at all, else the closure failure left after refinement
+        # take at all, else a step into a block the other side cannot reach
         gap = (self.transfer_gap(root, root_rep, None)
-               or self.transfer_gap(root, root_rep, indexed))
+               or self.transfer_gap(root, root_rep, related))
         return BisimResult(related=False, counterexample=_counterexample(root_rep, gap))
 
 
@@ -339,32 +334,32 @@ def check_bisim_phi(defs: Definitions, left: ModelComponent, right: ModelCompone
                     bound: int = 10000) -> BisimResult:
     """Is there a bisimulation with respect to ``phi`` containing the pair?
 
-    Explores the pairs reachable through matched steps inside the shared
-    context and computes the greatest relation whose pairs have equal exit
-    rates at phi-corresponding locations and match each other's steps.
+    Reaches each side's states inside the shared context and refines them
+    into blocks of equal exit rates at phi-corresponding locations and
+    matching steps; a related verdict prints the pairs reachable from the
+    root through matched steps whose successors share a block.
     """
-    return _PairChecker(defs, context, bound).run(left, right, phi)
+    return _Checker(defs, context, bound).run(left, right, phi)
 
 
 def naive_bisim(defs: Definitions, left: SeqComponent, right: SeqComponent,
                 context: ModelComponent, bound: int = 10000) -> BisimResult:
     """Bisimulation on single agents with locations taken literally: related
     agents must occupy the same location, here and after every step."""
-    checker = _PairChecker(defs, context, bound, same_location=True)
+    checker = _Checker(defs, context, bound, same_location=True)
     return checker.run((left,), (right,), IDENTITY)
 
 
-def recheck_transfer(defs: Definitions, context: ModelComponent, phi: Isometry,
+def recheck_transfer(defs: Definitions, context: ModelComponent,
                      pairs: list[tuple[ModelComponent, ModelComponent]]
                      ) -> Counterexample | None:
     """Audit an explicit pair set against the transfer conditions; used to
-    confirm that unions of computed witness relations stay closed. The
-    transfer conditions do not depend on ``phi``."""
-    checker = _PairChecker(defs, context)
+    confirm that unions of computed witness relations stay closed."""
+    checker = _Checker(defs, context)
     keyed = [((_state_key(defs, l), _state_key(defs, r)), (l, r)) for l, r in pairs]
-    relation = _relation(key for key, _ in keyed)
+    keys = {key for key, _ in keyed}
     for key, rep in keyed:
-        gap = checker.transfer_gap(key, rep, relation)
+        gap = checker.transfer_gap(key, rep, lambda l, r: (l, r) in keys)
         if gap is not None:
             return _counterexample(rep, gap)
     return None
@@ -377,7 +372,7 @@ def bisimilar(defs: Definitions, left: ModelComponent, right: ModelComponent,
     Candidates come from the locations occupied by the two sides including
     the shared context; the first related verdict wins. With no witness the
     result carries one failure summary per candidate tried. One checker
-    serves every candidate, so the pair space is explored at most once.
+    serves every candidate, so each side's states are reached at most once.
     """
     points_left = [loc.point for loc in locations_of(context + left)]
     points_right = [loc.point for loc in locations_of(context + right)]
@@ -385,7 +380,7 @@ def bisimilar(defs: Definitions, left: ModelComponent, right: ModelComponent,
     failures: list[str] = []
     first_failure: Counterexample | None = None
     saw_inconclusive = False
-    checker = _PairChecker(defs, context, bound)
+    checker = _Checker(defs, context, bound)
     for phi in candidates:
         result = checker.run(left, right, phi)
         if result.related:

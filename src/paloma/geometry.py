@@ -31,6 +31,9 @@ Matrix = tuple[tuple[float, float], tuple[float, float]]
 
 GEOMETRIC_TOL = 1e-6
 ALGEBRAIC_TOL = 1e-9
+# digits a float keeps when it becomes a key: decimals of a coordinate or an
+# isometry parameter, significant digits of a rate
+KEY_DIGITS = 9
 
 
 class Isometry(_Record):
@@ -205,7 +208,7 @@ def _pair_isometries(a1: Point, a2: Point, b1: Point, b2: Point) -> list[Isometr
 def _round_key(iso: Isometry) -> tuple:
     (a, b), (c, d) = iso.linear
     tx, ty = iso.offset
-    return tuple(round(v, 9) + 0.0 for v in (a, b, c, d, tx, ty))
+    return tuple(round(v, KEY_DIGITS) + 0.0 for v in (a, b, c, d, tx, ty))
 
 
 def candidate_isometries(points_a: list[Point], points_b: list[Point],
@@ -261,6 +264,6 @@ def candidate_isometries(points_a: list[Point], points_b: list[Point],
             matching.setdefault((iso.determinant > 0.0, tuple(matched)), iso)
     ordered = sorted(matching.values(),
                      key=lambda iso: (not iso.is_identity(),
-                                      round(iso.determinant, 9),
+                                      round(iso.determinant, KEY_DIGITS),
                                       _round_key(iso)))
     return ordered, None

@@ -2,17 +2,21 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import bisim_reference as reference
 
 from paloma.equivalence import (
+    BisimResult,
     bisimilar,
     check_bisim_phi,
     naive_bisim,
     recheck_transfer,
 )
 from paloma.geometry import IDENTITY, invert, reflection_y_axis, translation
-from paloma.model import ActionId, EMPTY, constant
+from paloma.model import ActionId, EMPTY, _state_key, constant, render_model
 from paloma.rates import RateQuery, exit_rate
 from conftest import load
 from oracle import random_model
@@ -172,7 +176,7 @@ def test_union_of_witness_relations_stays_transfer_closed(scenario):
     second = check_bisim_phi(defs, d1, d2, EMPTY, phi)
     assert second.related
     union = first.pairs + second.pairs
-    finding = recheck_transfer(defs, EMPTY, phi, union)
+    finding = recheck_transfer(defs, EMPTY, union)
     assert finding is None, f"union of bisimulations broke closure: {finding.describe()}"
 
 
@@ -193,7 +197,7 @@ def test_union_property_on_random_models():
         # the union mixes both orientations only when phi is an involution
         if not invert(result.witness).is_identity(1e-9):
             union = result.pairs
-        finding = recheck_transfer(defs, EMPTY, result.witness, union)
+        finding = recheck_transfer(defs, EMPTY, union)
         if finding is not None:
             findings.append((seed, finding.describe()))
     assert not findings, findings
@@ -306,7 +310,6 @@ def test_pair_check_computes_each_state_exit_rate_once(scenario, monkeypatch):
 def test_one_checker_derives_each_state_once_across_candidates(scenario, monkeypatch):
     import paloma.equivalence as equivalence
     from paloma.geometry import rotation
-    from paloma.model import _state_key
     from paloma.semantics import _keyed_component_steps
 
     defs = scenario.definitions()
@@ -318,17 +321,20 @@ def test_one_checker_derives_each_state_once_across_candidates(scenario, monkeyp
 
     monkeypatch.setattr(equivalence, "_keyed_component_steps", recording)
     left, right = scenario.systems["Scenario1"], scenario.systems["Scenario2"]
-    checker = equivalence._PairChecker(defs, EMPTY, 10000)
+    checker = equivalence._Checker(defs, EMPTY, 10000)
     mirrored = checker.run(left, right, reflection_y_axis())
     derived = len(seen)
+    reached = dict(checker._reached)
     turned = checker.run(left, right, rotation(math.pi))
     assert mirrored.related and turned.related
     assert mirrored.relation == turned.relation and len(mirrored.pairs) > 1
     assert derived > 2 and len(seen) == derived
     assert len(seen) == len(set(seen))
-    # and the second candidate refined the pair set the first explored
-    root = (_state_key(defs, left), _state_key(defs, right))
-    assert checker.explore(root, (left, right)) is checker.explore(root, (left, right))
+    # each side was reached once, by the first candidate, and the second
+    # candidate refined the same reached states
+    roots = (_state_key(defs, left), _state_key(defs, right))
+    assert set(reached) == set(roots)
+    assert all(checker._reached[root] is reached[root] for root in roots)
 
 
 def test_counterexamples_are_built_only_for_a_verdict(monkeypatch):
@@ -357,13 +363,12 @@ def test_counterexamples_are_built_only_for_a_verdict(monkeypatch):
 
 
 def test_rate_frames_are_built_once_per_location_sets(monkeypatch):
-    # a pair's rate conditions depend on the isometry only through the two
-    # sides' location sets: the candidate is inverted once, and points are
-    # matched once per pair of location sets, not once per explored pair
+    # a state's rate signature depends on the isometry only through the
+    # locations it occupies: the candidate is inverted once, and the inverse
+    # maps each right location once, not once per state that occupies it
     import families
     import paloma.equivalence as equivalence
     from paloma.geometry import Isometry
-    from paloma.model import _state_key, locations_of
 
     ring = load(families.ring(3, 1))
     defs = ring.definitions()
@@ -374,25 +379,173 @@ def test_rate_frames_are_built_once_per_location_sets(monkeypatch):
                         lambda phi: inverted.append(phi) or real_invert(phi))
     monkeypatch.setattr(Isometry, "apply",
                         lambda self, point: applied.append(point) or real_apply(self, point))
-    checker = equivalence._PairChecker(defs, EMPTY)
+    checker = equivalence._Checker(defs, EMPTY)
     assert checker.run(left, right, IDENTITY).related
-    explored = checker.explore((_state_key(defs, left), _state_key(defs, right)),
-                               (left, right))
-    location_sets = {(locations_of(l), locations_of(r)) for l, r in explored.values()}
-    assert len(location_sets) * 10 < len(explored)
+    states = checker.reach(_state_key(defs, right), right)[0]
+    location_sets = {checker.rates(key)[0] for key in states}
+    assert len(location_sets) * 3 < len(states)
     assert inverted == [IDENTITY]
-    # a frame maps each right location back, and each matched point forward
-    assert len(applied) <= sum(len(l) + 2 * len(r) for l, r in location_sets)
+    assert len(applied) <= len(set().union(*location_sets))
 
 
+def _drawn(seed, max_agents, n_locations, max_alternatives):
+    defn = random_model(random.Random(seed), max_agents=max_agents,
+                        n_locations=n_locations, max_alternatives=max_alternatives)
+    return defn.definitions(), defn.systems["Main"], defn.systems["Alt"]
+
+
+def test_relation_keeps_the_pairs_reachable_inside_it():
+    # the parent printed every related pair of the product it explored; some
+    # of them are reached from the root only through pairs that are not
+    # related, and the printed relation leaves those out
+    defs, main, _ = _drawn(5, 2, 3, 2)
+    rot = main[1:] + main[:1]
+    result = bisimilar(defs, main, rot, EMPTY)
+    parent = reference.bisimilar(defs, main, rot, EMPTY)
+    assert result.related and parent.related and result.witness == parent.witness
+    omitted = set(parent.relation) - set(result.relation)
+    assert set(result.relation) < set(parent.relation)
+    assert ("C0(l1) || C2(l2)", "C0(l2) || C2(l2)") in omitted
+    assert recheck_transfer(defs, EMPTY, result.pairs) is None
+
+
+def test_bound_counts_the_states_each_side_reaches():
+    # Alt reaches more than 5 states, while the parent's pair space stayed
+    # within 5 and gave a definite verdict
+    from paloma.equivalence import _Checker
+
+    defs, main, alt = _drawn(36, 2, 1, 3)
+    checker = _Checker(defs, EMPTY)
+    assert len(checker.reach(_state_key(defs, alt), alt)[0]) > 5
+    parent = reference.bisimilar(defs, main, alt, EMPTY, 5)
+    assert not parent.related and not parent.inconclusive
+    result = bisimilar(defs, main, alt, EMPTY, 5)
+    assert result.inconclusive and not result.related
+    assert bisimilar(defs, main, alt, EMPTY) == reference.bisimilar(defs, main, alt, EMPTY)
+
+
+ORDER_SOURCE = """
+location l0 = (0.0, 0.0);
+location l1 = (2.0, 0.0);
+A(l0) := (tick, 0.1).A(l0) + (go, 1.0).A(l1);
+A(l1) := (tick, 0.1).A(l1);
+B(l0) := (tick, 0.2).B(l0) + (go, 1.0).B(l1);
+B(l1) := (tick, 0.2).B(l1);
+C(l0) := (tick, 0.3).C(l0) + (go, 1.0).C(l1);
+C(l1) := (tick, 0.3).C(l1);
+system Main = A(l0) || B(l0) || C(l0);
+system Rot = B(l0) || C(l0) || A(l0);
+"""
+
+
+def test_composition_order_changes_last_bits_without_splitting_a_block():
+    defn = load(ORDER_SOURCE)
+    defs = defn.definitions()
+    main, rot = defn.systems["Main"], defn.systems["Rot"]
+    tick, l0 = ActionId.parse("tick"), frozenset({defs.locations["l0"]})
+    sums = [exit_rate(defs, RateQuery(tick, side, EMPTY, l0)) for side in (main, rot)]
+    assert sums[0].hex() != sums[1].hex()
+    result = bisimilar(defs, main, rot, EMPTY)
+    assert result.related and result.witness.kind == "identity"
+    # each set of agents that moved, on both sides
+    assert len(result.relation) == 8
+
+
+STRADDLE_SOURCE = """
+location l0 = (0.0, 0.0);
+W(l0) := (tick, 1.00000000499).Z(l0);
+V(l0) := (tick, 1.00000000501).Z(l0);
+Z(l0) := (rest, 1.0).Z(l0);
+X(l0) := (go, 1.0).W(l0);
+Y(l0) := (go, 1.0).V(l0);
+system A = W(l0);
+system B = V(l0);
+system GoA = X(l0);
+system GoB = Y(l0);
+"""
+
+
+def test_rates_straddling_a_key_boundary_give_a_definite_verdict():
+    # the two tick rates are within ALGEBRAIC_TOL of each other, but round to
+    # different 9-digit keys: at the root they refute the candidate, and one
+    # step in they split the successors' blocks. Both ticks lead to Z, so a
+    # root that passed a looser rate check would have no step to blame
+    from paloma.cli import _bisim_report
+    from paloma.geometry import ALGEBRAIC_TOL
+
+    defn = load(STRADDLE_SOURCE)
+    defs = defn.definitions()
+    systems = defn.systems
+    at_root = bisimilar(defs, systems["A"], systems["B"], EMPTY)
+    assert not at_root.related and not at_root.inconclusive
+    assert at_root.counterexample.kind == "rate-mismatch"
+    assert math.isclose(*at_root.counterexample.values, rel_tol=ALGEBRAIC_TOL)
+    one_step = bisimilar(defs, systems["GoA"], systems["GoB"], EMPTY)
+    assert not one_step.related and not one_step.inconclusive
+    assert one_step.counterexample.kind == "unmatched-transition"
+    assert one_step.counterexample.action == "go"
+    for result in (at_root, one_step):
+        assert "counterexample: " in _bisim_report(result)
+
+
+class _Expected(reference.ReferencePairChecker):
+    """The reference checker with the engine's two intended differences, each
+    derived from the reference itself: the relation keeps the reference's
+    pairs reachable from the root through matched steps inside it, and a
+    candidate that passes the root rate check is inconclusive once either
+    side reaches more than ``bound`` states."""
+
+    def reached(self, root, rep) -> int:
+        order, reps = [root], {root: rep}
+        for key in order:
+            for step, succ in self.steps(key, reps[key])[0]:
+                if succ not in reps:
+                    reps[succ] = step.successor
+                    order.append(succ)
+        return len(order)
+
+    def run(self, left, right, phi):
+        root, rep = (_state_key(self.defs, left), _state_key(self.defs, right)), (left, right)
+        if self.rate_gap(root, rep, phi) is None and any(
+                self.reached(key, side) > self.bound for key, side in zip(root, rep)):
+            return BisimResult(related=False, inconclusive=True, note=(
+                f"state bound {self.bound} exceeded while reaching a side's states"))
+        result = super().run(left, right, phi)
+        if result.related:
+            inside = {(_state_key(self.defs, l), _state_key(self.defs, r)): (l, r)
+                      for l, r in result.pairs}
+            kept, queue = {root}, [root]
+            for key in queue:
+                right_by_action = self.steps(key[1], inside[key][1])[1]
+                for step, key_l in self.steps(key[0], inside[key][0])[0]:
+                    for _, key_r in right_by_action.get(step.action, ()):
+                        if (key_l, key_r) in inside and (key_l, key_r) not in kept:
+                            kept.add((key_l, key_r))
+                            queue.append((key_l, key_r))
+            pairs = [pair for key, pair in inside.items() if key in kept]
+            result.pairs = pairs
+            result.relation = [(render_model(l), render_model(r)) for l, r in pairs]
+        return result
+
+
+def _expected(function, *args):
+    """``function`` of the reference module, run through ``_Expected``."""
+    with mock.patch.object(reference, "ReferencePairChecker", _Expected):
+        return function(*args)
+
+
+# one draw pins each intended difference: a relation the reference prints
+# larger, and a side that outgrows the bound while the reference's pair
+# space does not
+@example(seed=5, max_agents=2, n_locations=3, max_alternatives=2)
+@example(seed=36, max_agents=2, n_locations=1, max_alternatives=3)
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1), max_agents=st.integers(1, 3),
        n_locations=st.integers(1, 3), max_alternatives=st.integers(1, 3))
 def test_checker_matches_the_reference_on_drawn_models(seed, max_agents, n_locations,
                                                        max_alternatives):
     # Main against Alt is seldom related; a system against itself in another
-    # composition order always is, and refinement has a large pair set to cut
-    import bisim_reference as reference
+    # composition order always is, and refinement has a large state set to cut
     from paloma.cli import _bisim_report
     from paloma.geometry import candidate_isometries
     from paloma.model import locations_of
@@ -413,9 +566,10 @@ def test_checker_matches_the_reference_on_drawn_models(seed, max_agents, n_locat
             candidates = candidate_isometries(*points)[0]
             for bound in (1, 2, 5, 60):
                 same(bisimilar(defs, left, right, context, bound),
-                     reference.bisimilar(defs, left, right, context, bound))
+                     _expected(reference.bisimilar, defs, left, right, context, bound))
                 for phi in candidates:
                     same(check_bisim_phi(defs, left, right, context, phi, bound),
-                         reference.check_bisim_phi(defs, left, right, context, phi, bound))
+                         _expected(reference.check_bisim_phi, defs, left, right, context,
+                                   phi, bound))
                 same(naive_bisim(defs, left[0], right[0], context, bound),
-                     reference.naive_bisim(defs, left[0], right[0], context, bound))
+                     _expected(reference.naive_bisim, defs, left[0], right[0], context, bound))
