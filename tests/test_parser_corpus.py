@@ -1,9 +1,14 @@
 """Parser behaviour pinned on a seeded corpus of mutated models.
 
-The digests below were recorded with the tokenizer that built a positioned
-token for every lexeme, before the scan read positions only for a failed
-parse; they pin every verdict, every diagnostic (text, line, column and
-order) and the elaborated definition of every model that still parses.
+The first two digests below were recorded with the tokenizer that built a
+positioned token for every lexeme, before the scan read positions only for a
+failed parse; they pin every verdict, every diagnostic (text, line, column
+and order) and the elaborated definition of every model that still parses.
+The last two were recorded with the token-by-token recursive descent and the
+four-walk ``validate``, before statements were parsed over fixed-width token
+windows and each equation validated in one walk: they pin every validation
+diagnostic of the corpus, and the outcome of every base model cut short at
+each token boundary.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import re
 from pathlib import Path
 
 import families as fam
-from paloma.parser import parse_model, pretty_print
+from paloma.parser import parse_model, pretty_print, validate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,6 +37,8 @@ SNIPPETS = [
 CORPUS_SIZE = 4000
 CORPUS_SHA256 = "d790a69ac20417463722abee61ea75c4a7da90e7fac5b8c45e55e8454b6857c6"
 FAMILIES_SHA256 = "5e7b6f2601063fc0bc650d50e3402dd6a656a6f02611d726f54e4edafbcd2efc"
+VALIDATE_SHA256 = "f87e5cb6e9c3a7be3928b3d262b4e248aea5b902a4d9eee17c1e2dd6cf0a99ac"
+CUTS_SHA256 = "2ddd08f4aea11a4daa4427e8ae65198fb4d5444453c634a8571e528384e0eff5"
 
 
 def bases() -> list[str]:
@@ -73,17 +80,60 @@ def outcome(text: str) -> list[str]:
     return ["failed", *(str(d) for d in result.diagnostics)]
 
 
-def corpus_digest() -> tuple[str, int]:
+def corpus() -> list[str]:
     rng = random.Random(20261018)
     texts = bases()
+    return [mutate(rng, texts[k % len(texts)]) for k in range(CORPUS_SIZE)]
+
+
+def corpus_digest() -> tuple[str, int]:
     digest = hashlib.sha256()
     parsed = 0
-    for k in range(CORPUS_SIZE):
-        lines = outcome(mutate(rng, texts[k % len(texts)]))
+    for k, text in enumerate(corpus()):
+        lines = outcome(text)
         parsed += lines[0] == "ok"
         digest.update(f"{k}\n".encode())
         for line in lines:
             digest.update(line.encode("utf-8") + b"\n")
+    return digest.hexdigest(), parsed
+
+
+def validate_digest() -> tuple[str, int]:
+    """Every validation diagnostic, in order, of each corpus text that
+    parses, and how many of those texts have an error among them."""
+    digest = hashlib.sha256()
+    refused = 0
+    for k, text in enumerate(corpus()):
+        result = parse_model(text)
+        if result.ok:
+            lines = [str(d) for d in validate(result.definition)]
+            refused += any(line.startswith("error") for line in lines)
+            digest.update(f"{k}\n".encode())
+            for line in lines:
+                digest.update(line.encode("utf-8") + b"\n")
+    return digest.hexdigest(), refused
+
+
+# A cut between two tokens: after a name, number, operator, comment or other
+# character that is not blank.
+TOKEN_END = re.compile(r"//[^\n]*|:=|\|\||!!|\?\?|\w+(?:\.\d+)?(?:[eE][+-]?\d+)?|\S")
+
+
+def cuts_digest() -> tuple[str, int]:
+    """Each base model cut after every token: the parse outcome and, for a
+    cut that parses, its validation diagnostics; and how many cuts parse."""
+    digest = hashlib.sha256()
+    parsed = 0
+    for text in bases():
+        for match in TOKEN_END.finditer(text):
+            cut = text[:match.end()]
+            lines = outcome(cut)
+            if lines[0] == "ok":
+                parsed += 1
+                lines += [str(d) for d in validate(parse_model(cut).definition)]
+            digest.update(f"{match.end()}\n".encode())
+            for line in lines:
+                digest.update(line.encode("utf-8") + b"\n")
     return digest.hexdigest(), parsed
 
 
@@ -107,3 +157,15 @@ def test_mutated_corpus_verdicts_and_diagnostics_are_pinned():
 
 def test_pretty_print_of_benchmark_families_is_pinned():
     assert families_digest() == FAMILIES_SHA256
+
+
+def test_validation_of_the_mutated_corpus_is_pinned():
+    digest, refused = validate_digest()
+    assert refused > 20
+    assert digest == VALIDATE_SHA256
+
+
+def test_every_token_cut_of_the_base_models_is_pinned():
+    digest, parsed = cuts_digest()
+    assert parsed > 100
+    assert digest == CUTS_SHA256
