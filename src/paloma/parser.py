@@ -22,8 +22,11 @@ The concrete grammar, one statement per ``;``:
 [0, 1], weights positive; parameters are plain named numbers, substituted by
 value during parsing, and ``all`` expands to the set of declared locations.
 
-Parsing never raises on bad input: every failure is reported as a positioned
-Diagnostic and the parser resynchronises at the next ``;``.
+Each statement is parsed in one pass over a local token index, its
+fixed-width windows checked directly. Parsing never raises on bad input:
+every failure is reported as a positioned Diagnostic, named as a
+token-by-token reading names it, and the parser resynchronises at the next
+``;``. ``validate`` walks each written equation once.
 """
 
 from __future__ import annotations
@@ -148,10 +151,31 @@ def _is_number(token: str) -> bool:
     return token.lstrip("-")[:1].isdecimal()
 
 
+def _is_name(token: str) -> bool:
+    return token[:1] in _NAME_START and token not in _KEYWORDS
+
+
+def _found(token: str) -> str:
+    """A token as a diagnostic names it."""
+    return repr(token or "end of input")
+
+
+# The widest fixed window, an input prefix, spans 11 tokens; as many
+# end-of-input sentinels after the end token keep every window in the list.
+_PAD = 11
+
+# The name slots of a window. A declared location name must also name a
+# location declared before it.
+_NAMES = {"parameter name", "location name", "declared location name", "system name",
+          "constant name", "action label"}
+
+
 class _ParseError(Exception):
-    def __init__(self, message: str, at: int):
+    def __init__(self, message: str, at: int, resume: int | None = None):
         super().__init__(message)
         self.at = at  # the index of the offending token
+        # where resynchronisation starts: the first token not yet read
+        self.resume = at if resume is None else resume
 
 
 def _place(text: str) -> tuple[list[str], list[tuple[int, int]], list[Diagnostic]]:
@@ -179,271 +203,257 @@ def _place(text: str) -> tuple[list[str], list[tuple[int, int]], list[Diagnostic
 
 
 class _Parser:
-    """The grammar, over token strings that end in the one empty end-of-input
+    """The grammar, over token strings that end in the empty end-of-input
     token, which the parser never passes. ``places`` holds each token's line
-    and column; without them, diagnostics carry no position."""
+    and column; without them, diagnostics carry no position.
+
+    Each rule takes the index of its first token and returns the index after
+    its last. A fixed-width window of tokens on a hot path is checked
+    directly; only when it fails does ``expect`` read it again token by
+    token, to raise the error of the first token the grammar rejects. A
+    constant reference or an input or spontaneous prefix is built once per
+    parse: ``terms`` holds it by its window, which stands for the same term
+    wherever it recurs."""
 
     def __init__(self, tokens: list[str], places: list[tuple[int, int]] | None = None):
-        self.tokens = tokens
+        self.tokens = tokens + [""] * _PAD
         self.places = places
-        self.index = 0
-        self.current = tokens[0]
         self.diagnostics: list[Diagnostic] = []
         self.definition = ModelDefinition()
-
-    # -- token helpers -------------------------------------------------
-
-    def advance(self) -> int:
-        """Consume the current token; its index."""
-        index = self.index
-        self.index = index + 1
-        self.current = self.tokens[index + 1]
-        return index
-
-    def expect(self, text: str) -> None:
-        """Consume the operator or keyword ``text``. No other kind of token
-        can share its text, so the text alone decides, as in ``at``."""
-        if self.current != text:
-            raise _ParseError(f"expected {text!r}, found {self.found()}", self.index)
-        self.index += 1
-        self.current = self.tokens[self.index]
-
-    def expect_number(self) -> int:
-        if not _is_number(self.current):
-            raise _ParseError(f"expected 'number', found {self.found()}", self.index)
-        return self.advance()
-
-    def found(self) -> str:
-        """The current token as a diagnostic names it."""
-        return repr(self.current or "end of input")
-
-    def at(self, text: str) -> bool:
-        """Whether the current token is the operator or keyword ``text``."""
-        return self.current == text
+        self.params = self.definition.params
+        self.locations = self.definition.locations
+        self.terms: dict[tuple[str, ...], ConstantRef | Prefix] = {}
 
     def error(self, message: str, at: int) -> None:
         place = () if self.places is None else self.places[at]
         self.diagnostics.append(Diagnostic("error", message, *place))
 
-    def synchronize(self) -> None:
-        while self.current:
-            if self.tokens[self.advance()] == ";":
-                return
+    def expect(self, i: int, slots: tuple[str, ...]) -> None:
+        """Read the tokens from ``i`` against ``slots`` in order and raise
+        the error of the first token that its slot rejects. A slot is a name
+        slot of ``_NAMES``, a "value", a "number", a "finite number", or
+        else an operator or keyword."""
+        for at, slot in enumerate(slots, i):
+            token = self.tokens[at]
+            if slot == "value":
+                self.value(at)
+            elif slot in _NAMES:
+                if not _is_name(token):
+                    what = slot.removeprefix("declared ")
+                    raise _ParseError(f"expected {what}, found {_found(token)}", at)
+                if slot == "declared location name" and token not in self.locations:
+                    raise _ParseError(f"undeclared location {token!r}", at, at + 1)
+            elif slot.endswith("number"):
+                if not _is_number(token):
+                    raise _ParseError(f"expected 'number', found {_found(token)}", at)
+                if slot == "finite number":
+                    self.number(at)
+            elif token != slot:
+                raise _ParseError(f"expected {slot!r}, found {_found(token)}", at)
 
     # -- grammar -------------------------------------------------------
 
     def parse(self) -> None:
-        while self.current:
+        tokens = self.tokens
+        i = 0
+        while tokens[i]:
             try:
-                self.statement()
+                i = self.statement(i)
             except _ParseError as exc:
                 self.error(str(exc), exc.at)
-                self.synchronize()
+                # resynchronise after the next ";", or stop at the end
+                try:
+                    i = tokens.index(";", exc.resume) + 1
+                except ValueError:
+                    i = tokens.index("", exc.resume)
 
-    def statement(self) -> None:
-        if self.at("param"):
-            self.param_stmt()
-        elif self.at("location"):
-            self.location_stmt()
-        elif self.at("system"):
-            self.system_stmt()
-        elif self.current[:1] in _NAME_START:
-            self.equation_stmt()
-        else:
-            raise _ParseError(f"expected a statement, found {self.found()}", self.index)
+    def statement(self, i: int) -> int:
+        head = self.tokens[i]
+        if head == "param":
+            return self.param_stmt(i + 1)
+        if head == "location":
+            return self.location_stmt(i + 1)
+        if head == "system":
+            return self.system_stmt(i + 1)
+        if head[:1] in _NAME_START:
+            return self.equation_stmt(i)
+        raise _ParseError(f"expected a statement, found {_found(head)}", i)
 
-    def param_stmt(self) -> None:
-        self.advance()
-        at = self.index
-        name = self.ident("parameter name")
-        self.expect("=")
-        number = self.expect_number()
-        self.expect(";")
-        value = self.number(number)
-        if name in self.definition.params:
-            self.error(f"duplicate parameter {name!r}", at)
+    def param_stmt(self, i: int) -> int:
+        self.expect(i, ("parameter name", "=", "number", ";"))
+        name = self.tokens[i]
+        value = self.number(i + 2, i + 4)
+        if name in self.params:
+            self.error(f"duplicate parameter {name!r}", i)
         elif not value > 0:
-            self.error(f"parameter {name!r} must be positive", number)
+            self.error(f"parameter {name!r} must be positive", i + 2)
         else:
-            self.definition.params[name] = value
+            self.params[name] = value
+        return i + 4
 
-    def location_stmt(self) -> None:
-        self.advance()
-        at = self.index
-        name = self.ident("location name")
-        self.expect("=")
-        self.expect("(")
-        x = self.number(self.expect_number())
-        self.expect(",")
-        y = self.number(self.expect_number())
-        self.expect(")")
-        self.expect(";")
-        if name in self.definition.locations:
-            self.error(f"duplicate location {name!r}", at)
+    def location_stmt(self, i: int) -> int:
+        name, eq, lp, x, comma, y, rp, semi = self.tokens[i:i + 8]
+        if not (eq == "=" and lp == "(" and comma == "," and rp == ")" and semi == ";"
+                and _is_name(name) and _is_number(x) and _is_number(y)):
+            self.expect(i, ("location name", "=", "(", "finite number", ",",
+                            "finite number", ")", ";"))
+        point = (self.number(i + 3), self.number(i + 5))
+        if name in self.locations:
+            self.error(f"duplicate location {name!r}", i)
         else:
-            self.definition.locations[name] = Location(name, (x, y))
+            self.locations[name] = Location(name, point)
+        return i + 8
 
-    def system_stmt(self) -> None:
-        self.advance()
-        at = self.index
-        name = self.ident("system name")
-        self.expect("=")
-        parts = [self.constref()]
-        while self.at("||"):
-            self.advance()
-            parts.append(self.constref())
-        self.expect(";")
+    def system_stmt(self, i: int) -> int:
+        self.expect(i, ("system name", "="))
+        tokens, name = self.tokens, self.tokens[i]
+        ref, end = self.constref(i + 2)
+        parts = [ref]
+        while tokens[end] == "||":
+            ref, end = self.constref(end + 1)
+            parts.append(ref)
+        if tokens[end] != ";":
+            self.expect(end, (";",))
         if name in self.definition.systems:
-            self.error(f"duplicate system {name!r}", at)
+            self.error(f"duplicate system {name!r}", i)
         else:
             self.definition.systems[name] = tuple(
                 SeqComponent(ref, ref.location) for ref in parts)
+        return end + 1
 
-    def equation_stmt(self) -> None:
-        at = self.index
-        name = self.ident("constant name")
-        self.expect("(")
-        loc = self.location_name()
-        self.expect(")")
-        self.expect(":=")
-        body = self.body(loc)
-        self.expect(";")
-        key = (name, loc.name)
+    def equation_stmt(self, i: int) -> int:
+        """An equation; its body is its terms joined by "+", each a constant
+        reference or a prefix "." a constant reference."""
+        tokens = self.tokens
+        head, end = self.constref(i)
+        if tokens[end] != ":=":
+            self.expect(end, (":=",))
+        loc = head.location
+        body = None
+        while True:
+            end += 1
+            if tokens[end][:1] in _NAME_START:
+                ref, end = self.constref(end)
+                term = SeqComponent(ref, ref.location)
+            else:
+                prefix, end = self.prefix(end)
+                if tokens[end] != ".":
+                    self.expect(end, (".",))
+                ref, end = self.constref(end + 1)
+                term = SeqComponent(PrefixGuarded(prefix, ref), loc)
+            body = term if body is None else SeqComponent(Choice(body, term), loc)
+            if tokens[end] != "+":
+                break
+        if tokens[end] != ";":
+            self.expect(end, (";",))
+        key = (head.name, loc.name)
         if key in self.definition.equations:
-            self.error(f"duplicate equation for {name}({loc.name})", at)
+            self.error(f"duplicate equation for {head.name}({loc.name})", i)
         else:
             self.definition.equations[key] = body
+        return end + 1
 
-    def body(self, location: Location) -> SeqComponent:
-        term = self.term(location)
-        while self.at("+"):
-            self.advance()
-            term = SeqComponent(Choice(term, self.term(location)), location)
-        return term
+    def constref(self, i: int) -> tuple[ConstantRef, int]:
+        window = tuple(self.tokens[i:i + 4])
+        ref = self.terms.get(window)
+        if ref is None:
+            name, lp, loc, rp = window
+            loc = self.locations.get(loc)
+            if not (lp == "(" and rp == ")" and loc is not None and _is_name(name)):
+                self.expect(i, ("constant name", "(", "declared location name", ")"))
+            ref = self.terms[window] = ConstantRef(name, loc)
+        return ref, i + 4
 
-    def term(self, location: Location) -> SeqComponent:
-        if self.current[:1] in _NAME_START:
-            ref = self.constref()
-            return SeqComponent(ref, ref.location)
-        prefix = self.prefix()
-        self.expect(".")
-        cont = self.constref()
-        return SeqComponent(PrefixGuarded(prefix, cont), location)
-
-    def constref(self) -> ConstantRef:
-        name = self.ident("constant name")
-        self.expect("(")
-        loc = self.location_name()
-        self.expect(")")
-        return ConstantRef(name, loc)
-
-    def prefix(self) -> Prefix:
-        glyph = self.current
+    def prefix(self, i: int) -> tuple[Prefix, int]:
+        """A prefix: its glyph, unless spontaneous, then ``(label, value)``
+        and the clause of its kind. Each value is read where it stands and
+        checked for range after the whole prefix. Only an output prefix, whose
+        range can grow with the locations declared, spans no fixed window."""
+        tokens = self.tokens
+        glyph = tokens[i]
+        end = i + 5 if glyph == "(" else i + 11
+        window = tuple(tokens[i:end])
+        found = self.terms.get(window)
+        if found is not None:
+            return found, end
+        j = i if glyph == "(" else i + 1
+        lp, label, comma, _, rp = tokens[j:j + 5]
+        if glyph not in ("(", "!!", "!", "??", "?"):
+            raise _ParseError(f"expected a prefix, found {_found(glyph)}", i)
+        if not (lp == "(" and comma == "," and rp == ")" and _is_name(label)):
+            self.expect(j, ("(", "action label", ",", "value", ")"))
+        first = self.value(j + 3)
         if glyph == "!!" or glyph == "!":
-            self.advance()
-            label, value, at = self.label_value()
-            influence = self.range_clause("Ir")
-            self.check_positive(value, "rate", at)
-            return (UnicastOut if glyph == "!!" else BroadcastOut)(label, value, influence)
-        if glyph == "??":
-            self.advance()
-            label, prob, at = self.label_value()
-            self.expect("@")
-            self.expect("Wt")
-            self.expect("{")
-            weight, weight_at = self.value()
-            self.expect("}")
-            self.check_prob(prob, at)
-            self.check_positive(weight, "weight", weight_at)
-            return UnicastIn(label, prob, weight)
-        if glyph == "?":
-            self.advance()
-            label, prob, at = self.label_value()
-            self.expect("@")
-            self.expect("Prob")
-            self.expect("{")
-            recv, recv_at = self.value()
-            self.expect("}")
-            self.check_prob(prob, at)
-            self.check_prob(recv, recv_at)
-            return BroadcastIn(label, prob, recv)
+            influence, end = self.range_clause(j + 5)
+            self.check_positive(first, "rate", j + 3, end)
+            return (UnicastOut if glyph == "!!" else BroadcastOut)(label, first, influence), end
         if glyph == "(":
-            label, value, at = self.label_value()
-            self.check_positive(value, "rate", at)
-            return Spontaneous(label, value)
-        raise _ParseError(f"expected a prefix, found {self.found()}", self.index)
+            self.check_positive(first, "rate", j + 3, end)
+            found = self.terms[window] = Spontaneous(label, first)
+            return found, end
+        keyword = "Wt" if glyph == "??" else "Prob"
+        at, kw, lb, _, rb = window[6:]
+        if not (at == "@" and kw == keyword and lb == "{" and rb == "}"):
+            self.expect(j + 5, ("@", keyword, "{", "value", "}"))
+        second = self.value(j + 8)
+        self.check_prob(first, j + 3, end)
+        if glyph == "??":
+            self.check_positive(second, "weight", j + 8, end)
+            found = self.terms[window] = UnicastIn(label, first, second)
+        else:
+            self.check_prob(second, j + 8, end)
+            found = self.terms[window] = BroadcastIn(label, first, second)
+        return found, end
 
-    def label_value(self) -> tuple[str, float, int]:
-        """The label and value of ``(label, value)``, and the value's index."""
-        self.expect("(")
-        label = self.ident("action label")
-        self.expect(",")
-        value, at = self.value()
-        self.expect(")")
-        return label, value, at
+    def range_clause(self, i: int) -> tuple[frozenset[Location], int]:
+        tokens = self.tokens
+        if not (tokens[i] == "@" and tokens[i + 1] == "Ir" and tokens[i + 2] == "{"):
+            self.expect(i, ("@", "Ir", "{"))
+        i += 3
+        if tokens[i] == "all":
+            if tokens[i + 1] != "}":
+                self.expect(i + 1, ("}",))
+            if not self.locations:
+                raise _ParseError("'all' range used but no locations are declared", i + 2)
+            return frozenset(self.locations.values()), i + 2
+        names = []
+        while True:
+            loc = self.locations.get(tokens[i])
+            if loc is None:
+                self.expect(i, ("declared location name",))
+            names.append(loc)
+            if tokens[i + 1] != ",":
+                break
+            i += 2
+        if tokens[i + 1] != "}":
+            self.expect(i + 1, ("}",))
+        return frozenset(names), i + 2
 
-    def range_clause(self, keyword: str) -> frozenset[Location]:
-        self.expect("@")
-        self.expect(keyword)
-        self.expect("{")
-        if self.at("all"):
-            self.advance()
-            self.expect("}")
-            locations = frozenset(self.definition.locations.values())
-            if not locations:
-                raise _ParseError("'all' range used but no locations are declared",
-                                  self.index)
-            return locations
-        names = [self.location_name()]
-        while self.at(","):
-            self.advance()
-            names.append(self.location_name())
-        self.expect("}")
-        return frozenset(names)
+    def value(self, at: int) -> float:
+        """A number or a parameter's value."""
+        token = self.tokens[at]
+        if _is_number(token):
+            return self.number(at)
+        if token[:1] in _NAME_START:
+            if token in self.params:
+                return self.params[token]
+            raise _ParseError(f"undeclared parameter {token!r}", at, at + 1)
+        raise _ParseError(f"expected a number or parameter, found {_found(token)}", at)
 
-    def value(self) -> tuple[float, int]:
-        """A number or a parameter's value, and the token's index."""
-        at, text = self.index, self.current
-        if _is_number(text):
-            self.advance()
-            return self.number(at), at
-        if text[:1] in _NAME_START:
-            self.advance()
-            if text in self.definition.params:
-                return self.definition.params[text], at
-            raise _ParseError(f"undeclared parameter {text!r}", at)
-        raise _ParseError(f"expected a number or parameter, found {self.found()}", at)
-
-    def number(self, at: int) -> float:
+    def number(self, at: int, resume: int | None = None) -> float:
         value = float(self.tokens[at])
         if not math.isfinite(value):
-            raise _ParseError(f"number {self.tokens[at]!r} is not finite", at)
+            raise _ParseError(f"number {self.tokens[at]!r} is not finite", at,
+                              at + 1 if resume is None else resume)
         return value
 
-    def ident(self, what: str) -> str:
-        """Consume a name that is not a keyword; its text."""
-        token = self.current
-        if token[:1] not in _NAME_START or token in _KEYWORDS:
-            raise _ParseError(f"expected {what}, found {self.found()}", self.index)
-        self.index += 1
-        self.current = self.tokens[self.index]
-        return token
-
-    def location_name(self) -> Location:
-        at = self.index
-        name = self.ident("location name")
-        loc = self.definition.locations.get(name)
-        if loc is None:
-            raise _ParseError(f"undeclared location {name!r}", at)
-        return loc
-
-    def check_positive(self, value: float, what: str, at: int) -> None:
+    def check_positive(self, value: float, what: str, at: int, resume: int) -> None:
         if not value > 0:
-            raise _ParseError(f"{what} must be positive, got {format_number(value)}", at)
+            raise _ParseError(f"{what} must be positive, got {format_number(value)}", at, resume)
 
-    def check_prob(self, value: float, at: int) -> None:
+    def check_prob(self, value: float, at: int, resume: int) -> None:
         if not 0.0 <= value <= 1.0:
-            raise _ParseError(f"probability out of range: {format_number(value)}", at)
+            raise _ParseError(f"probability out of range: {format_number(value)}", at, resume)
 
 
 def parse_model(text: str) -> ParseResult:
@@ -497,33 +507,40 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
                 "location changes need a prefix continuation")
 
     # Every constant reference must have a defining equation at its target
-    # location, both in equation bodies and in system definitions.
-    # The walk is iterative and visits a choice before its left operand and
-    # the left operand before the right, so deep choices cannot overflow.
-    def check_refs(owner: str, comp: SeqComponent) -> None:
-        stack = [comp]
+    # location, both in equation bodies and in system definitions. One walk
+    # of each written equation checks them and its choices' locations, and
+    # collects its leaves. The walk is iterative and visits a choice before
+    # its left operand and the left operand before the right, so deep
+    # choices cannot overflow.
+    equations = definition.equations
+
+    def walk(owner: str, roots: list[SeqComponent]) -> list[PrefixGuarded]:
+        leaves = []
+        stack = roots[::-1]
         while stack:
             comp = stack.pop()
             body = comp.body
-            if isinstance(body, ConstantRef):
-                if (body.name, body.location.name) not in definition.equations:
-                    err(f"{owner}: reference to undefined {body.name}({body.location.name})")
-            elif isinstance(body, Choice):
-                if body.left.location != comp.location or body.right.location != comp.location:
-                    err(f"{owner}: choice operands must stay at {comp.location.name}")
-                stack.append(body.right)
-                stack.append(body.left)
-            else:
+            if isinstance(body, PrefixGuarded):
+                leaves.append(body)
                 cont = body.continuation
-                if (cont.name, cont.location.name) not in definition.equations:
+                if (cont.name, cont.location.name) not in equations:
                     err(f"{owner}: continuation {cont.name}({cont.location.name}) "
                         "has no defining equation")
+            elif isinstance(body, Choice):
+                loc = comp.location
+                left, right = body.left.location, body.right.location
+                if (left is not loc and left != loc) or (right is not loc and right != loc):
+                    err(f"{owner}: choice operands must stay at {loc.name}")
+                stack.append(body.right)
+                stack.append(body.left)
+            elif (body.name, body.location.name) not in equations:
+                err(f"{owner}: reference to undefined {body.name}({body.location.name})")
+        return leaves
 
-    for (name, locname), body in definition.equations.items():
-        check_refs(f"{name}({locname})", body)
+    written = {(name, locname): walk(f"{name}({locname})", [body])
+               for (name, locname), body in equations.items()}
     for sysname, component in definition.systems.items():
-        for part in component:
-            check_refs(f"system {sysname}", part)
+        walk(f"system {sysname}", list(component))
 
     if any(d.severity == "error" for d in out):
         return out
@@ -531,7 +548,7 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
     # Constant definitions must be guarded: following aliases and choice
     # operands from any equation must terminate in prefixes.
     resolved: dict[tuple[str, str], SeqComponent] = {}
-    for name, locname in definition.equations:
+    for name, locname in equations:
         try:
             resolved[(name, locname)] = defs._resolve_equation((name, locname))
         except Exception as exc:  # ModelError carries the offending cycle
@@ -541,9 +558,11 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
 
     # Each agent may carry at most one input prefix per label within one
     # choice tree; receive probabilities have no meaning for repeated inputs.
+    # A tree that resolves to itself has the leaves written in it.
     for (name, locname), tree in resolved.items():
+        key = (name, locname)
         seen: dict[tuple[str, str], int] = {}
-        for leaf in _syntactic_leaves(tree):
+        for leaf in written[key] if tree is equations[key] else _syntactic_leaves(tree):
             prefix = leaf.prefix
             if isinstance(prefix, (UnicastIn, BroadcastIn)):
                 kind = "??" if isinstance(prefix, UnicastIn) else "?"
@@ -555,7 +574,6 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
 
     # A unicast output whose range holds no equation with a matching input
     # label can never fire; certain blocking is worth a warning.
-    written = {key: _syntactic_leaves(body) for key, body in definition.equations.items()}
     receivers_of: dict[str, set[str]] = {}
     for (_, eq_loc), eq_leaves in written.items():
         for eq_leaf in eq_leaves:

@@ -113,10 +113,12 @@ class Continuation:
         for state, value in entries or []:
             self.add(state, value)
 
-    def add(self, state: ModelComponent, value: float) -> None:
+    def add(self, state: ModelComponent, value: float, key: StateKey | None = None) -> None:
+        """Add ``value`` at ``state``, whose engine key is ``key`` if given."""
         if value <= 0.0:
             return
-        key = _state_key(self._defs, state)
+        if key is None:
+            key = _state_key(self._defs, state)
         if key in self._entries:
             rep, old = self._entries[key]
             self._entries[key] = (rep, old + value)
@@ -221,14 +223,29 @@ class Step(_Record):
 
 
 class Derivation(_Record):
-    __slots__ = ("label", "sender", "sender_succ", "steps")
+    # the last slot is not a field: what ``derivations`` read from the
+    # engine, ``(defs, state key, at, steps)`` of ``_derive``, from which
+    # ``continuation`` takes each successor's key instead of interning it
+    __slots__ = ("label", "sender", "sender_succ", "steps", "_source")
 
     def __init__(self, label: StochLabel, sender: int, sender_succ: SeqComponent,
-                 steps: tuple[Step, ...]):
+                 steps: tuple[Step, ...], _source: tuple | None = None):
         self.label, self.sender, self.sender_succ, self.steps = label, sender, sender_succ, steps
+        self._source = _source
+
+    def _values(self) -> tuple:
+        return self.label, self.sender, self.sender_succ, self.steps
 
     def continuation(self, defs: Definitions) -> Continuation:
-        return Continuation(defs, [(s.successor, s.rate) for s in self.steps])
+        out = Continuation(defs)
+        if self._source is None or self._source[0] is not defs:
+            for step in self.steps:
+                out.add(step.successor, step.rate)
+        else:
+            _, key, at, steps = self._source
+            for step, (_, moves) in zip(self.steps, steps):
+                out.add(step.successor, step.rate, _apply(key, moves, 1, at))
+        return out
 
 
 def _derive(defs: Definitions, key: StateKey) -> list[tuple]:
@@ -289,7 +306,7 @@ def derivations(defs: Definitions, system: ModelComponent) -> list[Derivation]:
                            frozenset(at[move[0]] for move in moves[:-1]))
                       for rate, moves in steps)
         out.append(Derivation(StochLabel(kind, label, influence, system), i,
-                              steps[0][1][-1][2], succs))
+                              steps[0][1][-1][2], succs, (defs, key, at, steps)))
     return out
 
 
@@ -444,7 +461,7 @@ def export_tsv(ctmc: Ctmc) -> str:
     lines.append("")
     lines.append("# transitions")
     # few distinct rates and labels recur over many transitions: format each
-    # (rate, kind, label) tail once
+    # (rate, kind, label) tail once, here and in export_dot
     tails: dict[tuple[float, ActionType, str], str] = {}
     for t in ctmc.transitions:
         tail = tails.get((t.rate, t.kind, t.label))
@@ -464,8 +481,12 @@ def export_dot(ctmc: Ctmc) -> str:
     for i, state in enumerate(ctmc.states):
         shape = "doublecircle" if i == ctmc.initial else "circle"
         lines.append(f"  s{i} [shape={shape} label={_dot_quote(render_model(state))}];")
+    tails: dict[tuple[float, ActionType, str], str] = {}
     for t in ctmc.transitions:
-        label = f"{t.kind.glyph}{t.label} {t.rate:.17g}"
-        lines.append(f"  s{t.source} -> s{t.target} [label={_dot_quote(label)}];")
+        tail = tails.get((t.rate, t.kind, t.label))
+        if tail is None:
+            label = _dot_quote(f"{t.kind.glyph}{t.label} {t.rate:.17g}")
+            tail = tails[t.rate, t.kind, t.label] = f" [label={label}];"
+        lines.append(f"  s{t.source} -> s{t.target}{tail}")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -639,6 +639,31 @@ def test_two_inputs_on_one_label_fail_only_in_range(reach, fails):
             assert build(defs, system, bound=10).transitions == []
 
 
+def test_continuation_takes_successor_ids_from_the_derivation(monkeypatch):
+    # derivations() keeps the ids the engine derived, so a continuation
+    # interns no successor again and equals the one built by interning
+    import families
+    from paloma.model import Definitions
+    from paloma.semantics import Continuation
+
+    defn = load(families.ring(4, 0))
+    defs = defn.definitions()
+    ctmc = build_ctmc(defs, defn.systems["Main"], bound=1000)
+    found = [d for state in ctmc.states[:40] for d in derivations(defs, state)]
+    expected = [Continuation(defs, [(s.successor, s.rate) for s in d.steps]).items()
+                for d in found]
+    calls = []
+    intern = Definitions._intern
+
+    def counting(self, comp):
+        calls.append(comp)
+        return intern(self, comp)
+
+    monkeypatch.setattr(Definitions, "_intern", counting)
+    assert [d.continuation(defs).items() for d in found] == expected
+    assert calls == []
+
+
 def test_ring4_fills_each_listen_entry_once_and_reuses_derivations(monkeypatch):
     import families
     from paloma.model import _AgentState
