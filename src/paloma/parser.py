@@ -367,8 +367,10 @@ class _Parser:
     def prefix(self, i: int) -> tuple[Prefix, int]:
         """A prefix: its glyph, unless spontaneous, then ``(label, value)``
         and the clause of its kind. Each value is read where it stands and
-        checked for range after the whole prefix. Only an output prefix, whose
-        range can grow with the locations declared, spans no fixed window."""
+        checked for range after the whole prefix. An input or spontaneous
+        prefix spans a fixed window and is kept in ``terms``; an output is
+        not, as its range varies in width and ``all`` grows with the
+        locations declared."""
         tokens = self.tokens
         glyph = tokens[i]
         end = i + 5 if glyph == "(" else i + 11
