@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 
 from .geometry import (
     IDENTITY,
@@ -111,9 +110,10 @@ Gap = tuple[str, dict]
 # A state's location names when they must match literally, and its nonzero
 # exit rates keyed by action index, rounded point and report name.
 Signature = tuple[tuple[str, ...] | None, dict[tuple, float]]
-# A side's reached states, numbered breadth first, and each one's steps in
-# order as (action text, successor number, successor term).
-Reach = tuple[dict[StateKey, int], list[tuple[tuple[str, int, ModelComponent], ...]]]
+# A side's reached states: their numbers by key, breadth first; each one's
+# term, the first found for it (the root's is the one it was reached from);
+# and each one's steps in order, as (action text, successor number).
+Reach = tuple[dict[StateKey, int], list[ModelComponent], list[tuple[tuple[str, int], ...]]]
 # A state's steps by action text, each with its successor's key.
 Steps = dict[str, list[tuple[LiftedStep, StateKey]]]
 
@@ -126,9 +126,9 @@ def _counterexample(rep: PairRep, gap: Gap | None) -> Counterexample | None:
 
 class _Checker:
     """Shared engine behind the bisimilarity checks of one call. States are
-    keyed by their state keys; each keeps the first representative term
-    seen, for display. Only the rate signatures depend on the isometry, so
-    all candidates share each state's steps, exit rates and reached states."""
+    keyed by their state keys and related by their numbers in each side's
+    reach. Only the rate signatures depend on the isometry, so all
+    candidates share each state's steps, exit rates and reached states."""
 
     def __init__(self, defs: Definitions, context: ModelComponent,
                  bound: float = math.inf, same_location: bool = False):
@@ -140,20 +140,18 @@ class _Checker:
         self.actions = [ActionId(act_type, label)
                         for label in action_labels(defs) for act_type in ActionType]
         self.located = _PointGrid(defs.locations.values()).match
-        self._named: dict[str, Location] = {}
         self._steps_cache: dict[StateKey, Steps] = {}
         self._rates: dict[StateKey, tuple[tuple[str, ...], list]] = {}
         self._reached: dict[StateKey, Reach | None] = {}
 
     def steps(self, key: StateKey, subject: ModelComponent) -> Steps:
         """The steps of the state ``key`` (represented by ``subject``), in a
-        fixed order: by action text, then rendered successor."""
+        fixed order: by action text, then successor key."""
         cached = self._steps_cache.get(key)
         if cached is None:
             keyed = _keyed_component_steps(self.defs, self.context, subject)
             cached = self._steps_cache[key] = {}
-            for (text, succ_key), step in sorted(
-                    keyed.items(), key=lambda item: (item[0][0], render_model(item[1].successor))):
+            for (text, succ_key), step in sorted(keyed.items()):
                 cached.setdefault(text, []).append((step, succ_key))
         return cached
 
@@ -163,32 +161,32 @@ class _Checker:
         found = self._rates.get(key)
         if found is None:
             subject = [self.defs._agents[a] for a in key]
-            located = {agent.location.name: agent.location for agent in subject}
-            self._named.update(located)
-            found = self._rates[key] = (tuple(sorted(located)), [
+            names = {agent.location.name for agent in subject}
+            found = self._rates[key] = (tuple(sorted(names)), [
                 _rate_table(self.context_agents, subject, action) for action in self.actions])
         return found
 
     def reach(self, root: StateKey, rep: ModelComponent) -> Reach | None:
-        """The states reachable from ``root``, or ``None`` once there are
-        more than ``bound``. Reached once per root: a state is derived from
-        the first representative that reaches it."""
+        """The states reachable from ``root`` (represented by ``rep``), or
+        ``None`` once there are more than ``bound``. Reached once per root:
+        a state keeps the first term found for it, and is derived from it."""
         if root in self._reached:
             return self._reached[root]
-        index, order = {root: 0}, [(root, rep)]
-        for key, rep in order:
-            for group in self.steps(key, rep).values():
+        index, order, terms = {root: 0}, [root], [rep]
+        for n, key in enumerate(order):
+            for group in self.steps(key, terms[n]).values():
                 for step, succ in group:
                     if succ not in index:
                         index[succ] = len(order)
-                        order.append((succ, step.successor))
+                        order.append(succ)
+                        terms.append(step.successor)
                         if len(order) > self.bound:
                             self._reached[root] = None
                             return None
-        found = self._reached[root] = (index, [
-            tuple((text, index[succ], step.successor)
-                  for text, group in self._steps_cache[key].items() for step, succ in group)
-            for key, _ in order])
+        found = self._reached[root] = (index, terms, [
+            tuple((text, index[succ])
+                  for text, group in self._steps_cache[key].items() for _, succ in group)
+            for key in order])
         return found
 
     def frame(self, phi_inv: Isometry | None):
@@ -198,7 +196,7 @@ class _Checker:
 
         @functools.cache
         def place(name: str) -> tuple[tuple[float, float], str]:
-            found = self._named[name]
+            found = self.defs.locations[name]
             if phi_inv is not None:
                 point = phi_inv.apply(found.point)
                 found = self.located(point) or Location(f"{point}", point)
@@ -233,7 +231,7 @@ class _Checker:
         each state steps into, until their number stops growing."""
         ids: dict = {}
         blocks = []
-        for (index, _), place in zip(sides, places):
+        for (index, _, _), place in zip(sides, places):
             blocks.append([])
             for key in index:
                 names, rates = self.signature(key, place)
@@ -242,9 +240,9 @@ class _Checker:
         count = len(ids)
         while True:
             ids = {}
-            blocks = [[ids.setdefault((own[n], frozenset((text, own[s]) for text, s, _ in steps)),
+            blocks = [[ids.setdefault((own[n], frozenset((text, own[s]) for text, s in steps)),
                                       len(ids)) for n, steps in enumerate(moves)]
-                      for own, (_, moves) in zip(blocks, sides)]
+                      for own, (_, _, moves) in zip(blocks, sides)]
             if len(ids) == count:
                 return blocks
             count = len(ids)
@@ -265,31 +263,26 @@ class _Checker:
                                                         "transition": step.label_text}
         return None
 
-    def relation(self, sides: list[Reach], blocks: list[list[int]],
-                 root_rep: PairRep) -> list[PairRep]:
-        """The pairs reachable from the roots through matched steps whose
-        successors share a block, each as its representative terms."""
-        (_, left_moves), (_, right_moves) = sides
-        width = len(right_moves)
-        # pairs are numbered left state by right state; the roots are 0 and 0
-        reps = {0: root_rep}
-        # each right state's steps by action and successor block, in order
-        grouped: dict[int, dict[tuple[str, int], list]] = {}
-        queue = deque([0])
-        while queue:
-            left, right = divmod(queue.popleft(), width)
+    def relation(self, sides: list[Reach], blocks: list[list[int]]) -> list[tuple[int, int]]:
+        """The pairs of state numbers reachable from the roots (0 and 0)
+        through matched steps whose successors share a block."""
+        (_, _, left_moves), (_, _, right_moves) = sides
+        pairs = [(0, 0)]
+        seen = set(pairs)
+        # each right state's successors by action and successor block
+        grouped: dict[int, dict[tuple[str, int], list[int]]] = {}
+        for left, right in pairs:
             partners = grouped.get(right)
             if partners is None:
                 partners = grouped[right] = {}
-                for text, succ, term in right_moves[right]:
-                    partners.setdefault((text, blocks[1][succ]), []).append((succ, term))
-            for text, succ_l, term_l in left_moves[left]:
-                for succ_r, term_r in partners.get((text, blocks[0][succ_l]), ()):
-                    pair = succ_l * width + succ_r
-                    if pair not in reps:
-                        reps[pair] = (term_l, term_r)
-                        queue.append(pair)
-        return list(reps.values())
+                for text, succ in right_moves[right]:
+                    partners.setdefault((text, blocks[1][succ]), []).append(succ)
+            for text, succ_l in left_moves[left]:
+                for succ_r in partners.get((text, blocks[0][succ_l]), ()):
+                    if (succ_l, succ_r) not in seen:
+                        seen.add((succ_l, succ_r))
+                        pairs.append((succ_l, succ_r))
+        return pairs
 
     def run(self, left: ModelComponent, right: ModelComponent,
             phi: Isometry) -> BisimResult:
@@ -310,17 +303,22 @@ class _Checker:
                 related=False, inconclusive=True,
                 note=f"state bound {self.bound} exceeded while reaching a side's states")
         blocks = self.refine(sides, places)
-        (left_index, _), (right_index, _) = sides
+        (left_index, _, _), (right_index, _, _) = sides
 
         def related(l: StateKey, r: StateKey) -> bool:
             return blocks[0][left_index[l]] == blocks[1][right_index[r]]
 
         if related(*root):
-            pairs = self.relation(sides, blocks, root_rep)
-            rendered = [(render_model(l), render_model(r)) for l, r in pairs]
-            order = sorted(range(len(pairs)), key=rendered.__getitem__)
-            return BisimResult(related=True, witness=phi, relation=[rendered[i] for i in order],
-                               pairs=[pairs[i] for i in order])
+            pairs = self.relation(sides, blocks)
+            # each state of the relation prints as one term, rendered once;
+            # a root prints as given, even when both sides share one reach
+            terms = [[rep, *side[1][1:]] for rep, side in zip(root_rep, sides)]
+            names = [{n: render_model(own[n]) for n in set(numbers)}
+                     for own, numbers in zip(terms, zip(*pairs))]
+            pairs.sort(key=lambda pair: (names[0][pair[0]], names[1][pair[1]]))
+            return BisimResult(related=True, witness=phi,
+                               relation=[(names[0][l], names[1][r]) for l, r in pairs],
+                               pairs=[(terms[0][l], terms[1][r]) for l, r in pairs])
 
         # report the most telling root failure: a step the other side cannot
         # take at all, else a step into a block the other side cannot reach

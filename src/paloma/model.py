@@ -312,15 +312,16 @@ _CLOSE_CHOICE = object()
 
 
 class _AgentState:
-    """Compiled tables of one interned agent state, read off its resolved
-    choice tree: what the semantics and rate layers ask of an agent.
-    ``listens`` and ``next`` are filled on first use, and ``derived`` is the
-    semantics layer's memo of the derivations this agent sends."""
+    """Compiled tables of one interned agent state, read off the resolved
+    choice tree it keeps: what the model, semantics and rate layers ask of
+    an agent. ``listens`` and ``next`` are filled on first use, and
+    ``derived`` is the semantics layer's memo of the derivations it sends."""
 
-    __slots__ = ("location", "leaves", "groups", "weight", "sends", "listens", "derived",
-                 "next")
+    __slots__ = ("resolved", "location", "leaves", "groups", "weight", "sends", "listens",
+                 "derived", "next")
 
     def __init__(self, resolved: SeqComponent):
+        self.resolved = resolved
         self.location = resolved.location
         self.leaves = tuple(_syntactic_leaves(resolved))
         # leaf indices by (kind, label), in written order
@@ -548,7 +549,7 @@ def canonical(defs: Definitions, component: ModelComponent) -> ModelComponent:
     the engine keys states by interned agent ids instead (``_state_key``),
     which are equal exactly when these forms are.
     """
-    return tuple(defs.resolve(part) for part in component)
+    return tuple(agent.resolved for agent in _agents_of(defs, component))
 
 
 def struct_equiv(defs: Definitions,
@@ -561,13 +562,13 @@ def struct_equiv(defs: Definitions,
     if isinstance(left, SeqComponent) != isinstance(right, SeqComponent):
         return False
     if isinstance(left, SeqComponent):
-        return defs.resolve(left) == defs.resolve(right)
-    return canonical(defs, left) == canonical(defs, right)
+        return defs._intern(left) == defs._intern(right)
+    return _state_key(defs, left) == _state_key(defs, right)
 
 
 def choice_leaves(defs: Definitions, comp: SeqComponent) -> Iterator[PrefixGuarded]:
     """The prefix-guarded alternatives of an agent, left to right."""
-    return iter(_syntactic_leaves(defs.resolve(comp)))
+    return iter(defs._agent(comp).leaves)
 
 
 def _syntactic_leaves(comp: SeqComponent) -> list[PrefixGuarded]:

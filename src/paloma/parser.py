@@ -282,7 +282,7 @@ class _Parser:
     def param_stmt(self, i: int) -> int:
         self.expect(i, ("parameter name", "=", "number", ";"))
         name = self.tokens[i]
-        value = self.number(i + 2, i + 4)
+        value = self.number(i + 2, i + 3)
         if name in self.params:
             self.error(f"duplicate parameter {name!r}", i)
         elif not value > 0:

@@ -92,21 +92,17 @@ def receive_weight(defs: Definitions,
 
 def unicast_act_prob(defs: Definitions, comp: SeqComponent, label: str) -> float:
     """Probability that the agent acts on a received unicast ``label``."""
-    return _unicast_act_prob(defs._agent(comp), label)
-
-
-def _unicast_act_prob(agent: _AgentState, label: str) -> float:
-    entry = agent.listen(ActionType.UNICAST_IN, label)
-    return entry[2] if entry else 0.0
+    return _act_prob(defs._agent(comp), ActionType.UNICAST_IN, label)
 
 
 def broadcast_act_prob(defs: Definitions, comp: SeqComponent, label: str) -> float:
     """Probability that the agent receives and acts on broadcast ``label``."""
-    return _broadcast_act_prob(defs._agent(comp), label)
+    return _act_prob(defs._agent(comp), ActionType.BROADCAST_IN, label)
 
 
-def _broadcast_act_prob(agent: _AgentState, label: str) -> float:
-    entry = agent.listen(ActionType.BROADCAST_IN, label)
+def _act_prob(agent: _AgentState, kind: ActionType, label: str) -> float:
+    """Probability that the agent acts on a ``kind`` input on ``label``."""
+    entry = agent.listen(kind, label)
     return entry[2] if entry else 0.0
 
 
@@ -245,13 +241,13 @@ class _System:
         if kind is ActionType.SPONTANEOUS or kind is ActionType.BROADCAST_OUT:
             return _own_rate(agent, kind, label)
         if kind is ActionType.BROADCAST_IN:
-            prob = _broadcast_act_prob(agent, label)
+            prob = _act_prob(agent, kind, label)
             if prob <= 0.0:
                 return 0.0
             return self.incoming_rate(agent.location.name, p) * prob
         if kind is ActionType.UNICAST_OUT:
             return self.best_delivery(p)
-        act = _unicast_act_prob(agent, label)
+        act = _act_prob(agent, kind, label)
         own = agent.weight.get(label, 0)
         if act <= 0.0 or own <= 0.0:
             return 0.0

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from paloma.model import constant
 from paloma.parser import ModelDefinition, parse_model, validate
 
 # the benchmark's seeded model families (perfbench/families.py), which some
@@ -60,6 +61,14 @@ def load(source: str) -> ModelDefinition:
     problems = [d for d in validate(result.definition) if d.severity == "error"]
     assert not problems, [str(d) for d in problems]
     return result.definition
+
+
+def with_aliases(defn: ModelDefinition) -> ModelDefinition:
+    """Add ``AliasC(l) := C(l)`` for every equation, so that distinct terms
+    resolve to equal trees."""
+    for name, locname in list(defn.equations):
+        defn.equations[("Alias" + name, locname)] = constant(name, defn.locations[locname])
+    return defn
 
 
 @pytest.fixture(scope="session")

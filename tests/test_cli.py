@@ -66,6 +66,17 @@ def test_check_reports_syntax_error_with_position(tmp_path):
     assert "error" in proc.stdout and "2:" in proc.stdout
 
 
+def test_non_finite_parameter_does_not_swallow_the_next_statement(tmp_path):
+    # parsing resumes after the parameter's own ";", so the location that
+    # follows is declared and nothing else is reported
+    path = tmp_path / "infinite.paloma"
+    path.write_text("param x = 1e999;\nlocation l0 = (0.0, 0.0);\n"
+                    "A(l0) := (tick, 1.0).A(l0);\nsystem S = A(l0);\n", encoding="utf-8")
+    proc = run_cli("check", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == "error: 1:11: number '1e999' is not finite\n"
+
+
 def test_check_reports_dangling_constant(tmp_path):
     path = tmp_path / "dangling.paloma"
     path.write_text(

@@ -18,7 +18,7 @@ from paloma.equivalence import (
 from paloma.geometry import IDENTITY, invert, reflection_y_axis, translation
 from paloma.model import ActionId, EMPTY, _state_key, constant, render_model
 from paloma.rates import RateQuery, exit_rate
-from conftest import load
+from conftest import load, with_aliases
 from oracle import random_model
 
 TWO_PLACES_SOURCE = """
@@ -407,6 +407,47 @@ def test_relation_keeps_the_pairs_reachable_inside_it():
     assert set(result.relation) < set(parent.relation)
     assert ("C0(l1) || C2(l2)", "C0(l2) || C2(l2)") in omitted
     assert recheck_transfer(defs, EMPTY, result.pairs) is None
+
+
+def test_related_verdict_renders_each_state_of_the_relation_once(monkeypatch):
+    # steps are ordered by successor key and pairs relate state numbers, so
+    # terms are rendered only for the report, one per state and side
+    import families
+    import paloma.equivalence as equivalence
+
+    rendered = []
+    real = equivalence.render_model
+    monkeypatch.setattr(equivalence, "render_model",
+                        lambda term: rendered.append(term) or real(term))
+    ring = load(families.ring(3, 1))
+    result = bisimilar(ring.definitions(), ring.systems["Main"], ring.systems["Rot"], EMPTY)
+    assert result.related and len(result.relation) > 1
+    states = len({l for l, _ in result.relation}) + len({r for _, r in result.relation})
+    assert 0 < len(rendered) <= states
+
+
+def test_aliased_state_prints_as_one_term_and_roots_as_given():
+    # Alias holds AliasC(l) := C(l) in place of each agent C(l) of Main, so
+    # both roots share one key and one reach; the right root's key recurs as
+    # the rotated state, and prints as the right root on every line
+    defn = with_aliases(random_model(random.Random(142), max_agents=2, n_locations=2,
+                                     max_alternatives=2))
+    defs = defn.definitions()
+    main = defn.systems["Main"]
+    alias = tuple(constant("Alias" + part.body.name, part.location) for part in main)
+    result = bisimilar(defs, main, alias, EMPTY)
+    assert result.related and result.witness.kind == "identity"
+    assert render_model(main) == "C2(l0) || C0(l0)"
+    assert [pair for pair in result.relation if "Alias" in "".join(pair)] == [
+        ("C0(l0) || C2(l0)", "AliasC2(l0) || AliasC0(l0)"),
+        ("C2(l0) || C0(l0)", "AliasC2(l0) || AliasC0(l0)"),
+    ]
+    assert (main, alias) in result.pairs
+    assert len(result.relation) == len(set(result.relation)) == 28
+    for side in (0, 1):
+        printed = {(_state_key(defs, pair[side]), text[side])
+                   for pair, text in zip(result.pairs, result.relation)}
+        assert len(printed) == len(dict(printed))
 
 
 def test_bound_counts_the_states_each_side_reaches():

@@ -31,7 +31,7 @@ from paloma.model import (
 )
 from paloma.rates import spontaneous_rate
 from paloma.semantics import build_ctmc
-from conftest import SCENARIO_SOURCE, load
+from conftest import SCENARIO_SOURCE, load, with_aliases
 from oracle import random_model
 
 L0 = Location("l0", (-1.0, 0.0))
@@ -190,18 +190,9 @@ def test_spontaneous_prefix_requires_positive_rate():
         Spontaneous("tick", 0.0)
 
 
-def _with_aliases(defn):
-    """Add ``AliasC(l) := C(l)`` for every equation, so that distinct terms
-    resolve to equal trees."""
-    for (name, locname), body in list(defn.equations.items()):
-        loc = defn.locations[locname]
-        defn.equations[("Alias" + name, locname)] = constant(name, loc)
-    return defn
-
-
 def test_interned_key_matches_resolved_equality():
     for seed in range(40):
-        defn = _with_aliases(random_model(random.Random(41_000 + seed), n_locations=2))
+        defn = with_aliases(random_model(random.Random(41_000 + seed), n_locations=2))
         defs = defn.definitions()
         terms = set()
         for system in defn.systems.values():
@@ -242,7 +233,7 @@ def test_definitions_memo_is_lazy_and_fresh():
 
 
 def test_interning_from_many_threads_agrees():
-    defn = _with_aliases(random_model(random.Random(42_000), n_locations=3,
+    defn = with_aliases(random_model(random.Random(42_000), n_locations=3,
                                       n_constants=4, max_alternatives=3))
     terms = sorted({part for state in build_ctmc(defn.definitions(), defn.systems["Main"],
                                                  bound=2000).states
