@@ -14,15 +14,19 @@ PALOMA_BOUND sets the default bound.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .geometry import Isometry
 from .model import ActionId, EMPTY, Definitions, ModelError, action_labels
 from .parser import Diagnostic, ModelDefinition, parse_model, validate
+
+if TYPE_CHECKING:
+    import argparse
 
 # Names from the CTMC and bisimulation layers. Each is taken from the package
 # when it is first read off this module (PEP 562), and the package loads the
@@ -230,53 +234,102 @@ def cmd_bisim(args: argparse.Namespace) -> int:
     return EXIT_NOT_RELATED
 
 
+# The command grammar: each command's help, handler and options, in the
+# order ``--help`` lists them after the model. An option is (name, kind,
+# required, default, help); its kind is str, int, a tuple of choices, or
+# list for a repeatable one. ``main`` reads the usual calls off this table
+# and builds argparse from it for the rest, so argparse (with gettext and
+# locale) loads only for help, abbreviations and usage errors.
+_COMMANDS = {
+    "check": ("parse and validate a model file", cmd_check, ()),
+    "ctmc": ("derive the CTMC of a system", cmd_ctmc, (
+        ("--system", str, True, None, None),
+        ("--bound", int, False, None, None),
+        ("--format", ("tsv", "dot"), False, "tsv", None),
+        ("--out", str, False, None, None))),
+    "rate": ("context-aware exit rate of an action", cmd_rate, (
+        ("--system", str, True, None, None),
+        ("--action", str, True, None,
+         "action with type glyph, e.g. '!!move', '?ping', 'tick'"),
+        ("--loc", list, False, None, "restrict to agents at this location (repeatable)"),
+        ("--context", str, False, "empty", "surrounding system name, or 'empty'"),
+        ("--out", str, False, None, None))),
+    "bisim": ("decide bisimilarity of two systems", cmd_bisim, (
+        ("--left", str, True, None, None),
+        ("--right", str, True, None, None),
+        ("--context", str, False, "empty", None),
+        ("--mode", ("isometry", "naive", "fixed-phi"), False, "isometry", None),
+        ("--matrix", str, False, None, "fixed-phi linear part, row-major a,b,c,d"),
+        ("--offset", str, False, None, "fixed-phi translation tx,ty"),
+        ("--bound", int, False, None, None),
+        ("--out", str, False, None, None))),
+}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_arg_parser().parse_args(argv)`` gives, read straight off
+    ``_COMMANDS`` when ``argv`` has the usual form: a command, one model, and
+    options spelled exactly, each with a valid value that does not start
+    with ``-``. ``None`` for anything else (help, abbreviations,
+    ``--flag=value``, ``--``, usage errors), which argparse reads."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    kinds = {name: kind for name, kind, *_ in options}
+    found = {"command": argv[0], "func": func, "model": None}
+    found.update((name[2:], default) for name, _, _, default, _ in options)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if found["model"] is not None:
+                return None
+            found["model"] = token
+            continue
+        value = next(tokens, "-")
+        if token not in kinds or value.startswith("-"):
+            return None
+        kind = kinds[token]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is list:
+            value = (found[token[2:]] or []) + [value]
+        elif kind is not str and value not in kind:
+            return None
+        found[token[2:]] = value
+    # a given value is never None, and a required option defaults to None
+    if found["model"] is None or any(required and found[name[2:]] is None
+                                     for name, _, required, _, _ in options):
+        return None
+    return SimpleNamespace(**found)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="paloma",
         description="Analyses for located-agent stochastic process models.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="parse and validate a model file")
-    check.add_argument("model")
-    check.set_defaults(func=cmd_check)
-
-    ctmc = sub.add_parser("ctmc", help="derive the CTMC of a system")
-    ctmc.add_argument("model")
-    ctmc.add_argument("--system", required=True)
-    ctmc.add_argument("--bound", type=int)
-    ctmc.add_argument("--format", choices=("tsv", "dot"), default="tsv")
-    ctmc.add_argument("--out")
-    ctmc.set_defaults(func=cmd_ctmc)
-
-    rate = sub.add_parser("rate", help="context-aware exit rate of an action")
-    rate.add_argument("model")
-    rate.add_argument("--system", required=True)
-    rate.add_argument("--action", required=True,
-                      help="action with type glyph, e.g. '!!move', '?ping', 'tick'")
-    rate.add_argument("--loc", action="append",
-                      help="restrict to agents at this location (repeatable)")
-    rate.add_argument("--context", default="empty",
-                      help="surrounding system name, or 'empty'")
-    rate.add_argument("--out")
-    rate.set_defaults(func=cmd_rate)
-
-    bisim = sub.add_parser("bisim", help="decide bisimilarity of two systems")
-    bisim.add_argument("model")
-    bisim.add_argument("--left", required=True)
-    bisim.add_argument("--right", required=True)
-    bisim.add_argument("--context", default="empty")
-    bisim.add_argument("--mode", choices=("isometry", "naive", "fixed-phi"),
-                       default="isometry")
-    bisim.add_argument("--matrix", help="fixed-phi linear part, row-major a,b,c,d")
-    bisim.add_argument("--offset", help="fixed-phi translation tx,ty")
-    bisim.add_argument("--bound", type=int)
-    bisim.add_argument("--out")
-    bisim.set_defaults(func=cmd_bisim)
+    for command, (summary, func, options) in _COMMANDS.items():
+        parser_of = sub.add_parser(command, help=summary)
+        parser_of.add_argument("model")
+        for name, kind, required, default, text in options:
+            parser_of.add_argument(
+                name, required=required, default=default, help=text,
+                type=int if kind is int else None,
+                choices=kind if isinstance(kind, tuple) else None,
+                action="append" if kind is list else None)
+        parser_of.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv) or build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
     except _InvalidModel as exc:

@@ -27,8 +27,6 @@ from .geometry import (
     invert,
 )
 from .model import (
-    ActionId,
-    ActionType,
     Definitions,
     Location,
     ModelComponent,
@@ -36,8 +34,8 @@ from .model import (
     StateKey,
     _Record,
     _agents_of,
+    _model_actions,
     _state_key,
-    action_labels,
     locations_of,
     render_model,
 )
@@ -137,8 +135,9 @@ class _Checker:
         self.context_agents = _agents_of(defs, context)
         self.bound = bound
         self.same_location = same_location
-        self.actions = [ActionId(act_type, label)
-                        for label in action_labels(defs) for act_type in ActionType]
+        # an action no prefix carries has rate 0 in every state, and
+        # signatures keep only nonzero rates: leave such actions out
+        self.actions = _model_actions(defs)
         self.located = _PointGrid(defs.locations.values()).match
         self._steps_cache: dict[StateKey, Steps] = {}
         self._rates: dict[StateKey, tuple[tuple[str, ...], list]] = {}

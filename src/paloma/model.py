@@ -588,9 +588,16 @@ def _syntactic_leaves(comp: SeqComponent) -> list[PrefixGuarded]:
 
 def action_labels(defs: Definitions) -> list[str]:
     """Every action label mentioned by the model's equations, sorted."""
-    return sorted({leaf.prefix.label
-                   for body in defs.equations.values()
-                   for leaf in _syntactic_leaves(body)})
+    return list(dict.fromkeys(action.label for action in _model_actions(defs)))
+
+
+def _model_actions(defs: Definitions) -> list[ActionId]:
+    """Every action that a prefix of the model's equations carries: by
+    label, then in ``ActionType`` order."""
+    kinds = list(ActionType)
+    found = {(leaf.prefix.label, kinds.index(_PREFIX_TYPES[type(leaf.prefix)]))
+             for body in defs.equations.values() for leaf in _syntactic_leaves(body)}
+    return [ActionId(kinds[n], label) for label, n in sorted(found)]
 
 
 def format_number(value: float) -> str:

@@ -428,20 +428,26 @@ def _keyed_component_steps(defs: Definitions, context: ModelComponent,
     system = context + part
     key = _state_key(defs, system)
     found: dict[tuple[str, StateKey], LiftedStep] = {}
+    # the sender's and the receivers' action of each (kind, label), built once
+    built: dict[tuple[ActionType, str], tuple[ActionId, ActionId | None]] = {}
     for i, kind, label, _, steps, at in _derive(defs, key):
-        text = ActionId(kind, label).text
+        pair = built.get((kind, label))
+        if pair is None:
+            pair = built[kind, label] = (ActionId(kind, label), ActionId(
+                _INPUT_OF[kind], label) if kind in _INPUT_OF else None)
+        sent, heard = pair
         for _, moves in steps:
             actions = []
             if i >= offset:
-                actions.append(ActionId(kind, label))
+                actions.append(sent)
             if any(at[move[0]] >= offset for move in moves[:-1]):
-                actions.append(ActionId(_INPUT_OF[kind], label))
+                actions.append(heard)
             if actions:
                 succ_key = _apply(key, moves, 1, at)[offset:]
                 for action in actions:
                     if (action.text, succ_key) not in found:
                         succ = _apply(system, moves, 2, at)[offset:]
-                        found[action.text, succ_key] = LiftedStep(action, text, succ)
+                        found[action.text, succ_key] = LiftedStep(action, sent.text, succ)
     return found
 
 

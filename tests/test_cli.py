@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import families
 from conftest import BLOCKING_SOURCE, SCENARIO_P, SCENARIO_R, SCENARIO_SOURCE
+from paloma import cli
 
 NAIVE_SOURCE = """
 location l0 = (0.0, 0.0);
@@ -619,3 +621,69 @@ def test_traced_cli_records_a_span_per_layer(scenario_path, tmp_path, argv, laye
     assert proc.stdout == run_cli(argv[0], scenario_path, *argv[1:]).stdout
     names = {span["name"] for span in json.loads(spans.read_text(encoding="utf-8"))}
     assert {"cli.main", "parser.parse_model", "parser.validate"} | layers <= names
+
+
+def _argparse_reading(argv: list[str]):
+    """``build_arg_parser().parse_args(argv)``, or ``None`` where it exits."""
+    import contextlib
+    import io
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_arg_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+_OPTION_NAMES = sorted({name for _, _, options in cli._COMMANDS.values()
+                        for name, *_ in options})
+_VALUES = ["m", "S", "", "-1", "0", "5", "0x5", "٣", " 7", "1_0", "tsv", "dot", "xml",
+           "naive", "fixed-phi", "isometry", "a=b"]
+_OPTIONS = st.sampled_from(_OPTION_NAMES) | st.sampled_from(_OPTION_NAMES).flatmap(
+    lambda name: st.sampled_from([name[:k] for k in range(3, len(name))]))  # abbreviated
+_PIECES = st.one_of(
+    st.tuples(_OPTIONS, st.sampled_from(_VALUES)),
+    st.builds(lambda name, value: (f"{name}={value}",), _OPTIONS, st.sampled_from(_VALUES)),
+    st.sampled_from(["-h", "--help", "--", "--bogus", *_VALUES]).map(lambda token: (token,)))
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """A command, its model and required options, plus a few drawn pieces,
+    shuffled, and sometimes without the first of them."""
+    command = draw(st.sampled_from([*cli._COMMANDS] * 3 + ["chec", "-h", "--"]))
+    options = cli._COMMANDS[command][2] if command in cli._COMMANDS else ()
+    own = st.tuples(st.sampled_from([name for name, *_ in options] or ["--out"]),
+                    st.sampled_from(_VALUES))
+    pieces = [("m",), *((name, "S") for name, _, required, _, _ in options if required),
+              *draw(st.lists(own | own | _PIECES, max_size=3))]
+    pieces = draw(st.permutations(pieces))[draw(st.sampled_from([0, 0, 0, 1])):]
+    return [command, *(token for piece in pieces for token in piece)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+@example(["rate", "m", "--loc", "a", "--system", "S", "--loc", "b", "--action", "t"])
+@example(["ctmc", "--bound", "5", "m", "--system", "S", "--bound", "٣", "--format", "dot"])
+@example(["bisim", "m", "--left", "S", "--right", "S", "--o", "x"])  # --offset or --out
+def test_the_option_table_reader_agrees_with_argparse(argv):
+    # main reads argv off the option table where it can, else through
+    # argparse: the reader declines every argv that argparse rejects, and
+    # any namespace it returns is the one argparse would give
+    read, parsed = cli._read_argv(argv), _argparse_reading(argv)
+    if parsed is None:
+        assert read is None
+    elif read is not None:
+        assert vars(read) == vars(parsed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", ""],
+    ["ctmc", "m", "--system", "S", "--bound", " 7", "--format", "dot", "--system", "T"],
+    ["rate", "--system", "S", "m", "--action", "!!a", "--loc", "x", "--loc", "x"],
+    ["bisim", "m", "--left", "L", "--right", "R", "--mode", "fixed-phi", "--matrix", "1,0,0,1",
+     "--offset", "0,0", "--context", "C", "--bound", "1_0", "--out", "o"],
+], ids=["check", "ctmc", "rate", "bisim"])
+def test_the_option_table_reader_reads_the_usual_form(argv):
+    read = cli._read_argv(argv)
+    assert read is not None and vars(read) == vars(_argparse_reading(argv))

@@ -614,3 +614,23 @@ def test_checker_matches_the_reference_on_drawn_models(seed, max_agents, n_locat
                                    phi, bound))
                 same(naive_bisim(defs, left[0], right[0], context, bound),
                      _expected(reference.naive_bisim, defs, left[0], right[0], context, bound))
+
+
+def test_rates_are_priced_only_for_actions_some_prefix_carries(monkeypatch):
+    # an action that no prefix carries has rate 0 in every state, so the
+    # checker prices only the (type, label) pairs the model writes: ring-3
+    # and duo-4 each write 5 of the 15 that their 3 labels make
+    import families
+    import paloma.equivalence as equivalence
+
+    priced = []
+    real = equivalence._rate_table
+    monkeypatch.setattr(equivalence, "_rate_table",
+                        lambda *args: priced.append(args[2].text) or real(*args))
+    ring = load(families.ring(3, 1))
+    result = bisimilar(ring.definitions(), ring.systems["Main"], ring.systems["Rot"], EMPTY)
+    assert result.related and len(priced) == 135
+    priced.clear()
+    duo = load(families.duo(4, 1))
+    result = bisimilar(duo.definitions(), duo.systems["Main"], duo.systems["Odd"], EMPTY)
+    assert not result.related and len(priced) == 10

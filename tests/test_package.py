@@ -101,7 +101,7 @@ def _fresh_interpreter(probe: str) -> str:
     return proc.stdout
 
 
-@pytest.mark.parametrize("argv, loaded", [
+_COMMAND_CALLS = pytest.mark.parametrize("argv, loaded", [
     (["check", "models/scenario.paloma"], "cli geometry model parser"),
     (["rate", "models/scenario.paloma", "--system", "Scenario1",
       "--action", "!!message_move"], "cli geometry model parser rates"),
@@ -110,6 +110,9 @@ def _fresh_interpreter(probe: str) -> str:
     (["bisim", "models/scenario.paloma", "--left", "Scenario1", "--right", "Scenario2"],
      "cli equivalence geometry model parser rates semantics"),
 ], ids=["check", "rate", "ctmc", "bisim"])
+
+
+@_COMMAND_CALLS
 def test_a_command_loads_only_the_layers_it_runs(argv, loaded):
     # every command-line call is a fresh interpreter: check and rate never
     # import the CTMC or bisimulation layers, and ctmc skips bisimulation
@@ -119,6 +122,55 @@ def test_a_command_loads_only_the_layers_it_runs(argv, loaded):
              f"    assert cli.main({argv!r}) == 0\n"
              "print(*sorted(m[7:] for m in sys.modules if m.startswith('paloma.')))")
     assert _fresh_interpreter(probe) == loaded + "\n"
+
+
+def _cli_call(argv: list[str]) -> tuple[str, str, int, list[str]]:
+    """stdout, stderr and exit code of ``argv`` in a fresh interpreter at 80
+    columns, and which of argparse and the modules it imports it loaded."""
+    import json
+
+    probe = ("import contextlib, io, json, os, sys\n"
+             "os.environ['COLUMNS'] = '80'\n"
+             "from paloma import cli\n"
+             "out, err = io.StringIO(), io.StringIO()\n"
+             "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+             "    try:\n"
+             f"        code = cli.main({argv!r})\n"
+             "    except SystemExit as exc:\n"
+             "        code = exc.code\n"
+             "print(json.dumps([out.getvalue(), err.getvalue(), code,\n"
+             "                  sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))]))")
+    return tuple(json.loads(_fresh_interpreter(probe)))
+
+
+@_COMMAND_CALLS
+def test_a_well_formed_call_skips_argparse(argv, loaded):
+    # options spelled exactly, each with its value, are read off the CLI's
+    # option table: argparse, gettext and locale are never imported
+    out, err, code, stdlib = _cli_call(argv)
+    assert (code, err, stdlib) == (0, "", [])
+    assert out
+
+
+def test_help_abbreviations_and_usage_errors_go_through_argparse():
+    loaded = ["argparse", "gettext", "locale"]
+    out, err, code, stdlib = _cli_call(["--help"])
+    assert (err, code, stdlib) == ("", 0, loaded)
+    assert out.startswith("usage: paloma [-h] {check,ctmc,rate,bisim} ...\n")
+    assert "    bisim               decide bisimilarity of two systems\n" in out
+    rate = ["rate", "models/scenario.paloma", "--action", "!!message_move"]
+    assert _cli_call([*rate, "--sys", "Scenario1"]) == ("2\n", "", 0, loaded)
+    assert _cli_call([*rate, "--system", "Scenario1"]) == ("2\n", "", 0, [])
+    out, err, code, stdlib = _cli_call(
+        ["bisim", "models/scenario.paloma", "--left", "Scenario1", "--right", "Scenario2",
+         "--mode", "fixed-phi", "--matrix=-1,0,0,1", "--offset", "0,0"])
+    assert (err, code, stdlib) == ("", 0, loaded)
+    assert out.startswith("verdict: related\nisometry: reflection: linear [[-1, 0], [0, 1]]")
+    assert _cli_call(["ctmc", "models/scenario.paloma"]) == ("", (
+        "usage: paloma ctmc [-h] --system SYSTEM [--bound BOUND] [--format {tsv,dot}]\n"
+        "                   [--out OUT]\n"
+        "                   model\n"
+        "paloma ctmc: error: the following arguments are required: --system\n"), 2, loaded)
 
 
 def test_every_exported_name_resolves_on_first_use():
