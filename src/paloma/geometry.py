@@ -1,9 +1,9 @@
 """Isometries of the Euclidean plane.
 
 An isometry is stored as an orthogonal linear part plus a translation.
-Candidates for matching two finite point sets are synthesised from ordered
-point pairs with equal distances: every such correspondence pins down
-exactly two isometries, one orientation-preserving and one reflected.
+Candidates for matching two finite point sets map one centroid onto the
+other (Atkinson 1987); that and one more point pin down two isometries,
+one orientation-preserving and one reflected.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ class Isometry(_Record):
         return "reflection" if twice.is_identity(1e-7) else "glide-reflection"
 
     def describe(self) -> str:
-        (a, b), (c, d) = self.linear
-        tx, ty = self.offset
-        return (f"{self.kind}: linear [[{a:.9g}, {b:.9g}], [{c:.9g}, {d:.9g}]], "
-                f"offset ({tx:.9g}, {ty:.9g})")
+        # an entry within ALGEBRAIC_TOL of zero is rounding noise: print 0
+        entries = (*self.linear[0], *self.linear[1], *self.offset)
+        a, b, c, d, tx, ty = ("0" if abs(v) <= ALGEBRAIC_TOL else f"{v:.9g}" for v in entries)
+        return f"{self.kind}: linear [[{a}, {b}], [{c}, {d}]], offset ({tx}, {ty})"
 
 
 IDENTITY = Isometry(((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0))
@@ -215,14 +215,15 @@ def candidate_isometries(points_a: list[Point], points_b: list[Point],
                          tol: float = GEOMETRIC_TOL) -> tuple[list[Isometry], str | None]:
     """Every isometry that maps one occupied point set onto another.
 
-    Synthesised from distance-matched ordered pairs; a single occupied point
-    on each side yields the plain translation between them. Only candidates
-    that map every point within ``tol`` of a point of the other set are
-    kept, one for each orientation and correspondence of points, the first
-    synthesised. Mismatched set sizes admit no bijective matching, reported
-    through the note. Candidates are ordered deterministically:
-    identity first, then orientation-reversing before orientation-preserving,
-    then by rounded parameters.
+    Each sends one centroid and its first farthest point onto the other
+    centroid and a point as far from it, within ``tol``; a single occupied
+    point on each side yields the plain translation between them. Only
+    candidates that map every point within ``tol`` of a point of the other
+    set are kept, one for each orientation and correspondence of points,
+    the first synthesised. Mismatched set sizes admit no bijective matching,
+    reported through the note. Candidates are ordered: identity first, then
+    orientation-reversing before orientation-preserving, then by rounded
+    parameters.
     """
     set_a = sorted(set(points_a))
     set_b = sorted(set(points_b))
@@ -236,25 +237,20 @@ def candidate_isometries(points_a: list[Point], points_b: list[Point],
         (ax, ay), (bx, by) = set_a[0], set_b[0]
         candidates.append(translation(bx - ax, by - ay))
     else:
-        for a1 in set_a:
-            for a2 in set_a:
-                if a1 == a2:
-                    continue
-                for b1 in set_b:
-                    for b2 in set_b:
-                        if b1 == b2:
-                            continue
-                        if abs(math.dist(a1, a2) - math.dist(b1, b2)) > tol:
-                            continue
-                        candidates.extend(_pair_isometries(a1, a2, b1, b2))
-    unique: dict[tuple, Isometry] = {}
-    for iso in candidates:
-        unique.setdefault(_round_key(iso), iso)
+        # centroids: dividing first keeps the sum from overflowing
+        n = len(set_a)
+        ca, cb = ((sum(x / n for x, _ in points), sum(y / n for _, y in points))
+                  for points in (set_a, set_b))
+        far = max(set_a, key=lambda p: math.dist(p, ca))
+        radius = math.dist(far, ca)
+        for b in set_b:
+            if abs(math.dist(b, cb) - radius) <= tol:
+                candidates.extend(_pair_isometries(ca, far, cb, b))
     # the targets are named by their index; one candidate is kept for each
     # orientation and tuple of matched targets
     targets = _PointGrid((Location(str(k), point) for k, point in enumerate(set_b)), tol)
     matching: dict[tuple, Isometry] = {}
-    for iso in unique.values():
+    for iso in candidates:
         matched = []
         for point in set_a:
             matched.append(targets.match(iso.apply(point)))
@@ -263,7 +259,6 @@ def candidate_isometries(points_a: list[Point], points_b: list[Point],
         else:
             matching.setdefault((iso.determinant > 0.0, tuple(matched)), iso)
     ordered = sorted(matching.values(),
-                     key=lambda iso: (not iso.is_identity(),
-                                      round(iso.determinant, KEY_DIGITS),
+                     key=lambda iso: (not iso.is_identity(), iso.determinant > 0.0,
                                       _round_key(iso)))
     return ordered, None

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -416,7 +417,7 @@ GOLDEN = [
     ("ring", ("bisim", "--left", "Main", "--right", "Rot"), 0,
      "ad1923430b77ee92dae75d3b9eba993fad7c331ff74fc02dfe9f12300956b146"),
     ("ring", ("bisim", "--left", "Main", "--right", "Odd"), 1,
-     "3ea73bc57ff8fcfbc1bf095927aff83f15eb55ed621951cafd44abe4371e2225"),
+     "6acebbc91b7ec04f9fd94c9d9df3dfb22a551ec9fac4eab4c10766637fa600c8"),
     ("ring", ("rate", "--system", "Main", "--action", "??msg", "--loc", "l1"), 0,
      "0606afe3ce3d5c0160dabd6fdbba2b359f561d83ca7b6b0cab48e7b7dcb8fb92"),
     ("ring", ("rate", "--system", "Odd", "--action", "?bc"), 0,
@@ -480,6 +481,66 @@ def test_root_rate_failure_is_definite_within_any_bound(golden_models):
     assert candidates
     assert all("rate mismatch at pair" in line for line in candidates)
     assert "action tick" in lines[1]
+
+
+def test_printed_candidates_round_trip_through_fixed_phi(golden_models):
+    # each refuted candidate, fed back as its printed matrix and offset,
+    # fails with the counterexample printed beside it; the witness printed
+    # for a related pair gives the same report
+    printed = re.compile(r"(?:  candidate|isometry:) [a-z-]+: linear \[\[(\S+), (\S+)\], "
+                         r"\[(\S+), (\S+)\]\], offset \((\S+), (\S+)\)(?:: (.*))?")
+
+    def fixed_phi(argv: tuple, match: re.Match):
+        entries = match.groups()[:6]
+        return run_cli(*argv, "--mode", "fixed-phi", f"--matrix={','.join(entries[:4])}",
+                       f"--offset={','.join(entries[4:])}")
+
+    argv = ("bisim", golden_models["ring"], "--left", "Main", "--right", "Odd")
+    lines = run_cli(*argv).stdout.splitlines()
+    candidates = [printed.fullmatch(line) for line in lines if line.startswith("  candidate ")]
+    assert len(candidates) == 6 and all(candidates)
+    for match in candidates:
+        fixed = fixed_phi(argv, match)
+        assert fixed.returncode == 1
+        assert fixed.stdout.splitlines()[1] == f"counterexample: {match.group(7)}"
+    argv = ("bisim", golden_models["scenario"], "--left", "Scenario1", "--right", "Scenario2")
+    related = run_cli(*argv)
+    fixed = fixed_phi(argv, printed.fullmatch(related.stdout.splitlines()[1]))
+    assert fixed.returncode == related.returncode == 0
+    assert fixed.stdout == related.stdout
+
+
+# Locations near the largest double: distances between them overflow to
+# infinity, and a centroid summed before dividing would too
+HUGE_SOURCE = """\
+location l0 = (-1e308, 0.0);
+location l1 = (1e308, 0.0);
+location l2 = (1e308, 1e308);
+A(l0) := (tick, 1.0).A(l0);
+A(l1) := (tick, 1.0).A(l1);
+A(l2) := (tick, 1.0).A(l2);
+B(l1) := (tick, 2.0).B(l1);
+B(l2) := (tick, 2.0).B(l2);
+system Main = A(l0) || A(l1);
+system Swap = A(l1) || A(l0);
+system Side = A(l1) || A(l2);
+system Odd = A(l0) || B(l1);
+system All = A(l0) || A(l1) || A(l2);
+system AllOdd = A(l0) || A(l1) || B(l2);
+"""
+
+
+@pytest.mark.parametrize("left, right, code, verdict", [
+    ("Main", "Swap", 0, "related"), ("All", "All", 0, "related"),
+    ("Main", "Side", 1, "not-related"), ("Main", "Odd", 1, "not-related"),
+    ("All", "AllOdd", 1, "not-related"),
+])
+def test_locations_near_the_largest_double_do_not_overflow(tmp_path, left, right, code, verdict):
+    path = tmp_path / "huge.paloma"
+    path.write_text(HUGE_SOURCE, encoding="utf-8")
+    proc = run_cli("bisim", str(path), "--left", left, "--right", right)
+    assert proc.returncode == code and proc.stderr == ""
+    assert proc.stdout.splitlines()[0] == f"verdict: {verdict}"
 
 
 def test_long_alias_chain_is_checked_and_derived(tmp_path):

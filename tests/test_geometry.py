@@ -5,6 +5,8 @@ import random
 
 import candidates_reference as reference
 from paloma.geometry import (
+    ALGEBRAIC_TOL,
+    GEOMETRIC_TOL,
     IDENTITY,
     Isometry,
     candidate_isometries,
@@ -267,9 +269,51 @@ def test_two_points_keep_both_orientations():
     duo = parse_model(families.duo(4, 1)).definition
     for points in ([(-1.0, 0.0), (1.0, 0.0)],
                    [loc.point for loc in locations_of(duo.systems["Main"])]):
-        candidates, _ = candidate_isometries(points, points)
-        assert [round(iso.determinant) for iso in candidates] == [1, -1, -1, 1]
-        assert candidates == reference.candidate_isometries(points, points)[0]
+        candidates = candidate_isometries(points, points)
+        assert [round(iso.determinant) for iso in candidates[0]] == [1, -1, -1, 1]
+        _assert_same_candidates(candidates, reference.candidate_isometries(points, points),
+                                points, points)
+
+
+def test_symmetries_are_kept_while_coordinate_error_is_below_the_tolerance():
+    # a radius-10 hexagon written to 6 or more decimals is off its circle by
+    # less than GEOMETRIC_TOL and keeps all 12 symmetries; at 5 decimals the
+    # error passes the tolerance and only some near-symmetries survive, each
+    # of which still maps the set onto itself
+    for decimals in (6, 7, 9):
+        hexagon = _polygon(6, 10.0, decimals)
+        assert len(candidate_isometries(hexagon, hexagon)[0]) == 12
+    hexagon = _polygon(6, 10.0, 5)
+    candidates, note = candidate_isometries(hexagon, hexagon)
+    assert note is None and len(candidates) == 4
+    for iso in candidates:
+        assert all(any(math.dist(iso.apply(p), q) <= GEOMETRIC_TOL for q in hexagon)
+                   for p in hexagon)
+
+
+def test_synthesis_is_linear_in_the_points(monkeypatch):
+    # every candidate sends the centroid and one farthest point of one side
+    # onto the other side's centroid and a point as far from it, so wide-40
+    # against itself synthesises from at most 40 such points
+    import families
+    from paloma import geometry
+    from paloma.model import locations_of
+    from paloma.parser import parse_model
+
+    calls = []
+    pair_isometries = geometry._pair_isometries
+    monkeypatch.setattr(geometry, "_pair_isometries",
+                        lambda *points: calls.append(points) or pair_isometries(*points))
+    wide = parse_model(families.wide(40, 0)).definition
+    points = [loc.point for loc in locations_of(wide.systems["Main"])]
+    candidates, note = candidate_isometries(points, points)
+    assert note is None and len(candidates) == 80
+    assert 0 < len(calls) <= 40
+
+
+def _parameters(iso: Isometry) -> tuple[float, ...]:
+    (a, b), (c, d) = iso.linear
+    return (a, b, c, d, *iso.offset)
 
 
 def _correspondence(iso: Isometry, points: list, targets: list) -> tuple:
@@ -278,6 +322,19 @@ def _correspondence(iso: Isometry, points: list, targets: list) -> tuple:
     return (iso.determinant > 0.0,
             tuple(next((k for k, q in enumerate(ordered) if math.dist(iso.apply(p), q) <= 1e-6),
                        None) for p in sorted(set(points))))
+
+
+def _assert_same_candidates(got: tuple, expected: tuple, points: list, targets: list) -> None:
+    """``got`` lists the candidates of ``expected`` in its order: each with the
+    same orientation and matched targets, and parameters within
+    ALGEBRAIC_TOL. They come from different formulas, so their last bits
+    may differ."""
+    assert got[1] == expected[1]
+    assert len(got[0]) == len(expected[0])
+    for iso, ref in zip(got[0], expected[0]):
+        assert _correspondence(iso, points, targets) == _correspondence(ref, points, targets)
+        assert all(abs(u - v) <= ALGEBRAIC_TOL
+                   for u, v in zip(_parameters(iso), _parameters(ref))), (iso, ref)
 
 
 def test_candidates_equal_the_reference_wherever_it_lists_each_symmetry_once():
@@ -290,6 +347,11 @@ def test_candidates_equal_the_reference_wherever_it_lists_each_symmetry_once():
             direction = rng.uniform(0.0, math.pi)
             spots = [rng.uniform(-4, 4) for _ in range(n)]
             points = [(s * math.cos(direction), s * math.sin(direction)) for s in spots]
+        elif trial % 3 == 1:
+            # a regular polygon, whose symmetries all map it onto its image
+            n, radius, turn = rng.randint(1, 8), rng.uniform(0.5, 4), rng.uniform(0.0, math.pi)
+            points = [(radius * math.cos(turn + 2.0 * math.pi * k / n),
+                       radius * math.sin(turn + 2.0 * math.pi * k / n)) for k in range(n)]
         else:
             points = [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(n)]
         phi = random_isometry(rng)
@@ -297,6 +359,7 @@ def test_candidates_equal_the_reference_wherever_it_lists_each_symmetry_once():
         expected = reference.candidate_isometries(points, images)
         keys = [_correspondence(iso, points, images) for iso in expected[0]]
         if len(set(keys)) == len(keys):
-            assert candidate_isometries(points, images) == expected
+            _assert_same_candidates(candidate_isometries(points, images), expected,
+                                    points, images)
             compared += 1
     assert compared > 850
