@@ -12,6 +12,7 @@ only the layers it runs.
 from importlib import import_module as _import_module
 
 _EXPORTS = {
+    "ctmc": ("BoundExceeded", "Ctmc", "Transition", "build_ctmc", "export_dot", "export_tsv"),
     "equivalence": ("BisimResult", "Counterexample", "bisimilar", "check_bisim_phi",
                     "naive_bisim", "recheck_transfer"),
     "geometry": ("IDENTITY", "Isometry", "candidate_isometries", "compose", "invert",
@@ -29,10 +30,9 @@ _EXPORTS = {
               "broadcast_system_rate", "exit_rate", "receive_weight", "spontaneous_rate",
               "unicast_act_prob", "unicast_cap_rate", "unicast_influence",
               "unicast_out_rate", "unicast_receive_prob", "unicast_system_rate"),
-    "semantics": ("BoundExceeded", "CapLabel", "Continuation", "Ctmc", "Derivation",
-                  "LiftedStep", "Step", "StochLabel", "Transition", "agent_steps",
-                  "build_ctmc", "cap_step", "component_steps", "derivations", "export_dot",
-                  "export_tsv", "stoch_step"),
+    "semantics": ("CapLabel", "Continuation", "Derivation", "LiftedStep", "Step",
+                  "StochLabel", "agent_steps", "cap_step", "component_steps", "derivations",
+                  "stoch_step"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,11 +1,5 @@
-"""Command-line interface.
-
-    paloma check  MODEL
-    paloma ctmc   MODEL --system NAME [--bound N] [--format tsv|dot] [--out PATH]
-    paloma rate   MODEL --system NAME --action ACT [--loc NAME ...] [--context NAME]
-    paloma bisim  MODEL --left NAME --right NAME [--context NAME]
-                  [--mode isometry|naive|fixed-phi] [--matrix a,b,c,d]
-                  [--offset tx,ty] [--bound N]
+"""Command-line interface: ``paloma {check,ctmc,rate,bisim} MODEL [options]``.
+Each command's options are listed once, in ``_COMMANDS``, and by ``--help``.
 
 Exit codes: 0 success or related, 1 not related, 2 input error, 3 state
 bound exceeded or inconclusive.
@@ -28,12 +22,10 @@ from .parser import Diagnostic, ModelDefinition, parse_model, validate
 if TYPE_CHECKING:
     import argparse
 
-# Names from the CTMC and bisimulation layers. Each is taken from the package
-# when it is first read off this module (PEP 562), and the package loads the
-# module that defines it, so ``check`` and ``rate`` import neither layer and
-# ``ctmc`` skips bisimulation. Commands read these names through ``_cli``,
-# this module, so a name rebound here (as a tracing harness does) is the one
-# they call.
+# Names from the CTMC and bisimulation layers, taken from the package when
+# first read here (PEP 562), so a command loads only the layers it runs.
+# Commands read them through ``_cli``, this module, so a name rebound here (as
+# a tracing harness does) is the one they call.
 _LAYER_NAMES = {"BoundExceeded", "build_ctmc", "export_dot", "export_tsv",
                 "BisimResult", "bisimilar", "check_bisim_phi", "naive_bisim"}
 _cli = sys.modules[__name__]
@@ -80,8 +72,8 @@ def _bound(given: int | None) -> int:
 
 
 def _read(path: str) -> tuple[ModelDefinition | None, list[Diagnostic]]:
-    """The model at ``path`` and its diagnostics, from parsing and then
-    validating it; the model is ``None`` when it has errors."""
+    """The model at ``path``, ``None`` if it has errors, and its parse and
+    validation diagnostics."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -96,8 +88,8 @@ def _read(path: str) -> tuple[ModelDefinition | None, list[Diagnostic]]:
 
 
 def _load(path: str) -> tuple[ModelDefinition, Definitions]:
-    """The model at ``path``, and the ``Definitions`` that validating it
-    filled, which the command goes on to query."""
+    """The model at ``path`` and the ``Definitions`` its validation filled,
+    which the command queries."""
     defn, diagnostics = _read(path)
     if defn is None:
         raise _InvalidModel(diagnostics)
@@ -143,8 +135,19 @@ def cmd_ctmc(args: argparse.Namespace) -> int:
     except _cli.BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    text = _cli.export_dot(ctmc) if args.format == "dot" else _cli.export_tsv(ctmc)
-    _emit(text, args.out)
+    export = _cli.export_dot if args.format == "dot" else _cli.export_tsv
+    try:
+        if args.out is None:
+            export(ctmc, sys.stdout)
+            sys.stdout.flush()
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                export(ctmc, fh)
+    except BrokenPipeError:
+        # a reader that stops early, as `head` does, is no failure: the rest goes to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        raise _InputError(f"cannot write {args.out or 'stdout'}: {exc}") from None
     return EXIT_OK
 
 
@@ -234,12 +237,11 @@ def cmd_bisim(args: argparse.Namespace) -> int:
     return EXIT_NOT_RELATED
 
 
-# The command grammar: each command's help, handler and options, in the
-# order ``--help`` lists them after the model. An option is (name, kind,
-# required, default, help); its kind is str, int, a tuple of choices, or
-# list for a repeatable one. ``main`` reads the usual calls off this table
-# and builds argparse from it for the rest, so argparse (with gettext and
-# locale) loads only for help, abbreviations and usage errors.
+# The command grammar: each command's help, handler and options, in --help
+# order after the model. An option is (name, kind, required, default, help);
+# kind is str, int, a tuple of choices, or list if repeatable. ``main`` reads
+# the usual calls off this table and builds argparse from it for the rest,
+# so argparse loads only for help, abbreviations and usage errors.
 _COMMANDS = {
     "check": ("parse and validate a model file", cmd_check, ()),
     "ctmc": ("derive the CTMC of a system", cmd_ctmc, (
@@ -267,11 +269,10 @@ _COMMANDS = {
 
 
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
-    """What ``build_arg_parser().parse_args(argv)`` gives, read straight off
-    ``_COMMANDS`` when ``argv`` has the usual form: a command, one model, and
-    options spelled exactly, each with a valid value that does not start
-    with ``-``. ``None`` for anything else (help, abbreviations,
-    ``--flag=value``, ``--``, usage errors), which argparse reads."""
+    """What ``build_arg_parser().parse_args(argv)`` gives, read off
+    ``_COMMANDS`` when ``argv`` is a command, one model, and options spelled
+    exactly, each with a valid value not starting with ``-``; else ``None``
+    (help, abbreviations, ``--flag=value``, ``--``, usage errors)."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, func, options = _COMMANDS[argv[0]]

@@ -13,9 +13,8 @@ actor alone.
 A failed reception leaves the listener exactly as it was, including any
 choice alternatives it holds.
 
-`build_ctmc` closes the stochastic relation from an initial system by
-breadth-first search, merging states whose agents resolve to equal terms.
-Inside the engine a state is a tuple of interned agent ids, and each agent
+The `ctmc` module closes the stochastic relation into a chain. Inside the
+engine a state is a tuple of interned agent ids, and each agent
 is read through tables compiled once per interned state: a send table of its
 outputs, a listen table by input (kind, label), filled on first use, and
 its continuations' ids and terms. A derivation's steps depend only on the
@@ -41,26 +40,19 @@ from .model import (
     _receiver_pool,
     _state_key,
     remove_at,
-    render_model,
 )
 
 __all__ = [
-    "BoundExceeded",
     "CapLabel",
     "Continuation",
-    "Ctmc",
     "Derivation",
     "LiftedStep",
     "Step",
     "StochLabel",
-    "Transition",
     "agent_steps",
-    "build_ctmc",
     "cap_step",
     "component_steps",
     "derivations",
-    "export_dot",
-    "export_tsv",
     "stoch_step",
 ]
 
@@ -316,74 +308,6 @@ def stoch_step(defs: Definitions,
     return [(d.label, d.continuation(defs)) for d in derivations(defs, system)]
 
 
-class BoundExceeded(Exception):
-    def __init__(self, discovered: int, bound: int):
-        super().__init__(f"state bound {bound} exceeded after discovering "
-                         f"{discovered} states")
-        self.discovered = discovered
-        self.bound = bound
-
-
-class Transition(_Record):
-    __slots__ = ("source", "target", "rate", "kind", "label", "influence")
-
-    def __init__(self, source: int, target: int, rate: float, kind: ActionType,
-                 label: str, influence: frozenset[Location]):
-        self.source, self.target, self.rate = source, target, rate
-        self.kind, self.label, self.influence = kind, label, influence
-
-
-class Ctmc(_Record):
-    __slots__ = ("states", "transitions", "initial")
-    __hash__ = None  # mutable, like the lists it holds
-
-    def __init__(self, states: list[ModelComponent], transitions: list[Transition],
-                 initial: int = 0):
-        self.states, self.transitions, self.initial = states, transitions, initial
-
-
-def build_ctmc(defs: Definitions, initial: ModelComponent, bound: int) -> Ctmc:
-    """Breadth-first closure of the stochastic relation from ``initial``.
-
-    States are indexed in discovery order, edges with equal source, target
-    and label are merged by rate addition, and discovering more than
-    ``bound`` states raises BoundExceeded. Each state keeps the first
-    representative seen, for display.
-    """
-    if bound < 1:
-        raise ModelError("state bound must be at least 1")
-    start_key = _state_key(defs, initial)
-    index: dict[StateKey, int] = {start_key: 0}
-    keys: list[StateKey] = [start_key]
-    states: list[ModelComponent] = [initial]
-    transitions: list[Transition] = []
-    # states are explored in discovery order, each one's edges merged and
-    # sorted before the next one is explored
-    for src, key in enumerate(keys):
-        edges: dict[tuple[int, ActionType, str, frozenset[Location]], float] = {}
-        for _, kind, label, influence, steps, at in _derive(defs, key):
-            # sum per target within the derivation before adding to the edge,
-            # so each edge adds its derivations' continuation totals
-            into: dict[int, float] = {}
-            for rate, moves in steps:
-                succ = _apply(key, moves, 1, at)
-                dst = index.get(succ)
-                if dst is None:
-                    if len(states) + 1 > bound:
-                        raise BoundExceeded(len(states) + 1, bound)
-                    dst = index[succ] = len(states)
-                    keys.append(succ)
-                    states.append(_apply(states[src], moves, 2, at))
-                into[dst] = into.get(dst, 0.0) + rate
-            for dst, rate in into.items():
-                edge = (dst, kind, label, influence)
-                edges[edge] = edges.get(edge, 0.0) + rate
-        # _derive filled the sorted names of every range
-        for edge in sorted(edges, key=lambda e: (e[0], e[1].glyph, e[2], defs._reach[e[3]][1])):
-            transitions.append(Transition(src, edge[0], edges[edge], *edge[1:]))
-    return Ctmc(states, transitions)
-
-
 def agent_steps(defs: Definitions, system: ModelComponent,
                 position: int) -> set[tuple[ActionId, SeqComponent]]:
     """Actions the agent at ``position`` can perform inside ``system``,
@@ -449,50 +373,3 @@ def _keyed_component_steps(defs: Definitions, context: ModelComponent,
                         succ = _apply(system, moves, 2, at)[offset:]
                         found[action.text, succ_key] = LiftedStep(action, sent.text, succ)
     return found
-
-
-# -- exports ----------------------------------------------------------------
-
-
-def export_tsv(ctmc: Ctmc) -> str:
-    """State table and transition table, tab-separated.
-
-    States come first (`id<TAB>term`), then one line per transition
-    (`src<TAB>dst<TAB>rate<TAB>kind<TAB>label`), rates with 17 significant
-    digits, sections separated by a blank line, LF endings.
-    """
-    lines = ["# states"]
-    for i, state in enumerate(ctmc.states):
-        lines.append(f"{i}\t{render_model(state)}")
-    lines.append("")
-    lines.append("# transitions")
-    # few distinct rates and labels recur over many transitions: format each
-    # (rate, kind, label) tail once, here and in export_dot
-    tails: dict[tuple[float, ActionType, str], str] = {}
-    for t in ctmc.transitions:
-        tail = tails.get((t.rate, t.kind, t.label))
-        if tail is None:
-            tail = tails[t.rate, t.kind, t.label] = f"\t{t.rate:.17g}\t{t.kind.glyph}\t{t.label}"
-        lines.append(f"{t.source}\t{t.target}{tail}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def export_dot(ctmc: Ctmc) -> str:
-    """Graphviz digraph with rate-labelled edges."""
-    lines = ["digraph ctmc {", "  rankdir=LR;"]
-    for i, state in enumerate(ctmc.states):
-        shape = "doublecircle" if i == ctmc.initial else "circle"
-        lines.append(f"  s{i} [shape={shape} label={_dot_quote(render_model(state))}];")
-    tails: dict[tuple[float, ActionType, str], str] = {}
-    for t in ctmc.transitions:
-        tail = tails.get((t.rate, t.kind, t.label))
-        if tail is None:
-            label = _dot_quote(f"{t.kind.glyph}{t.label} {t.rate:.17g}")
-            tail = tails[t.rate, t.kind, t.label] = f" [label={label}];"
-        lines.append(f"  s{t.source} -> s{t.target}{tail}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -31,17 +31,15 @@ from paloma.model import (
     _state_key,
     render_model,
 )
+from paloma.ctmc import BoundExceeded, Ctmc, Transition
 from paloma.semantics import (
     _INPUT_OF,
-    BoundExceeded,
     CapLabel,
     Continuation,
-    Ctmc,
     Derivation,
     LiftedStep,
     Step,
     StochLabel,
-    Transition,
 )
 
 

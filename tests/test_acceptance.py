@@ -10,6 +10,7 @@ import random
 import time
 from contextlib import contextmanager
 
+from paloma.ctmc import build_ctmc, export_dot, export_tsv
 from paloma.geometry import compose, invert
 from paloma.model import (
     ActionId,
@@ -27,7 +28,7 @@ from paloma.rates import (
     unicast_out_rate,
     unicast_receive_prob,
 )
-from paloma.semantics import build_ctmc, derivations, export_dot, export_tsv
+from paloma.semantics import derivations
 from conftest import BLOCKING_SOURCE, SCENARIO_P, SCENARIO_R, SCENARIO_SOURCE, load
 from oracle import random_model
 from test_cli import run_cli
@@ -323,7 +324,7 @@ def _attributed_ctmc_rate(defs, state, action, loc) -> float:
 
 
 def _property_rates_consistent_with_ctmc():
-    from paloma.semantics import BoundExceeded
+    from paloma.ctmc import BoundExceeded
 
     models_checked = 0
     seed = 0

@@ -159,11 +159,21 @@ def test_ctmc_blocked_transmitter(blocking_path):
     assert lines[-1] == "# transitions"
 
 
-def test_ctmc_bound_exceeded_suppresses_output(scenario_path):
+def test_ctmc_bound_exceeded_suppresses_output(scenario_path, tmp_path):
     proc = run_cli("ctmc", scenario_path, "--system", "Scenario1", "--bound", "2")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "bound" in proc.stderr
+    # --out is opened only once the chain is closed: no file is created, and
+    # an existing one keeps its bytes
+    fresh, kept = tmp_path / "fresh.tsv", tmp_path / "kept.tsv"
+    kept.write_bytes(b"an earlier chain\n")
+    for out in (fresh, kept):
+        proc = run_cli("ctmc", scenario_path, "--system", "Scenario1", "--bound", "2",
+                       "--out", str(out))
+        assert (proc.returncode, proc.stdout) == (3, "")
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"an earlier chain\n"
 
 
 def test_ctmc_env_bound_applies(scenario_path):
@@ -454,6 +464,38 @@ def test_output_matches_golden_digest(golden_models, model, argv, code, digest, 
                    env={"PYTHONHASHSEED": hash_seed})
     assert proc.returncode == code, proc.stderr
     assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["tsv", "dot"])
+def test_ctmc_into_a_closed_pipe_exits_quietly(golden_models, tmp_path, fmt, unbuffered):
+    # `paloma ctmc ... | head -c 100`: the reader closes the pipe long before
+    # the ring-4 chain (over 100 KB) is written, which is no failure: exit 0,
+    # nothing on stderr, with stdout buffered or not
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    err_path = tmp_path / "stderr"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "paloma.cli", "ctmc", golden_models["ring4"],
+             "--system", "Main", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=err, env=env)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    assert (len(head), code, err_path.read_text(encoding="utf-8")) == (100, 0, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_ctmc_into_a_full_stdout_is_an_input_error(scenario_path):
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "paloma.cli", "ctmc", scenario_path, "--system", "Scenario1"],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 @pytest.mark.parametrize("bound, code, verdict", [

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from paloma.ctmc import build_ctmc
 from paloma.model import (
     ActionId,
     ActionType,
@@ -30,7 +31,6 @@ from paloma.model import (
     struct_equiv,
 )
 from paloma.rates import spontaneous_rate
-from paloma.semantics import build_ctmc
 from conftest import SCENARIO_SOURCE, load, with_aliases
 from oracle import random_model
 

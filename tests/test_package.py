@@ -106,7 +106,7 @@ _COMMAND_CALLS = pytest.mark.parametrize("argv, loaded", [
     (["rate", "models/scenario.paloma", "--system", "Scenario1",
       "--action", "!!message_move"], "cli geometry model parser rates"),
     (["ctmc", "models/scenario.paloma", "--system", "Scenario1"],
-     "cli geometry model parser semantics"),
+     "cli ctmc geometry model parser semantics"),
     (["bisim", "models/scenario.paloma", "--left", "Scenario1", "--right", "Scenario2"],
      "cli equivalence geometry model parser rates semantics"),
 ], ids=["check", "rate", "ctmc", "bisim"])
@@ -115,13 +115,15 @@ _COMMAND_CALLS = pytest.mark.parametrize("argv, loaded", [
 @_COMMAND_CALLS
 def test_a_command_loads_only_the_layers_it_runs(argv, loaded):
     # every command-line call is a fresh interpreter: check and rate never
-    # import the CTMC or bisimulation layers, and ctmc skips bisimulation
+    # import the CTMC or bisimulation layers, ctmc skips bisimulation, and
+    # bisim skips the CTMC module and the array module its columns use
     probe = ("import contextlib, io, sys\n"
              "from paloma import cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              f"    assert cli.main({argv!r}) == 0\n"
-             "print(*sorted(m[7:] for m in sys.modules if m.startswith('paloma.')))")
-    assert _fresh_interpreter(probe) == loaded + "\n"
+             "print(*sorted(m[7:] for m in sys.modules if m.startswith('paloma.')))\n"
+             "print('array' in sys.modules)")
+    assert _fresh_interpreter(probe) == f"{loaded}\n{argv[0] == 'ctmc'}\n"
 
 
 def _cli_call(argv: list[str]) -> tuple[str, str, int, list[str]]:
@@ -187,7 +189,7 @@ for name in paloma.__all__:
 namespace = {}
 exec("from paloma import *", namespace)
 assert set(paloma.__all__) <= set(namespace)
-for module in ("equivalence", "geometry", "model", "parser", "rates", "semantics"):
+for module in ("ctmc", "equivalence", "geometry", "model", "parser", "rates", "semantics"):
     assert getattr(paloma, module) is sys.modules["paloma." + module]
 try:
     paloma.no_such_name

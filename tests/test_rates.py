@@ -420,7 +420,8 @@ def test_rate_layer_agrees_with_ctmc_derivations():
     # successful unicast receptions in the derivations must equal the exit
     # rates of the whole state in the empty context.
     from paloma.model import ActionType
-    from paloma.semantics import build_ctmc, derivations
+    from paloma.ctmc import build_ctmc
+    from paloma.semantics import derivations
 
     positive = {"m0": 0, "!m0": 0, "??m0": 0}
     for seed in range(60):

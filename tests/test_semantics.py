@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import io
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paloma.ctmc import BoundExceeded, Ctmc, build_ctmc, export_dot, export_tsv
 from paloma.model import (
     ActionId,
     ActionType,
@@ -17,16 +19,11 @@ from paloma.model import (
     struct_equiv,
 )
 from paloma.semantics import (
-    BoundExceeded,
     CapLabel,
-    Ctmc,
     agent_steps,
-    build_ctmc,
     cap_step,
     component_steps,
     derivations,
-    export_dot,
-    export_tsv,
     stoch_step,
 )
 from conftest import SCENARIO_P, SCENARIO_R, load
@@ -587,6 +584,8 @@ def test_derivation_matches_the_reference_on_drawn_models(seed, max_agents, n_lo
         engine = build_ctmc(defs, system, bound=2000)
         expected = reference.build_ctmc(defs, system, bound=2000)
         assert engine == expected
+        # the columns give back, on access, the records the reference built
+        assert engine.transitions == expected.transitions
         assert export_tsv(engine) == reference.export_tsv(expected)
         assert export_dot(engine) == export_dot(expected)
         for state in engine.states[:12]:
@@ -611,6 +610,32 @@ def test_derivation_matches_the_reference_on_drawn_models(seed, max_agents, n_lo
                 except BoundExceeded as exc:
                     outcomes.append(exc.discovered)
             assert outcomes[0] == outcomes[1]
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("export", [export_tsv, export_dot], ids=["tsv", "dot"])
+def test_export_streams_the_text_it_returns_in_few_writes(export):
+    # ring-4 runs to some 5,000 lines: written in chunks of 256 lines, an
+    # unbuffered stream sees a few dozen writes, not one per line
+    import families
+
+    defn = load(families.ring(4, 0))
+    ctmc = build_ctmc(defn.definitions(), defn.systems["Main"], bound=1000)
+    text = export(ctmc)
+    stream = _CountingStream()
+    assert export(ctmc, stream) is None
+    assert stream.getvalue() == text
+    assert text.count("\n") > 4 * 256
+    assert stream.writes <= math.ceil(text.count("\n") / 256) + 2
 
 
 # -- the per-agent tables -----------------------------------------------------

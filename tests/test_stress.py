@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from paloma.ctmc import BoundExceeded, build_ctmc
 from paloma.equivalence import bisimilar
 from paloma.model import (
     BroadcastOut,
@@ -18,7 +19,6 @@ from paloma.model import (
     canonical,
 )
 from paloma.parser import ModelDefinition
-from paloma.semantics import BoundExceeded, build_ctmc
 from oracle import explore, random_model
 from test_semantics import assert_matches_oracle
 
