@@ -2,7 +2,8 @@
 Each command's options are listed once, in ``_COMMANDS``, and by ``--help``.
 
 Exit codes: 0 success or related, 1 not related, 2 input error, 3 state
-bound exceeded or inconclusive.
+bound exceeded or inconclusive. A closed stdout keeps the exit code; a
+failed write exits 2.
 PALOMA_BOUND sets the default bound.
 """
 
@@ -106,24 +107,30 @@ def _system(defn: ModelDefinition, name: str):
                           f"{', '.join(sorted(defn.systems)) or 'none'}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
+def _emit(out: str | None, write) -> None:
+    """Call ``write`` on stdout or the ``--out`` file, opened only now."""
     try:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        if out is not None:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                write(fh)
+        elif sys.stdout:  # None if fd 1 was closed at start, as a closed pipe
+            write(sys.stdout)
+            sys.stdout.flush()
     except OSError as exc:
-        raise _InputError(f"cannot write {out}: {exc}") from None
+        if out is None:
+            # or the flush at exit fails: exit 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        if not isinstance(exc, BrokenPipeError):
+            raise _InputError(f"cannot write {out or 'stdout'}: {exc}") from None
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     defn, diagnostics = _read(args.model)
-    for diagnostic in diagnostics:
-        print(diagnostic)
-    if defn is None:
-        return EXIT_INPUT
-    print(f"ok: {len(defn.equations)} equations, {len(defn.systems)} systems")
-    return EXIT_OK
+    text = "".join(f"{d}\n" for d in diagnostics)
+    if defn is not None:
+        text += f"ok: {len(defn.equations)} equations, {len(defn.systems)} systems\n"
+    _emit(None, lambda fh: fh.write(text))
+    return EXIT_INPUT if defn is None else EXIT_OK
 
 
 def cmd_ctmc(args: argparse.Namespace) -> int:
@@ -136,18 +143,7 @@ def cmd_ctmc(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     export = _cli.export_dot if args.format == "dot" else _cli.export_tsv
-    try:
-        if args.out is None:
-            export(ctmc, sys.stdout)
-            sys.stdout.flush()
-        else:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                export(ctmc, fh)
-    except BrokenPipeError:
-        # a reader that stops early, as `head` does, is no failure: the rest goes to /dev/null
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    except OSError as exc:
-        raise _InputError(f"cannot write {args.out or 'stdout'}: {exc}") from None
+    _emit(args.out, lambda fh: export(ctmc, fh))
     return EXIT_OK
 
 
@@ -155,10 +151,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
     from .rates import RateQuery, exit_rate
 
     defn, defs = _load(args.model)
-    try:
-        action = ActionId.parse(args.action)
-    except ModelError as exc:
-        raise _InputError(str(exc)) from None
+    action = ActionId.parse(args.action)
     if action.label not in action_labels(defs):
         raise _InputError(f"unknown action label {action.label!r}")
     locations = None
@@ -172,7 +165,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
     subject = _system(defn, args.system)
     context = _system(defn, args.context)
     value = exit_rate(defs, RateQuery(action, subject, context, locations))
-    _emit(f"{value:.17g}\n", args.out)
+    _emit(args.out, lambda fh: fh.write(f"{value:.17g}\n"))
     return EXIT_OK
 
 
@@ -229,7 +222,7 @@ def cmd_bisim(args: argparse.Namespace) -> int:
             raise _InputError("fixed-phi mode needs --matrix and --offset")
         phi = _parse_phi(args.matrix, args.offset)
         result = _cli.check_bisim_phi(defs, left, right, context, phi, bound)
-    _emit(_bisim_report(result), args.out)
+    _emit(args.out, lambda fh: fh.write(_bisim_report(result)))
     if result.related:
         return EXIT_OK
     if result.inconclusive:

@@ -29,7 +29,6 @@ from .model import (
 )
 from .semantics import _apply, _derive
 
-__all__ = ["BoundExceeded", "Ctmc", "Transition", "build_ctmc", "export_dot", "export_tsv"]
 
 # lines per write: few writes even to an unbuffered stream, and only one
 # chunk of text held at a time

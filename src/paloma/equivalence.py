@@ -42,14 +42,6 @@ from .model import (
 from .rates import _rate_table
 from .semantics import LiftedStep, _keyed_component_steps
 
-__all__ = [
-    "BisimResult",
-    "Counterexample",
-    "bisimilar",
-    "check_bisim_phi",
-    "naive_bisim",
-    "recheck_transfer",
-]
 
 class Counterexample(_Record):
     """``kind`` is "rate-mismatch", "unmatched-transition" or "location-mismatch"."""

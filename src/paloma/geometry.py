@@ -13,19 +13,6 @@ from typing import Iterable
 
 from .model import Location, _Record
 
-__all__ = [
-    "IDENTITY",
-    "Isometry",
-    "candidate_isometries",
-    "compose",
-    "invert",
-    "map_location",
-    "map_locations",
-    "reflection_y_axis",
-    "rotation",
-    "translation",
-]
-
 Point = tuple[float, float]
 Matrix = tuple[tuple[float, float], tuple[float, float]]
 

@@ -18,38 +18,6 @@ import enum
 import threading
 from typing import Iterable, Iterator, Union
 
-__all__ = [
-    "ActionId",
-    "ActionType",
-    "BroadcastIn",
-    "BroadcastOut",
-    "Choice",
-    "ConstantRef",
-    "Definitions",
-    "EMPTY",
-    "Location",
-    "ModelComponent",
-    "ModelError",
-    "Prefix",
-    "PrefixGuarded",
-    "SeqComponent",
-    "Spontaneous",
-    "UnicastIn",
-    "UnicastOut",
-    "action_labels",
-    "canonical",
-    "choice_leaves",
-    "constant",
-    "guarded",
-    "locations_of",
-    "remove_at",
-    "render_model",
-    "render_prefix",
-    "render_seq",
-    "seq_in",
-    "struct_equiv",
-]
-
 
 class ModelError(Exception):
     """Malformed term: dangling constant, unguarded recursion, bad index."""
@@ -298,14 +266,6 @@ def constant(name: str, location: Location) -> SeqComponent:
 
 def guarded(prefix: Prefix, continuation: ConstantRef, location: Location) -> SeqComponent:
     return SeqComponent(PrefixGuarded(prefix, continuation), location)
-
-
-def choice(left: SeqComponent, right: SeqComponent) -> SeqComponent:
-    if left.location != right.location:
-        raise ModelError(
-            f"choice operands must share a location: "
-            f"{left.location.name} vs {right.location.name}")
-    return SeqComponent(Choice(left, right), left.location)
 
 
 _CLOSE_CHOICE = object()

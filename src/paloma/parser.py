@@ -55,15 +55,6 @@ from .model import (
     render_seq,
 )
 
-__all__ = [
-    "Diagnostic",
-    "ModelDefinition",
-    "ParseResult",
-    "parse_model",
-    "pretty_print",
-    "validate",
-]
-
 
 class Diagnostic(_Record):
     """A parse or validation finding. Validation findings concern whole

@@ -32,22 +32,6 @@ from .model import (
     _receiver_pool,
 )
 
-__all__ = [
-    "RateQuery",
-    "broadcast_act_prob",
-    "broadcast_out_rate",
-    "broadcast_system_rate",
-    "exit_rate",
-    "receive_weight",
-    "spontaneous_rate",
-    "unicast_act_prob",
-    "unicast_cap_rate",
-    "unicast_influence",
-    "unicast_out_rate",
-    "unicast_receive_prob",
-    "unicast_system_rate",
-]
-
 
 def _prefixes(agent: _AgentState, kind: ActionType, label: str) -> list[Prefix]:
     """The agent's ``kind`` prefixes on ``label``, in written order."""

@@ -42,20 +42,6 @@ from .model import (
     remove_at,
 )
 
-__all__ = [
-    "CapLabel",
-    "Continuation",
-    "Derivation",
-    "LiftedStep",
-    "Step",
-    "StochLabel",
-    "agent_steps",
-    "cap_step",
-    "component_steps",
-    "derivations",
-    "stoch_step",
-]
-
 
 class CapLabel(_Record):
     """Label of a capability transition: an input offer carried to listeners."""

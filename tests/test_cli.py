@@ -466,36 +466,56 @@ def test_output_matches_golden_digest(golden_models, model, argv, code, digest, 
     assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
 
 
+# each command's call, the bytes a reader takes before it closes stdout, and
+# the command's own exit code. The ring-4 chain (over 100 KB) is cut after
+# 100 bytes, as `head -c 100` would; every other output is short, and the
+# reader closes stdout before the child can write.
+OUTPUT_CALLS = {
+    "check": (("check", "scenario"), 0, 0),
+    "ctmc": (("ctmc", "scenario", "--system", "Scenario1"), 0, 0),
+    "ctmc-ring4-tsv": (("ctmc", "ring4", "--system", "Main"), 100, 0),
+    "ctmc-ring4-dot": (("ctmc", "ring4", "--system", "Main", "--format", "dot"), 100, 0),
+    "rate": (("rate", "scenario", "--system", "Scenario1", "--action", "!!message_move"), 0, 0),
+    "bisim-related": (("bisim", "ring4", "--left", "Main", "--right", "Rot"), 0, 0),
+    "bisim-not-related": (("bisim", "ring", "--left", "Main", "--right", "Odd"), 0, 1),
+}
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("fmt", ["tsv", "dot"])
-def test_ctmc_into_a_closed_pipe_exits_quietly(golden_models, tmp_path, fmt, unbuffered):
-    # `paloma ctmc ... | head -c 100`: the reader closes the pipe long before
-    # the ring-4 chain (over 100 KB) is written, which is no failure: exit 0,
-    # nothing on stderr, with stdout buffered or not
+@pytest.mark.parametrize("sink", ["closed-pipe", "closed-fd", "full"])
+@pytest.mark.parametrize("call", OUTPUT_CALLS)
+def test_output_into_a_closed_or_full_stdout(golden_models, tmp_path, call, sink,
+                                             unbuffered):
+    # a reader that closes stdout early is no failure, nor is a stdout closed
+    # before the start (`>&-`): the command keeps its own exit code and writes
+    # nothing on stderr. A failed write, as on /dev/full, is an input error of
+    # one line. No call exits 120 ("Exception ignored" at the final flush) or
+    # prints a traceback, buffered or not.
+    if sink == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    (command, model, *options), read, code = OUTPUT_CALLS[call]
+    argv = [sys.executable, "-m", "paloma.cli", command, golden_models[model], *options]
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     err_path = tmp_path / "stderr"
+    message = ""
     with open(err_path, "wb") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "paloma.cli", "ctmc", golden_models["ring4"],
-             "--system", "Main", "--format", fmt],
-            stdout=subprocess.PIPE, stderr=err, env=env)
-        head = proc.stdout.read(100)
-        proc.stdout.close()
-        code = proc.wait(timeout=60)
-    assert (len(head), code, err_path.read_text(encoding="utf-8")) == (100, 0, "")
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_ctmc_into_a_full_stdout_is_an_input_error(scenario_path):
-    with open("/dev/full", "w", encoding="utf-8") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "paloma.cli", "ctmc", scenario_path, "--system", "Scenario1"],
-            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+        if sink == "closed-pipe":
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env)
+            assert len(proc.stdout.read(read)) == read
+            proc.stdout.close()
+            seen = proc.wait(timeout=60)
+        elif sink == "closed-fd":
+            seen = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], stderr=err,
+                                  env=env, timeout=60).returncode
+        else:
+            with open("/dev/full", "wb") as full:
+                seen = subprocess.run(argv, stdout=full, stderr=err, env=env,
+                                      timeout=60).returncode
+            code, message = 2, "error: cannot write stdout: [Errno 28] No space left on device\n"
+    assert (seen, err_path.read_text(encoding="utf-8")) == (code, message)
 
 
 @pytest.mark.parametrize("bound, code, verdict", [
