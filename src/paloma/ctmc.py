@@ -124,8 +124,7 @@ def build_ctmc(defs: Definitions, initial: ModelComponent, bound: int) -> Ctmc:
             if i is None:
                 i = ids[kind, label, influence] = len(labels)
                 labels.append((kind, label, influence))
-                # _derive filled the sorted names of every range
-                order.append((kind.glyph, label, defs._reach[influence][1]))
+                order.append((kind.glyph, label, sorted(loc.name for loc in influence)))
             # sum per target within the derivation before adding to the edge,
             # so each edge adds its derivations' continuation totals
             into: dict[int, float] = {}

@@ -98,8 +98,8 @@ PairRep = tuple[ModelComponent, ModelComponent]
 # rendered into one only for the pair a verdict reports.
 Gap = tuple[str, dict]
 # A state's location names when they must match literally, and its nonzero
-# exit rates keyed by action index, rounded point and report name.
-Signature = tuple[tuple[str, ...] | None, dict[tuple, float]]
+# exit rates, quantised, keyed by action index and the place they are read.
+Signature = tuple[tuple[str, ...] | None, frozenset[tuple[tuple, float]]]
 # A side's reached states: their numbers by key, breadth first; each one's
 # term, the first found for it (the root's is the one it was reached from);
 # and each one's steps in order, as (action text, successor number).
@@ -132,8 +132,9 @@ class _Checker:
         self.actions = _model_actions(defs)
         self.located = _PointGrid(defs.locations.values()).match
         self._steps_cache: dict[StateKey, Steps] = {}
-        self._rates: dict[StateKey, tuple[tuple[str, ...], list]] = {}
+        self._rates: dict[StateKey, tuple[tuple[str, ...], list[dict[str, float]]]] = {}
         self._reached: dict[StateKey, Reach | None] = {}
+        self.left_frame = self.frame(None)
 
     def steps(self, key: StateKey, subject: ModelComponent) -> Steps:
         """The steps of the state ``key`` (represented by ``subject``), in a
@@ -146,15 +147,15 @@ class _Checker:
                 cached.setdefault(text, []).append((step, succ_key))
         return cached
 
-    def rates(self, key: StateKey) -> tuple[tuple[str, ...], list[tuple[dict[str, float], float]]]:
+    def rates(self, key: StateKey) -> tuple[tuple[str, ...], list[dict[str, float]]]:
         """The sorted location names of the agents of ``key``, and its exit
-        rates of each model action: by location name, and in total."""
+        rates of each model action by location name."""
         found = self._rates.get(key)
         if found is None:
             subject = [self.defs._agents[a] for a in key]
             names = {agent.location.name for agent in subject}
             found = self._rates[key] = (tuple(sorted(names)), [
-                _rate_table(self.context_agents, subject, action) for action in self.actions])
+                _rate_table(self.context_agents, subject, action)[0] for action in self.actions])
         return found
 
     def reach(self, root: StateKey, rep: ModelComponent) -> Reach | None:
@@ -183,10 +184,13 @@ class _Checker:
     def frame(self, phi_inv: Isometry | None):
         """Where each location name is read in the left side's frame, as its
         rounded point and report name. A right location (with ``phi_inv``)
-        is mapped back once, onto the declared location there if any."""
+        is mapped back once, onto the declared location there if any. With
+        literal locations, a state is one agent, read in total."""
+        if self.same_location:
+            return lambda name: ((), "(total)")
 
         @functools.cache
-        def place(name: str) -> tuple[tuple[float, float], str]:
+        def place(name: str) -> tuple[tuple[float, ...], str]:
             found = self.defs.locations[name]
             if phi_inv is not None:
                 point = phi_inv.apply(found.point)
@@ -195,39 +199,43 @@ class _Checker:
 
         return place
 
-    def signature(self, key: StateKey, place) -> Signature:
-        """The rates of ``key`` that the rate conditions compare, each read
-        at its ``place``; without an isometry, in total at literal names."""
-        names, tables = self.rates(key)
-        if self.same_location:
-            return names, {(index, (), "(total)"): total
-                           for index, (_, total) in enumerate(tables) if total}
-        return None, {(index, *place(name)): rate for index, (table, _) in enumerate(tables)
-                      for name, rate in table.items() if rate}
+    def placed(self, key: StateKey, frame) -> dict[tuple, float]:
+        """The nonzero exit rates of ``key`` by action index and the place
+        ``frame`` reads each at, summed per place in composition order."""
+        found: dict[tuple, float] = {}
+        for index, table in enumerate(self.rates(key)[1]):
+            for name, rate in table.items():
+                if rate:
+                    where = (index, *frame(name))
+                    found[where] = found.get(where, 0.0) + rate
+        return found
 
-    def rate_gap(self, left: Signature, right: Signature) -> Gap | None:
-        """The first rate condition on which two signatures differ."""
-        if left[0] != right[0]:
-            return "location-mismatch", {"location": f"{list(left[0])} vs {list(right[0])}"}
-        for where in sorted(left[1].keys() | right[1].keys()):
-            lv, rv = left[1].get(where, 0.0), right[1].get(where, 0.0)
-            if _quantised(lv) != _quantised(rv):
-                return "rate-mismatch", {"action": self.actions[where[0]].text,
-                                         "location": where[2], "values": (lv, rv)}
-        return None
+    def signature(self, key: StateKey, frame) -> Signature:
+        """What the rate conditions compare of ``key``: its quantised rates
+        read in ``frame``, and its location names when they must match."""
+        return (self.rates(key)[0] if self.same_location else None,
+                frozenset((where, _quantised(rate))
+                          for where, rate in self.placed(key, frame).items()))
 
-    def refine(self, sides: list[Reach], places: list) -> list[list[int]]:
+    def rate_gap(self, keys: PairKey, frames: list) -> Gap:
+        """Why the signatures of two states differ: their location names, else
+        the first place whose quantised rates differ, with unrounded rates."""
+        names, rates = zip(*map(self.signature, keys, frames))
+        if names[0] != names[1]:
+            return "location-mismatch", {"location": f"{list(names[0])} vs {list(names[1])}"}
+        # a place whose rates differ has an entry on one side only
+        where = min(rates[0] ^ rates[1])[0]
+        values = tuple(self.placed(key, frame).get(where, 0.0) for key, frame in zip(keys, frames))
+        return "rate-mismatch", {"action": self.actions[where[0]].text,
+                                 "location": where[2], "values": values}
+
+    def refine(self, sides: list[Reach], frames: list) -> list[list[int]]:
         """Each side's block of each of its states. Blocks start from the
-        quantised rate signatures, and split on the set of (action, block)
-        each state steps into, until their number stops growing."""
+        rate signatures, and split on the set of (action, block) each state
+        steps into, until their number stops growing."""
         ids: dict = {}
-        blocks = []
-        for (index, _, _), place in zip(sides, places):
-            blocks.append([])
-            for key in index:
-                names, rates = self.signature(key, place)
-                sign = names, frozenset((where, _quantised(v)) for where, v in rates.items())
-                blocks[-1].append(ids.setdefault(sign, len(ids)))
+        blocks = [[ids.setdefault(self.signature(key, frame), len(ids)) for key in index]
+                  for (index, _, _), frame in zip(sides, frames)]
         count = len(ids)
         while True:
             ids = {}
@@ -279,12 +287,11 @@ class _Checker:
             phi: Isometry) -> BisimResult:
         root = (_state_key(self.defs, left), _state_key(self.defs, right))
         root_rep = (left, right)
-        places = [self.frame(None), self.frame(invert(phi))]
+        frames = [self.left_frame, self.frame(invert(phi))]
         # a root that fails a rate condition is in no bisimulation, so the
         # verdict needs no reach
-        rate_gap = self.rate_gap(*map(self.signature, root, places))
-        if rate_gap is not None:
-            gap = self.transfer_gap(root, root_rep, None) or rate_gap
+        if self.signature(root[0], frames[0]) != self.signature(root[1], frames[1]):
+            gap = self.transfer_gap(root, root_rep, None) or self.rate_gap(root, frames)
             return BisimResult(related=False, counterexample=_counterexample(root_rep, gap))
 
         sides = [self.reach(root[0], left)]
@@ -293,7 +300,7 @@ class _Checker:
             return BisimResult(
                 related=False, inconclusive=True,
                 note=f"state bound {self.bound} exceeded while reaching a side's states")
-        blocks = self.refine(sides, places)
+        blocks = self.refine(sides, frames)
         (left_index, _, _), (right_index, _, _) = sides
 
         def related(l: StateKey, r: StateKey) -> bool:

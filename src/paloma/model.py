@@ -353,8 +353,8 @@ class Definitions:
         self._ids: dict[SeqComponent, int] = {}
         self._by_resolved: dict[SeqComponent, int] = {}
         self._agents: list[_AgentState] = []
-        # each range's location names as a set and sorted, for the semantics
-        self._reach: dict[InfluenceRange, tuple[frozenset[str], list[str]]] = {}
+        # each range's location names, for the semantics
+        self._reach: dict[InfluenceRange, frozenset[str]] = {}
         self._lock = threading.Lock()
 
     def all_locations(self) -> frozenset[Location]:

@@ -206,17 +206,35 @@ _OUTPUT_OF = {ActionType.BROADCAST_IN: ActionType.BROADCAST_OUT,
 
 class _System:
     """The agents of a system in composition order, seen by queries for one
-    action, with indexes over them built on first use. Locations are keyed
-    by name, so no lookup hashes a ``Location``."""
+    action, with the indexes that the action's kind reads, built up front.
+    Locations are keyed by name, so no lookup hashes a ``Location``."""
 
     def __init__(self, agents: list[_AgentState], action: ActionId):
         self.agents = agents
-        self.kind = action.act_type
-        self.label = action.label
-        self._senders: dict[str, list[tuple[int, UnicastOut | BroadcastOut]]] | None = None
-        self._listeners: dict[str, list[tuple[int, float]]] | None = None
+        self.kind = kind = action.act_type
+        self.label = label = action.label
+        # for each location name, the outputs that an input of this kind
+        # receives and whose range covers it, as ``(position, prefix)`` in
+        # composition order and in written order within an agent
+        self.senders: dict[str, list[tuple[int, UnicastOut | BroadcastOut]]] = {}
+        # the receive weights on the label at each location name, as
+        # ``(position, weight)`` in composition order; for unicast only
+        self.listeners: dict[str, list[tuple[int, float]]] = {}
+        # how many agents stand at each location name; for unicast output
+        self.occupied: dict[str, int] = {}
         self._in_range: dict[int, list[tuple[int, float]]] = {}
-        self._occupied: dict[str, int] | None = None
+        if kind in _OUTPUT_OF:
+            for q, agent in enumerate(agents):
+                for prefix in _prefixes(agent, _OUTPUT_OF[kind], label):
+                    for loc in prefix.influence:
+                        self.senders.setdefault(loc.name, []).append((q, prefix))
+        if kind is ActionType.UNICAST_OUT or kind is ActionType.UNICAST_IN:
+            for r, agent in enumerate(agents):
+                name, weight = agent.location.name, agent.weight.get(label, 0)
+                if weight > 0.0:
+                    self.listeners.setdefault(name, []).append((r, weight))
+                if kind is ActionType.UNICAST_OUT:
+                    self.occupied[name] = self.occupied.get(name, 0) + 1
 
     def agent_rate(self, p: int) -> float:
         """Exit rate of the agent at position ``p``, with every other agent
@@ -236,7 +254,7 @@ class _System:
         if act <= 0.0 or own <= 0.0:
             return 0.0
         total = 0.0
-        for q, prefix in self.senders().get(agent.location.name, ()):
+        for q, prefix in self.senders.get(agent.location.name, ()):
             if q != p:
                 # the pool of _receiver_pool over the agents but the sender
                 # and this one, then this one
@@ -249,7 +267,7 @@ class _System:
         """Total rate of the outputs that the measured input receives and
         that reach location ``name``, leaving out the agent at ``skip``."""
         total = 0.0
-        for q, prefix in self.senders().get(name, ()):
+        for q, prefix in self.senders.get(name, ()):
             if q != skip:
                 total += prefix.rate
         return total
@@ -259,14 +277,13 @@ class _System:
         another agent occupies, over its unblocked alternatives; an empty
         context offers nowhere to deliver, hence zero."""
         agent = self.agents[p]
-        occupied = self.occupied()
         here = agent.location.name
         delivered: dict[str, float] = {}
         for prefix in _prefixes(agent, ActionType.UNICAST_OUT, self.label):
             if self.unblocked(prefix, p):
                 for loc in prefix.influence:
                     name = loc.name
-                    if occupied.get(name, 0) > (name == here):
+                    if self.occupied.get(name, 0) > (name == here):
                         delivered[name] = delivered.get(name, 0.0) + prefix.rate
         return max(delivered.values(), default=0.0)
 
@@ -275,43 +292,15 @@ class _System:
         label within the range of its unicast ``prefix``."""
         return any(r != sender for r, _ in self.in_range(prefix))
 
-    def senders(self) -> dict[str, list[tuple[int, UnicastOut | BroadcastOut]]]:
-        """For each location name, the outputs that the measured input
-        receives and whose range covers it, as ``(position, prefix)`` in
-        composition order and in written order within an agent."""
-        if self._senders is None:
-            self._senders = {}
-            kind = _OUTPUT_OF[self.kind]
-            for q, agent in enumerate(self.agents):
-                for prefix in _prefixes(agent, kind, self.label):
-                    for loc in prefix.influence:
-                        self._senders.setdefault(loc.name, []).append((q, prefix))
-        return self._senders
-
     def in_range(self, prefix: UnicastOut) -> list[tuple[int, float]]:
         """The receive weights on the label within ``prefix``'s range, as
         ``(position, weight)`` in composition order. Kept by the identity of
         the range: hashing the set would hash every ``Location`` in Python."""
         found = self._in_range.get(id(prefix.influence))
         if found is None:
-            if self._listeners is None:
-                self._listeners = {}
-                for r, agent in enumerate(self.agents):
-                    weight = agent.weight.get(self.label, 0)
-                    if weight > 0.0:
-                        self._listeners.setdefault(agent.location.name, []).append((r, weight))
             found = []
             for loc in prefix.influence:
-                found += self._listeners.get(loc.name, ())
+                found += self.listeners.get(loc.name, ())
             found.sort()
             self._in_range[id(prefix.influence)] = found
         return found
-
-    def occupied(self) -> dict[str, int]:
-        """How many agents stand at each location name."""
-        if self._occupied is None:
-            self._occupied = {}
-            for agent in self.agents:
-                name = agent.location.name
-                self._occupied[name] = self._occupied.get(name, 0) + 1
-        return self._occupied

@@ -240,11 +240,10 @@ def _derive(defs: Definitions, key: StateKey) -> list[tuple]:
     out = []
     for i, agent in enumerate(agents):
         for s, (_, kind, prefix, influence) in enumerate(agent.sends):
-            reach = defs._reach.get(influence)
-            if reach is None:
-                inside = sorted(loc.name for loc in influence)
-                reach = defs._reach[influence] = (frozenset(inside), inside)
-            at = [j for j, name in enumerate(names) if j != i and name in reach[0]]
+            inside = defs._reach.get(influence)
+            if inside is None:
+                inside = defs._reach[influence] = frozenset(loc.name for loc in influence)
+            at = [j for j, name in enumerate(names) if j != i and name in inside]
             near = tuple([key[j] for j in at])
             steps = agent.derived.get((s, near))
             if steps is None:

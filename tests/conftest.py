@@ -54,6 +54,18 @@ system R = Receiver(l0);
 system Pair = Transmitter(l0) || Receiver(l0);
 """
 
+# Two locations just further apart than GEOMETRIC_TOL: a translation by half
+# their distance maps both of Two's agents back within tolerance of l0.
+COLLISION_SOURCE = """\
+location l0 = (0.0, 0.0);
+location l1 = (1.5e-6, 0.0);
+A(l0) := (tick, 1.0).A(l0);
+A(l1) := (tick, 1.0).A(l1);
+system One = A(l0);
+system Two = A(l0) || A(l1);
+"""
+COLLISION_SHIFT = (7.5e-7, 0.0)
+
 
 def load(source: str) -> ModelDefinition:
     result = parse_model(source)

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import families
-from conftest import BLOCKING_SOURCE, SCENARIO_P, SCENARIO_R, SCENARIO_SOURCE
+from conftest import (
+    BLOCKING_SOURCE,
+    COLLISION_SOURCE,
+    SCENARIO_P,
+    SCENARIO_R,
+    SCENARIO_SOURCE,
+)
 from paloma import cli
 
 NAIVE_SOURCE = """
@@ -278,6 +284,21 @@ def test_bisim_fixed_phi_mode(scenario_path):
                    "--right", "Scenario2", "--mode", "fixed-phi",
                    "--matrix", "1,0,0,1", "--offset", "0,0")
     assert proc.returncode == 1
+
+
+def test_rates_read_at_one_place_add_up(tmp_path):
+    # l0 and l1 lie further apart than GEOMETRIC_TOL, but the translation
+    # maps both of Two's agents back onto l0, where One has a single agent:
+    # Two ticks at twice One's rate there
+    path = tmp_path / "collision.paloma"
+    path.write_text(COLLISION_SOURCE, encoding="utf-8")
+    assert run_cli("check", str(path)).returncode == 0
+    proc = run_cli("bisim", str(path), "--left", "One", "--right", "Two", "--mode", "fixed-phi",
+                   "--matrix", "1,0,0,1", "--offset", "7.5e-07,0")
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert proc.stdout.splitlines()[0] == "verdict: not-related"
+    assert re.search(r"rate mismatch at pair \(.*\): action tick at l0 gives 1 vs 2",
+                     proc.stdout)
 
 
 def test_bisim_rejects_non_orthogonal_matrix(scenario_path):

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bisim_reference as reference
+import families
 
 from paloma.equivalence import (
     BisimResult,
@@ -15,10 +18,24 @@ from paloma.equivalence import (
     naive_bisim,
     recheck_transfer,
 )
-from paloma.geometry import IDENTITY, invert, reflection_y_axis, translation
-from paloma.model import ActionId, EMPTY, _state_key, constant, render_model
+from paloma.geometry import (
+    IDENTITY,
+    candidate_isometries,
+    invert,
+    reflection_y_axis,
+    translation,
+)
+from paloma.model import (
+    ActionId,
+    EMPTY,
+    _model_actions,
+    _state_key,
+    constant,
+    locations_of,
+    render_model,
+)
 from paloma.rates import RateQuery, exit_rate
-from conftest import load, with_aliases
+from conftest import COLLISION_SHIFT, COLLISION_SOURCE, load, with_aliases
 from oracle import random_model
 
 TWO_PLACES_SOURCE = """
@@ -341,7 +358,6 @@ def test_counterexamples_are_built_only_for_a_verdict(monkeypatch):
     # the rate filter and the refinement only ask whether a pair fails; the
     # Counterexample, which renders both sides, is built for the reported
     # root pair alone
-    import families
     import paloma.equivalence as equivalence
 
     built = []
@@ -366,7 +382,6 @@ def test_rate_frames_are_built_once_per_location_sets(monkeypatch):
     # a state's rate signature depends on the isometry only through the
     # locations it occupies: the candidate is inverted once, and the inverse
     # maps each right location once, not once per state that occupies it
-    import families
     import paloma.equivalence as equivalence
     from paloma.geometry import Isometry
 
@@ -412,7 +427,6 @@ def test_relation_keeps_the_pairs_reachable_inside_it():
 def test_related_verdict_renders_each_state_of_the_relation_once(monkeypatch):
     # steps are ordered by successor key and pairs relate state numbers, so
     # terms are rendered only for the report, one per state and side
-    import families
     import paloma.equivalence as equivalence
 
     rendered = []
@@ -588,8 +602,6 @@ def test_checker_matches_the_reference_on_drawn_models(seed, max_agents, n_locat
     # Main against Alt is seldom related; a system against itself in another
     # composition order always is, and refinement has a large state set to cut
     from paloma.cli import _bisim_report
-    from paloma.geometry import candidate_isometries
-    from paloma.model import locations_of
 
     defn = random_model(random.Random(seed), max_agents=max_agents,
                         n_locations=n_locations, max_alternatives=max_alternatives)
@@ -620,7 +632,6 @@ def test_rates_are_priced_only_for_actions_some_prefix_carries(monkeypatch):
     # an action that no prefix carries has rate 0 in every state, so the
     # checker prices only the (type, label) pairs the model writes: ring-3
     # and duo-4 each write 5 of the 15 that their 3 labels make
-    import families
     import paloma.equivalence as equivalence
 
     priced = []
@@ -634,3 +645,55 @@ def test_rates_are_priced_only_for_actions_some_prefix_carries(monkeypatch):
     duo = load(families.duo(4, 1))
     result = bisimilar(duo.definitions(), duo.systems["Main"], duo.systems["Odd"], EMPTY)
     assert not result.related and len(priced) == 10
+
+
+def _related_verdicts(defn, shifts=()):
+    """The related verdicts of every check on each ordered pair of the
+    model's systems, in the empty context and inside its first system:
+    the candidate search, fixed-phi under every candidate and under each
+    translation by ``shifts``, and the naive check of the first agents."""
+    defs = defn.definitions()
+    systems = list(defn.systems.values())
+    for context in (EMPTY, systems[0]):
+        for left in systems:
+            for right in systems:
+                points = [[loc.point for loc in locations_of(context + side)]
+                          for side in (left, right)]
+                phis = candidate_isometries(*points)[0] + [translation(*s) for s in shifts]
+                results = [bisimilar(defs, left, right, context, bound=400),
+                           naive_bisim(defs, left[0], right[0], context, bound=400)]
+                results += [check_bisim_phi(defs, left, right, context, phi, bound=400)
+                            for phi in phis]
+                yield from ((defs, context, r) for r in results if r.related)
+
+
+def _shipped(name):
+    return load((Path(__file__).resolve().parent.parent / "models" / name).read_text())
+
+
+# each model with the translations to check it under besides its candidates
+_INVARIANT_MODELS = {
+    "scenario": lambda: [(_shipped("scenario.paloma"), ())],
+    "blocking": lambda: [(_shipped("blocking.paloma"), ())],
+    "ring-3": lambda: [(load(families.ring(3, 1)), ())],
+    "duo-4": lambda: [(load(families.duo(4, 1)), ())],
+    "drawn": lambda: [(random_model(random.Random(seed)), ()) for seed in range(40)],
+    "collision": lambda: [(load(COLLISION_SOURCE), (COLLISION_SHIFT,))],
+}
+
+
+@pytest.mark.parametrize("model", list(_INVARIANT_MODELS))
+def test_related_pairs_have_equal_total_exit_rates(model):
+    # a related pair's sides expose, for every action, rates that agree at
+    # corresponding places, so their totals agree too; rates that one frame
+    # reads at one place must add up for that to hold
+    checked = 0
+    for defn, shifts in _INVARIANT_MODELS[model]():
+        for defs, context, result in _related_verdicts(defn, shifts):
+            for pair in result.pairs:
+                for action in _model_actions(defs):
+                    left, right = (exit_rate(defs, RateQuery(action, side, context))
+                                   for side in pair)
+                    assert math.isclose(left, right, rel_tol=1e-8), (action.text, pair)
+            checked += 1
+    assert checked > 0
