@@ -94,9 +94,6 @@ def _quantised(rate: float) -> float:
 # A pair of side states: their keys, and the terms that represent them.
 PairKey = tuple[StateKey, StateKey]
 PairRep = tuple[ModelComponent, ModelComponent]
-# A failed condition at a pair: a Counterexample's kind and its details,
-# rendered into one only for the pair a verdict reports.
-Gap = tuple[str, dict]
 # A state's location names when they must match literally, and its nonzero
 # exit rates, quantised, keyed by action index and the place they are read.
 Signature = tuple[tuple[str, ...] | None, frozenset[tuple[tuple, float]]]
@@ -106,12 +103,6 @@ Signature = tuple[tuple[str, ...] | None, frozenset[tuple[tuple, float]]]
 Reach = tuple[dict[StateKey, int], list[ModelComponent], list[tuple[tuple[str, int], ...]]]
 # A state's steps by action text, each with its successor's key.
 Steps = dict[str, list[tuple[LiftedStep, StateKey]]]
-
-
-def _counterexample(rep: PairRep, gap: Gap | None) -> Counterexample | None:
-    if gap is None:
-        return None
-    return Counterexample(gap[0], render_model(rep[0]), render_model(rep[1]), **gap[1])
 
 
 class _Checker:
@@ -217,17 +208,19 @@ class _Checker:
                 frozenset((where, _quantised(rate))
                           for where, rate in self.placed(key, frame).items()))
 
-    def rate_gap(self, keys: PairKey, frames: list) -> Gap:
+    def rate_gap(self, keys: PairKey, rep: PairRep, frames: list) -> Counterexample:
         """Why the signatures of two states differ: their location names, else
         the first place whose quantised rates differ, with unrounded rates."""
         names, rates = zip(*map(self.signature, keys, frames))
         if names[0] != names[1]:
-            return "location-mismatch", {"location": f"{list(names[0])} vs {list(names[1])}"}
+            return Counterexample("location-mismatch", *map(render_model, rep),
+                                  location=f"{list(names[0])} vs {list(names[1])}")
         # a place whose rates differ has an entry on one side only
         where = min(rates[0] ^ rates[1])[0]
         values = tuple(self.placed(key, frame).get(where, 0.0) for key, frame in zip(keys, frames))
-        return "rate-mismatch", {"action": self.actions[where[0]].text,
-                                 "location": where[2], "values": values}
+        return Counterexample("rate-mismatch", *map(render_model, rep),
+                              action=self.actions[where[0]].text, location=where[2],
+                              values=values)
 
     def refine(self, sides: list[Reach], frames: list) -> list[list[int]]:
         """Each side's block of each of its states. Blocks start from the
@@ -246,7 +239,8 @@ class _Checker:
                 return blocks
             count = len(ids)
 
-    def transfer_gap(self, key: PairKey, rep: PairRep, related=None) -> Gap | None:
+    def transfer_gap(self, key: PairKey, rep: PairRep,
+                     related=None) -> Counterexample | None:
         """A step on either side that the other cannot match with a step to a
         successor ``related(left, right)`` to its own; with ``None``, a step
         under an action the other side lacks."""
@@ -258,8 +252,8 @@ class _Checker:
                     if others is None or (related is not None and not any(
                             related(k, succ) if flipped else related(succ, k)
                             for _, k in others)):
-                        return "unmatched-transition", {"action": text,
-                                                        "transition": step.label_text}
+                        return Counterexample("unmatched-transition", *map(render_model, rep),
+                                              action=text, transition=step.label_text)
         return None
 
     def relation(self, sides: list[Reach], blocks: list[list[int]]) -> list[tuple[int, int]]:
@@ -291,8 +285,8 @@ class _Checker:
         # a root that fails a rate condition is in no bisimulation, so the
         # verdict needs no reach
         if self.signature(root[0], frames[0]) != self.signature(root[1], frames[1]):
-            gap = self.transfer_gap(root, root_rep, None) or self.rate_gap(root, frames)
-            return BisimResult(related=False, counterexample=_counterexample(root_rep, gap))
+            return BisimResult(related=False, counterexample=(
+                self.transfer_gap(root, root_rep) or self.rate_gap(root, root_rep, frames)))
 
         sides = [self.reach(root[0], left)]
         sides.append(sides[0] and self.reach(root[1], right))
@@ -320,9 +314,8 @@ class _Checker:
 
         # report the most telling root failure: a step the other side cannot
         # take at all, else a step into a block the other side cannot reach
-        gap = (self.transfer_gap(root, root_rep, None)
-               or self.transfer_gap(root, root_rep, related))
-        return BisimResult(related=False, counterexample=_counterexample(root_rep, gap))
+        return BisimResult(related=False, counterexample=(
+            self.transfer_gap(root, root_rep) or self.transfer_gap(root, root_rep, related)))
 
 
 def check_bisim_phi(defs: Definitions, left: ModelComponent, right: ModelComponent,
@@ -355,9 +348,9 @@ def recheck_transfer(defs: Definitions, context: ModelComponent,
     keyed = [((_state_key(defs, l), _state_key(defs, r)), (l, r)) for l, r in pairs]
     keys = {key for key, _ in keyed}
     for key, rep in keyed:
-        gap = checker.transfer_gap(key, rep, lambda l, r: (l, r) in keys)
-        if gap is not None:
-            return _counterexample(rep, gap)
+        found = checker.transfer_gap(key, rep, lambda l, r: (l, r) in keys)
+        if found is not None:
+            return found
     return None
 
 

@@ -39,11 +39,11 @@ class Isometry(_Record):
         (a, b), (c, d) = self.linear
         return a * d - b * c
 
-    def is_orthogonal(self, tol: float = ALGEBRAIC_TOL) -> bool:
+    def is_orthogonal(self) -> bool:
         (a, b), (c, d) = self.linear
-        return (abs(a * a + c * c - 1.0) <= tol
-                and abs(b * b + d * d - 1.0) <= tol
-                and abs(a * b + c * d) <= tol)
+        return (abs(a * a + c * c - 1.0) <= ALGEBRAIC_TOL
+                and abs(b * b + d * d - 1.0) <= ALGEBRAIC_TOL
+                and abs(a * b + c * d) <= ALGEBRAIC_TOL)
 
     def is_identity(self, tol: float = ALGEBRAIC_TOL) -> bool:
         (a, b), (c, d) = self.linear
@@ -109,36 +109,35 @@ def invert(iso: Isometry) -> Isometry:
 
 
 def map_location(iso: Isometry, location: Location,
-                 declared: dict[str, Location],
-                 tol: float = GEOMETRIC_TOL) -> Location | None:
+                 declared: dict[str, Location]) -> Location | None:
     """Apply to a location's point and match the image back to a declared
     location, or ``None`` when it lands on undeclared ground."""
-    return _PointGrid(declared.values(), tol).match(iso.apply(location.point))
+    return _PointGrid(declared.values()).match(iso.apply(location.point))
+
+
+_CELL_WIDTH = 4.0 * GEOMETRIC_TOL
 
 
 class _PointGrid:
     """Locations bucketed by square cells of the plane, so that ``match``
-    finds the earliest added location within ``tol`` of a point while
-    looking at the 3 x 3 cells around it only.
+    finds the earliest added location within ``GEOMETRIC_TOL`` of a point
+    while looking at the 3 x 3 cells around it only.
 
-    Cells are four tolerances wide rather than one: two points within ``tol``
-    of each other then land in the same or adjacent cells even after the
-    rounding of the division, at every magnitude where distinct doubles can
-    lie within ``tol``. A coordinate too large to divide keys its cell by
-    itself; points that far out match only on equal coordinates anyway.
+    Cells are four tolerances wide rather than one: two points within the
+    tolerance of each other then land in the same or adjacent cells even
+    after the rounding of the division, at every magnitude where distinct
+    doubles can lie that close. A coordinate too large to divide keys its
+    cell by itself; points that far out match only on equal coordinates.
     """
 
-    def __init__(self, locations: Iterable[Location] = (), tol: float = GEOMETRIC_TOL):
-        self.tol = tol
-        # with no positive tolerance only equal points match, in any cell
-        self.width = 4.0 * tol if tol > 0.0 else 1.0
+    def __init__(self, locations: Iterable[Location] = ()):
         self.cells: dict[tuple[float, float], list[tuple[int, Location]]] = {}
         self.added = 0
         for location in locations:
             self.add(location)
 
     def _cell(self, point: Point) -> tuple[float, float]:
-        x, y = point[0] / self.width, point[1] / self.width
+        x, y = point[0] / _CELL_WIDTH, point[1] / _CELL_WIDTH
         return (math.floor(x) if math.isfinite(x) else point[0],
                 math.floor(y) if math.isfinite(y) else point[1])
 
@@ -147,22 +146,22 @@ class _PointGrid:
         self.added += 1
 
     def match(self, point: Point) -> Location | None:
-        """The earliest added location within ``tol`` of ``point``, if any."""
+        """The earliest added location within ``GEOMETRIC_TOL`` of ``point``."""
         cx, cy = self._cell(point)
         best: tuple[int, Location] | None = None
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 for order, candidate in self.cells.get((cx + dx, cy + dy), ()):
                     if ((best is None or order < best[0])
-                            and math.dist(point, candidate.point) <= self.tol):
+                            and math.dist(point, candidate.point) <= GEOMETRIC_TOL):
                         best = (order, candidate)
         return best[1] if best is not None else None
 
 
-def map_locations(iso: Isometry, locations, declared: dict[str, Location],
-                  tol: float = GEOMETRIC_TOL) -> list[Location | Point]:
+def map_locations(iso: Isometry, locations,
+                  declared: dict[str, Location]) -> list[Location | Point]:
     """Elementwise image of a location set; undeclared images stay raw points."""
-    grid = _PointGrid(declared.values(), tol)
+    grid = _PointGrid(declared.values())
     out: list[Location | Point] = []
     for location in sorted(locations, key=lambda l: l.name):
         image = iso.apply(location.point)
@@ -171,25 +170,19 @@ def map_locations(iso: Isometry, locations, declared: dict[str, Location],
     return out
 
 
-def _from_complex(u: complex, t: complex, reflected: bool) -> Isometry:
-    # z -> u*z + t (direct) or z -> u*conj(z) + t (reflected), |u| = 1
-    a, b = u.real, u.imag
-    if reflected:
-        linear = ((a, b), (b, -a))
-    else:
-        linear = ((a, -b), (b, a))
-    return Isometry(linear, (t.real, t.imag))
-
-
 def _pair_isometries(a1: Point, a2: Point, b1: Point, b2: Point) -> list[Isometry]:
-    za1, za2 = complex(*a1), complex(*a2)
-    zb1, zb2 = complex(*b1), complex(*b2)
-    direct_u = (zb2 - zb1) / (za2 - za1)
-    reflected_u = (zb2 - zb1) / (za2 - za1).conjugate()
-    return [
-        _from_complex(direct_u, zb1 - direct_u * za1, reflected=False),
-        _from_complex(reflected_u, zb1 - reflected_u * za1.conjugate(), reflected=True),
-    ]
+    """The direct and the reflected isometry that send ``a1`` onto ``b1`` and
+    ``a2`` onto the ray from ``b1`` through ``b2``; each pair must hold two
+    distinct points."""
+    za1, zb1 = complex(*a1), complex(*b1)
+    da, db = complex(*a2) - za1, complex(*b2) - zb1
+    # z -> u*z + t and z -> v*conj(z) + s; turning unit directions keeps
+    # |u| = |v| = 1 whatever the two distances are
+    ua, ub = da / abs(da), db / abs(db)
+    u, v = ub * ua.conjugate(), ub * ua
+    t, s = zb1 - u * za1, zb1 - v * za1.conjugate()
+    return [Isometry(((u.real, -u.imag), (u.imag, u.real)), (t.real, t.imag)),
+            Isometry(((v.real, v.imag), (v.imag, -v.real)), (s.real, s.imag))]
 
 
 def _round_key(iso: Isometry) -> tuple:
@@ -198,19 +191,20 @@ def _round_key(iso: Isometry) -> tuple:
     return tuple(round(v, KEY_DIGITS) + 0.0 for v in (a, b, c, d, tx, ty))
 
 
-def candidate_isometries(points_a: list[Point], points_b: list[Point],
-                         tol: float = GEOMETRIC_TOL) -> tuple[list[Isometry], str | None]:
+def candidate_isometries(points_a: list[Point],
+                         points_b: list[Point]) -> tuple[list[Isometry], str | None]:
     """Every isometry that maps one occupied point set onto another.
 
     Each sends one centroid and its first farthest point onto the other
-    centroid and a point as far from it, within ``tol``; a single occupied
-    point on each side yields the plain translation between them. Only
-    candidates that map every point within ``tol`` of a point of the other
-    set are kept, one for each orientation and correspondence of points,
-    the first synthesised. Mismatched set sizes admit no bijective matching,
-    reported through the note. Candidates are ordered: identity first, then
-    orientation-reversing before orientation-preserving, then by rounded
-    parameters.
+    centroid and a point as far from it, within ``GEOMETRIC_TOL``; a point
+    at the other centroid gives no direction and is skipped. A single
+    occupied point on each side yields the plain translation between them.
+    Only candidates that map every point within ``GEOMETRIC_TOL`` of a
+    distinct point of the other set are kept, one for each orientation and
+    correspondence of points, the first synthesised. Mismatched set sizes
+    admit no bijective matching, reported through the note. Candidates are
+    ordered: identity first, then orientation-reversing before
+    orientation-preserving, then by rounded parameters.
     """
     set_a = sorted(set(points_a))
     set_b = sorted(set(points_b))
@@ -231,20 +225,16 @@ def candidate_isometries(points_a: list[Point], points_b: list[Point],
         far = max(set_a, key=lambda p: math.dist(p, ca))
         radius = math.dist(far, ca)
         for b in set_b:
-            if abs(math.dist(b, cb) - radius) <= tol:
+            if b != cb and abs(math.dist(b, cb) - radius) <= GEOMETRIC_TOL:
                 candidates.extend(_pair_isometries(ca, far, cb, b))
     # the targets are named by their index; one candidate is kept for each
-    # orientation and tuple of matched targets
-    targets = _PointGrid((Location(str(k), point) for k, point in enumerate(set_b)), tol)
+    # orientation and tuple of matched targets, which must be distinct
+    targets = _PointGrid(Location(str(k), point) for k, point in enumerate(set_b))
     matching: dict[tuple, Isometry] = {}
     for iso in candidates:
-        matched = []
-        for point in set_a:
-            matched.append(targets.match(iso.apply(point)))
-            if matched[-1] is None:
-                break
-        else:
-            matching.setdefault((iso.determinant > 0.0, tuple(matched)), iso)
+        matched = tuple(targets.match(iso.apply(point)) for point in set_a)
+        if None not in matched and len(set(matched)) == len(matched):
+            matching.setdefault((iso.determinant > 0.0, matched), iso)
     ordered = sorted(matching.values(),
                      key=lambda iso: (not iso.is_identity(), iso.determinant > 0.0,
                                       _round_key(iso)))

@@ -406,8 +406,7 @@ class _Parser:
         if tokens[i] == "all":
             if tokens[i + 1] != "}":
                 self.expect(i + 1, ("}",))
-            if not self.locations:
-                raise _ParseError("'all' range used but no locations are declared", i + 2)
+            # never empty: the equation's head named a declared location
             return frozenset(self.locations.values()), i + 2
         names = []
         while True:

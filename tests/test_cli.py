@@ -301,6 +301,48 @@ def test_rates_read_at_one_place_add_up(tmp_path):
                      proc.stdout)
 
 
+# The degenerate candidates of README "Bisimilarity". SCALED_SOURCE's L and R
+# are pairs 1e-5 and 1.15e-5 apart: no scaling by 1.15 is tried, and the
+# reflection that swaps their midpoints sends each point within 7.5e-7 of a
+# distinct target. In CENTROID_SOURCE a tiny triangle faces three collinear
+# points; the middle one sits at its side's centroid and gives no direction,
+# and the isometries through the end points send two corners onto one point.
+SCALED_SOURCE = """\
+location a = (0.0, 0.0); location b = (1e-5, 0.0); location d = (1.15e-5, 0.0);
+A(a) := (tick, 1.0).A(a); A(b) := (tick, 1.0).A(b); A(d) := (tick, 1.0).A(d);
+system L = A(a) || A(b); system R = A(a) || A(d);
+"""
+CENTROID_SOURCE = """\
+location p0 = (0.0, 0.0); location p1 = (1.2e-6, 0.0);
+location p2 = (0.6e-6, 1.0392304845413265e-06);
+location q0 = (9.9999988, 0.0); location q1 = (10.0, 0.0); location q2 = (10.0000012, 0.0);
+A(p0) := (tick, 1.0).A(p0); A(p1) := (tick, 1.0).A(p1); A(p2) := (tick, 1.0).A(p2);
+A(q0) := (tick, 1.0).A(q0); A(q1) := (tick, 1.0).A(q1); A(q2) := (tick, 1.0).A(q2);
+system L = A(p0) || A(p1) || A(p2); system R = A(q0) || A(q1) || A(q2);
+"""
+
+
+@pytest.mark.parametrize("source, sides, code, stdout", [
+    (SCALED_SOURCE, ("L", "R"), 0,
+     "verdict: related\n"
+     "isometry: reflection: linear [[-1, 0], [0, 1]], offset (1.075e-05, 0)\n"
+     "relation:\n  A(a) || A(b)  ~  A(a) || A(d)\n"),
+    (CENTROID_SOURCE, ("L", "R"), 1, "verdict: not-related\nnote: no candidate isometries\n"),
+    # no occupied point on either side: the identity alone
+    (SCALED_SOURCE, ("empty", "empty"), 0,
+     "verdict: related\nisometry: identity: linear [[1, 0], [0, 1]], offset (0, 0)\n"
+     "relation:\n  empty  ~  empty\n"),
+], ids=["scaled", "centroid-target", "empty"])
+def test_bisim_tries_only_exact_one_to_one_candidates(tmp_path, capsys, source, sides, code,
+                                                      stdout):
+    path = tmp_path / "model.paloma"
+    path.write_text(source, encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["bisim", str(path), "--left", sides[0], "--right", sides[1]]) == code
+    assert capsys.readouterr().out == stdout
+
+
 def test_bisim_rejects_non_orthogonal_matrix(scenario_path):
     proc = run_cli("bisim", scenario_path, "--left", "Scenario1",
                    "--right", "Scenario2", "--mode", "fixed-phi",

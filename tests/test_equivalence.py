@@ -197,6 +197,17 @@ def test_union_of_witness_relations_stays_transfer_closed(scenario):
     assert finding is None, f"union of bisimulations broke closure: {finding.describe()}"
 
 
+def test_recheck_transfer_names_a_pair_whose_steps_leave_the_set(scenario):
+    # the root pair alone is not closed: its matched steps lead to pairs
+    # outside the set, so the first step is reported as unmatched
+    defs = scenario.definitions()
+    sc1, sc2 = scenario.systems["Scenario1"], scenario.systems["Scenario2"]
+    assert check_bisim_phi(defs, sc1, sc2, EMPTY, reflection_y_axis()).related
+    finding = recheck_transfer(defs, EMPTY, [(sc1, sc2)])
+    assert finding is not None and finding.kind == "unmatched-transition"
+    assert (finding.left, finding.right) == (render_model(sc1), render_model(sc2))
+
+
 def test_union_property_on_random_models():
     findings = []
     for seed in range(60):

@@ -107,25 +107,29 @@ def test_map_location_matches_declared_names():
 
 def test_map_location_returns_the_earliest_declared_match():
     # both declared points lie within tolerance of the image, in adjacent
-    # grid cells; the earlier declaration wins, whichever is nearer
+    # grid cells; the earlier declaration wins, whichever is nearer. A
+    # location just beyond GEOMETRIC_TOL never matches
     near = Location("near", (5e-7, 0.0))
     far = Location("far", (-9e-7, 0.0))
+    beyond = Location("beyond", (0.0, -1.1e-6))
     here = Location("here", (0.0, 0.0))
     assert map_location(IDENTITY, here, {"far": far, "near": near}).name == "far"
     assert map_location(IDENTITY, here, {"near": near, "far": far}).name == "near"
-    assert map_location(IDENTITY, here, {"far": far, "near": near}, tol=6e-7).name == "near"
-    assert map_location(IDENTITY, here, {"here": here}, tol=0.0).name == "here"
-    assert map_location(IDENTITY, here, {"near": near}, tol=0.0) is None
+    assert map_location(IDENTITY, here, {"beyond": beyond, "near": near}).name == "near"
+    assert map_location(IDENTITY, here, {"beyond": beyond}) is None
 
 
 def test_map_location_agrees_with_a_scan_in_declared_order():
     # images land within 1.5 tolerances of a random declared point, so some
-    # match one, some several and some none
+    # match one, some several and some none; the points sit around a centre
+    # of random magnitude, so that the grid's cells are hit at many scales
     rng = random.Random(5)
+    tol = GEOMETRIC_TOL
     outcomes = set()
     for _ in range(300):
-        tol = 10.0 ** rng.randint(-7, 0)
-        declared = {f"l{k}": Location(f"l{k}", (rng.uniform(-2, 2) * tol, rng.uniform(-2, 2) * tol))
+        cx, cy = (rng.uniform(-1, 1) * 10.0 ** rng.randint(-7, 2) for _ in range(2))
+        declared = {f"l{k}": Location(f"l{k}", (cx + rng.uniform(-2, 2) * tol,
+                                                cy + rng.uniform(-2, 2) * tol))
                     for k in range(rng.randint(1, 6))}
         x, y = rng.choice(list(declared.values())).point
         image = (x + rng.uniform(-1.5, 1.5) * tol, y + rng.uniform(-1.5, 1.5) * tol)
@@ -133,7 +137,7 @@ def test_map_location_agrees_with_a_scan_in_declared_order():
         probe = Location("p", invert(phi).apply(image))
         within = [loc.name for loc in declared.values()
                   if math.dist(phi.apply(probe.point), loc.point) <= tol]
-        found = map_location(phi, probe, declared, tol)
+        found = map_location(phi, probe, declared)
         assert (found and found.name) == (within[0] if within else None)
         outcomes.add(min(len(within), 2))
     assert outcomes == {0, 1, 2}
@@ -141,14 +145,14 @@ def test_map_location_agrees_with_a_scan_in_declared_order():
 
 def test_grid_matches_a_point_whose_distance_rounds_to_the_tolerance():
     # each probe lies 1e-6 + 1e-22 from its location, which math.dist rounds
-    # to exactly the tolerance; in cells one tolerance wide the two points
+    # to exactly GEOMETRIC_TOL; in cells one tolerance wide the two points
     # would sit two cells apart (-1 and 1), outside each other's 3 x 3 block
     from paloma.geometry import _PointGrid
 
     for point, probe in (((1e-6, 0.0), (-1e-22, 0.0)), ((0.0, 1e-6), (0.0, -1e-22))):
-        assert math.dist(point, probe) == 1e-6
+        assert math.dist(point, probe) == GEOMETRIC_TOL
         loc = Location("l", point)
-        assert _PointGrid([loc], tol=1e-6).match(probe) is loc
+        assert _PointGrid([loc]).match(probe) is loc
         assert map_location(IDENTITY, Location("p", probe), {"l": loc}) is loc
 
 
@@ -363,3 +367,35 @@ def test_candidates_equal_the_reference_wherever_it_lists_each_symmetry_once():
                                     points, images)
             compared += 1
     assert compared > 850
+
+
+def _spread_points(rng: random.Random, n: int, spacing: float) -> list[tuple[float, float]]:
+    """``n`` points, at least ``spacing`` apart as the validator requires:
+    distinct nodes of a 3 x 3 grid of pitch 1.6 spacings, each moved by up
+    to 0.3 spacings along each axis."""
+    nodes = rng.sample([(i, j) for i in range(3) for j in range(3)], n)
+    return [((i * 1.6 + rng.uniform(-0.3, 0.3)) * spacing,
+             (j * 1.6 + rng.uniform(-0.3, 0.3)) * spacing) for i, j in nodes]
+
+
+def test_candidates_are_exact_isometries_that_match_points_one_to_one():
+    # near-congruent sets: an isometric image moved by up to half the
+    # tolerance per coordinate. On sets a few tolerances wide, a scaling or a
+    # map sending two points onto one target can pass the tolerance test;
+    # neither may be listed
+    rng = random.Random(20)
+    listed = 0
+    for trial in range(3000):
+        n = rng.randint(2, 5)
+        spacing = rng.choice([1.05e-6, 2e-6, 3e-6, 1e-5, 1.0])
+        points = _spread_points(rng, n, spacing)
+        phi = random_isometry(rng)
+        half = 0.5 * GEOMETRIC_TOL
+        images = [(x + rng.uniform(-half, half), y + rng.uniform(-half, half))
+                  for x, y in map(phi.apply, points)]
+        for iso in candidate_isometries(points, images)[0]:
+            listed += 1
+            assert iso.is_orthogonal(), (trial, iso)
+            _, matched = _correspondence(iso, points, images)
+            assert None not in matched and len(set(matched)) == len(matched), (trial, iso)
+    assert listed > 3000

@@ -239,6 +239,19 @@ def test_alias_may_not_relocate_the_agent():
                for d in errors(diags))
 
 
+def test_choice_operands_may_not_relocate_the_agent():
+    source = """
+    location l0 = (0.0, 0.0);
+    location l1 = (1.0, 0.0);
+    A(l0) := (a, 1.0).A(l0) + B(l1);
+    B(l1) := (b, 1.0).B(l1);
+    """
+    result = parse_model(source)
+    assert result.ok
+    assert [d.message for d in errors(validate(result.definition))] == [
+        "A(l0): choice operands must stay at l0"]
+
+
 def test_same_location_alias_is_fine():
     source = """
     location l0 = (0.0, 0.0);
@@ -392,6 +405,13 @@ PINNED_DIAGNOSTICS = [
     ("location l0 = (0.0, 0.0);\nS(l0) := (é, 1.0).S(l0);\n",
      [("error", "unexpected character 'é'", 2, 11),
       ("error", "expected action label, found ','", 2, 12)]),
+    # declarations the statement reads whole but cannot keep
+    ("param r = 1.0;\nparam r = 2.0;\n", [("error", "duplicate parameter 'r'", 2, 7)]),
+    ("param r = 0.0;\n", [("error", "parameter 'r' must be positive", 1, 11)]),
+    ("location l0 = (0.0, 0.0);\nlocation l0 = (1.0, 0.0);\n",
+     [("error", "duplicate location 'l0'", 2, 10)]),
+    ("location l0 = (0.0, 0.0);\nS(l0) := (tick, 1.0).S(l0);\nsystem M = S(l0);\n"
+     "system M = S(l0);\n", [("error", "duplicate system 'M'", 4, 8)]),
 ]
 
 

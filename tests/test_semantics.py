@@ -689,6 +689,21 @@ def test_continuation_takes_successor_ids_from_the_derivation(monkeypatch):
     assert calls == []
 
 
+def test_continuation_in_other_definitions_interns_the_same_successors():
+    # a derivation continued in a Definitions other than the one that
+    # derived it cannot use that engine's ids: it interns each successor in
+    # its own, and lists the same items as the fast path
+    import families
+
+    defn = load(families.ring(4, 0))
+    defs, other = defn.definitions(), defn.definitions()
+    ctmc = build_ctmc(defs, defn.systems["Main"], bound=1000)
+    found = [d for state in ctmc.states[:40] for d in derivations(defs, state)]
+    assert found
+    assert ([d.continuation(other).items() for d in found]
+            == [d.continuation(defs).items() for d in found])
+
+
 def test_ring4_fills_each_listen_entry_once_and_reuses_derivations(monkeypatch):
     import families
     from paloma.model import _AgentState
