@@ -40,7 +40,7 @@ from .model import (
     render_model,
 )
 from .rates import _rate_table
-from .semantics import LiftedStep, _keyed_component_steps
+from .semantics import _apply, _subject_steps
 
 
 class Counterexample(_Record):
@@ -86,11 +86,6 @@ class BisimResult(_Record):
         self.note = note
 
 
-def _quantised(rate: float) -> float:
-    """``rate`` to ``KEY_DIGITS`` significant digits, the form rates compare in."""
-    return float(f"{rate:.{KEY_DIGITS}g}")
-
-
 # A pair of side states: their keys, and the terms that represent them.
 PairKey = tuple[StateKey, StateKey]
 PairRep = tuple[ModelComponent, ModelComponent]
@@ -98,11 +93,9 @@ PairRep = tuple[ModelComponent, ModelComponent]
 # exit rates, quantised, keyed by action index and the place they are read.
 Signature = tuple[tuple[str, ...] | None, frozenset[tuple[tuple, float]]]
 # A side's reached states: their numbers by key, breadth first; each one's
-# term, the first found for it (the root's is the one it was reached from);
-# and each one's steps in order, as (action text, successor number).
+# term, the first found for it in derivation order (the root's is the one it
+# was reached from); and each one's steps, as (action text, successor number).
 Reach = tuple[dict[StateKey, int], list[ModelComponent], list[tuple[tuple[str, int], ...]]]
-# A state's steps by action text, each with its successor's key.
-Steps = dict[str, list[tuple[LiftedStep, StateKey]]]
 
 
 class _Checker:
@@ -115,6 +108,7 @@ class _Checker:
                  bound: float = math.inf, same_location: bool = False):
         self.defs = defs
         self.context = context
+        self.context_key = _state_key(defs, context)
         self.context_agents = _agents_of(defs, context)
         self.bound = bound
         self.same_location = same_location
@@ -122,20 +116,22 @@ class _Checker:
         # signatures keep only nonzero rates: leave such actions out
         self.actions = _model_actions(defs)
         self.located = _PointGrid(defs.locations.values()).match
-        self._steps_cache: dict[StateKey, Steps] = {}
+        self._steps_cache: dict[StateKey, dict[tuple[str, StateKey], tuple]] = {}
         self._rates: dict[StateKey, tuple[tuple[str, ...], list[dict[str, float]]]] = {}
         self._reached: dict[StateKey, Reach | None] = {}
         self.left_frame = self.frame(None)
 
-    def steps(self, key: StateKey, subject: ModelComponent) -> Steps:
-        """The steps of the state ``key`` (represented by ``subject``), in a
-        fixed order: by action text, then successor key."""
+    def steps(self, key: StateKey) -> dict[tuple[str, StateKey], tuple]:
+        """The steps of the state ``key`` in derivation order, the first of
+        each action text and successor key, with the transition's label and
+        the moves and positions of ``_derive`` that it applies."""
         cached = self._steps_cache.get(key)
         if cached is None:
-            keyed = _keyed_component_steps(self.defs, self.context, subject)
             cached = self._steps_cache[key] = {}
-            for (text, succ_key), step in sorted(keyed.items()):
-                cached.setdefault(text, []).append((step, succ_key))
+            for action, sent, succ, moves, at in _subject_steps(
+                    self.defs, self.context_key + key, len(self.context)):
+                if (action.text, succ) not in cached:
+                    cached[action.text, succ] = (sent.text, moves, at)
         return cached
 
     def rates(self, key: StateKey) -> tuple[tuple[str, ...], list[dict[str, float]]]:
@@ -144,31 +140,28 @@ class _Checker:
         found = self._rates.get(key)
         if found is None:
             subject = [self.defs._agents[a] for a in key]
-            names = {agent.location.name for agent in subject}
-            found = self._rates[key] = (tuple(sorted(names)), [
+            found = self._rates[key] = (tuple(sorted({a.location.name for a in subject})), [
                 _rate_table(self.context_agents, subject, action)[0] for action in self.actions])
         return found
 
     def reach(self, root: StateKey, rep: ModelComponent) -> Reach | None:
         """The states reachable from ``root`` (represented by ``rep``), or
-        ``None`` once there are more than ``bound``. Reached once per root:
-        a state keeps the first term found for it, and is derived from it."""
+        ``None`` once there are more than ``bound``. Reached once per root, in
+        derivation order: a state's term is built once, from its parent's."""
         if root in self._reached:
             return self._reached[root]
         index, order, terms = {root: 0}, [root], [rep]
         for n, key in enumerate(order):
-            for group in self.steps(key, terms[n]).values():
-                for step, succ in group:
-                    if succ not in index:
-                        index[succ] = len(order)
-                        order.append(succ)
-                        terms.append(step.successor)
-                        if len(order) > self.bound:
-                            self._reached[root] = None
-                            return None
+            for (_, succ), (_, moves, at) in self.steps(key).items():
+                if succ not in index:
+                    index[succ] = len(order)
+                    order.append(succ)
+                    terms.append(_apply(self.context + terms[n], moves, 2, at)[len(self.context):])
+                    if len(order) > self.bound:
+                        self._reached[root] = None
+                        return None
         found = self._reached[root] = (index, terms, [
-            tuple((text, index[succ])
-                  for text, group in self._steps_cache[key].items() for _, succ in group)
+            tuple((text, index[succ]) for text, succ in self._steps_cache[key])
             for key in order])
         return found
 
@@ -202,10 +195,11 @@ class _Checker:
         return found
 
     def signature(self, key: StateKey, frame) -> Signature:
-        """What the rate conditions compare of ``key``: its quantised rates
-        read in ``frame``, and its location names when they must match."""
+        """What the rate conditions compare of ``key``: its rates read in
+        ``frame``, to ``KEY_DIGITS`` significant digits, and its location
+        names when they must match."""
         return (self.rates(key)[0] if self.same_location else None,
-                frozenset((where, _quantised(rate))
+                frozenset((where, float(f"{rate:.{KEY_DIGITS}g}"))
                           for where, rate in self.placed(key, frame).items()))
 
     def rate_gap(self, keys: PairKey, rep: PairRep, frames: list) -> Counterexample:
@@ -243,17 +237,16 @@ class _Checker:
                      related=None) -> Counterexample | None:
         """A step on either side that the other cannot match with a step to a
         successor ``related(left, right)`` to its own; with ``None``, a step
-        under an action the other side lacks."""
-        left, right = self.steps(key[0], rep[0]), self.steps(key[1], rep[1])
+        under an action the other side lacks; tried by action text, then
+        successor key."""
+        left, right = self.steps(key[0]), self.steps(key[1])
         for own, other, flipped in ((left, right, False), (right, left, True)):
-            for text, group in own.items():
-                others = other.get(text)
-                for step, succ in group:
-                    if others is None or (related is not None and not any(
-                            related(k, succ) if flipped else related(succ, k)
-                            for _, k in others)):
-                        return Counterexample("unmatched-transition", *map(render_model, rep),
-                                              action=text, transition=step.label_text)
+            for (text, succ), (label, _, _) in sorted(own.items()):
+                others = [k for t, k in other if t == text]
+                if not others or (related is not None and not any(
+                        related(k, succ) if flipped else related(succ, k) for k in others)):
+                    return Counterexample("unmatched-transition", *map(render_model, rep),
+                                          action=text, transition=label)
         return None
 
     def relation(self, sides: list[Reach], blocks: list[list[int]]) -> list[tuple[int, int]]:

@@ -147,15 +147,17 @@ class _PointGrid:
 
     def match(self, point: Point) -> Location | None:
         """The earliest added location within ``GEOMETRIC_TOL`` of ``point``."""
+        found = self.near(point)
+        return found[0] if found else None
+
+    def near(self, point: Point) -> list[Location]:
+        """The added locations within ``GEOMETRIC_TOL`` of ``point``, earliest
+        first."""
         cx, cy = self._cell(point)
-        best: tuple[int, Location] | None = None
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for order, candidate in self.cells.get((cx + dx, cy + dy), ()):
-                    if ((best is None or order < best[0])
-                            and math.dist(point, candidate.point) <= GEOMETRIC_TOL):
-                        best = (order, candidate)
-        return best[1] if best is not None else None
+        return [location for _, location in sorted(
+            entry for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+            for entry in self.cells.get((cx + dx, cy + dy), ())
+            if math.dist(point, entry[1].point) <= GEOMETRIC_TOL)]
 
 
 def map_locations(iso: Isometry, locations,
@@ -183,6 +185,26 @@ def _pair_isometries(a1: Point, a2: Point, b1: Point, b2: Point) -> list[Isometr
     t, s = zb1 - u * za1, zb1 - v * za1.conjugate()
     return [Isometry(((u.real, -u.imag), (u.imag, u.real)), (t.real, t.imag)),
             Isometry(((v.real, v.imag), (v.imag, -v.real)), (s.real, s.imag))]
+
+
+def _one_to_one(options: list[list[Location]]) -> tuple[Location, ...] | None:
+    """A distinct target for each point from its ``options``, found along
+    augmenting paths (Hopcroft & Karp 1973), or ``None``. Points try their
+    options in order, so distinct first options are the assignment."""
+    owner: dict[Location, int] = {}
+
+    def claim(point: int, tried: set[Location]) -> bool:
+        for target in options[point]:
+            if target not in tried:
+                tried.add(target)
+                if target not in owner or claim(owner[target], tried):
+                    owner[target] = point
+                    return True
+        return False
+
+    if not all(claim(point, set()) for point in range(len(options))):
+        return None
+    return tuple(sorted(owner, key=owner.__getitem__))
 
 
 def _round_key(iso: Isometry) -> tuple:
@@ -228,12 +250,12 @@ def candidate_isometries(points_a: list[Point],
             if b != cb and abs(math.dist(b, cb) - radius) <= GEOMETRIC_TOL:
                 candidates.extend(_pair_isometries(ca, far, cb, b))
     # the targets are named by their index; one candidate is kept for each
-    # orientation and tuple of matched targets, which must be distinct
+    # orientation and one-to-one tuple of matched targets
     targets = _PointGrid(Location(str(k), point) for k, point in enumerate(set_b))
     matching: dict[tuple, Isometry] = {}
     for iso in candidates:
-        matched = tuple(targets.match(iso.apply(point)) for point in set_a)
-        if None not in matched and len(set(matched)) == len(matched):
+        matched = _one_to_one([targets.near(iso.apply(point)) for point in set_a])
+        if matched is not None:
             matching.setdefault((iso.determinant > 0.0, matched), iso)
     ordered = sorted(matching.values(),
                      key=lambda iso: (not iso.is_identity(), iso.determinant > 0.0,

@@ -501,12 +501,14 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
     # Every constant reference must have a defining equation at its target
     # location, both in equation bodies and in system definitions. One walk
     # of each written equation checks them and its choices' locations, and
-    # collects its leaves. The walk is iterative and visits a choice before
-    # its left operand and the left operand before the right, so deep
-    # choices cannot overflow.
+    # collects its leaves and whether it holds a bare constant reference.
+    # The walk is iterative and visits a choice before its left operand and
+    # the left operand before the right, so deep choices cannot overflow.
     equations = definition.equations
+    aliasing: set[tuple[str, str] | None] = set()
 
-    def walk(owner: str, roots: list[SeqComponent]) -> list[PrefixGuarded]:
+    def walk(owner: str, roots: list[SeqComponent],
+             key: tuple[str, str] | None = None) -> list[PrefixGuarded]:
         leaves = []
         stack = roots[::-1]
         while stack:
@@ -525,11 +527,13 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
                     err(f"{owner}: choice operands must stay at {loc.name}")
                 stack.append(body.right)
                 stack.append(body.left)
-            elif (body.name, body.location.name) not in equations:
-                err(f"{owner}: reference to undefined {body.name}({body.location.name})")
+            else:
+                aliasing.add(key)
+                if (body.name, body.location.name) not in equations:
+                    err(f"{owner}: reference to undefined {body.name}({body.location.name})")
         return leaves
 
-    written = {(name, locname): walk(f"{name}({locname})", [body])
+    written = {(name, locname): walk(f"{name}({locname})", [body], (name, locname))
                for (name, locname), body in equations.items()}
     for sysname, component in definition.systems.items():
         walk(f"system {sysname}", list(component))
@@ -538,9 +542,14 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
         return out
 
     # Constant definitions must be guarded: following aliases and choice
-    # operands from any equation must terminate in prefixes.
+    # operands from any equation must terminate in prefixes. A tree with no
+    # bare reference is guarded, and resolves to itself: it is stored as its
+    # constant's unfolding unresolved.
     resolved: dict[tuple[str, str], SeqComponent] = {}
     for name, locname in equations:
+        if (name, locname) not in aliasing:
+            resolved[name, locname] = defs._unfolded[name, locname] = equations[name, locname]
+            continue
         try:
             resolved[(name, locname)] = defs._resolve_equation((name, locname))
         except Exception as exc:  # ModelError carries the offending cycle

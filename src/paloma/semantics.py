@@ -25,6 +25,8 @@ that repeats it. The public functions take and return terms.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .model import (
     ActionId,
     ActionType,
@@ -332,11 +334,22 @@ def _keyed_component_steps(defs: Definitions, context: ModelComponent,
                            ) -> dict[tuple[str, StateKey], LiftedStep]:
     """``component_steps``, each keyed by its action's text and the state
     key of its successor."""
-    part = _as_component(subject)
+    system = context + _as_component(subject)
     offset = len(context)
-    system = context + part
-    key = _state_key(defs, system)
     found: dict[tuple[str, StateKey], LiftedStep] = {}
+    for action, sent, succ_key, moves, at in _subject_steps(
+            defs, _state_key(defs, system), offset):
+        if (action.text, succ_key) not in found:
+            found[action.text, succ_key] = LiftedStep(
+                action, sent.text, _apply(system, moves, 2, at)[offset:])
+    return found
+
+
+def _subject_steps(defs: Definitions, key: StateKey, offset: int) -> Iterator[tuple]:
+    """The steps of the state ``key`` that its agents from ``offset`` on
+    take part in, by the roles of ``component_steps``, in derivation order:
+    one ``(action, sender's action, successor key from offset on, moves,
+    at)`` per role, ``moves`` and ``at`` as in ``_derive``."""
     # the sender's and the receivers' action of each (kind, label), built once
     built: dict[tuple[ActionType, str], tuple[ActionId, ActionId | None]] = {}
     for i, kind, label, _, steps, at in _derive(defs, key):
@@ -346,15 +359,10 @@ def _keyed_component_steps(defs: Definitions, context: ModelComponent,
                 _INPUT_OF[kind], label) if kind in _INPUT_OF else None)
         sent, heard = pair
         for _, moves in steps:
-            actions = []
-            if i >= offset:
-                actions.append(sent)
-            if any(at[move[0]] >= offset for move in moves[:-1]):
-                actions.append(heard)
-            if actions:
+            hears = any(at[move[0]] >= offset for move in moves[:-1])
+            if i >= offset or hears:
                 succ_key = _apply(key, moves, 1, at)[offset:]
-                for action in actions:
-                    if (action.text, succ_key) not in found:
-                        succ = _apply(system, moves, 2, at)[offset:]
-                        found[action.text, succ_key] = LiftedStep(action, sent.text, succ)
-    return found
+                if i >= offset:
+                    yield sent, sent, succ_key, moves, at
+                if hears:
+                    yield heard, sent, succ_key, moves, at

@@ -54,6 +54,17 @@ system R = Receiver(l0);
 system Pair = Transmitter(l0) || Receiver(l0);
 """
 
+# Q(l0) and R(l0) name one state: `ctmc` and `bisim` both print it as Q(l0),
+# the first term found for it in derivation order
+ALIASED_SOURCE = """
+location l0 = (0.0, 0.0);
+P(l0) := (b, 1.0).Q(l0) + (a, 1.0).R(l0);
+Q(l0) := (c, 1.0).P(l0);
+R(l0) := (c, 1.0).P(l0);
+system S = P(l0);
+"""
+
+
 # Two locations just further apart than GEOMETRIC_TOL: a translation by half
 # their distance maps both of Two's agents back within tolerance of l0.
 COLLISION_SOURCE = """\

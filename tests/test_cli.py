@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import families
 from conftest import (
+    ALIASED_SOURCE,
     BLOCKING_SOURCE,
     COLLISION_SOURCE,
     SCENARIO_P,
@@ -188,6 +189,23 @@ def test_ctmc_env_bound_applies(scenario_path):
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (("ctmc", "--system", "Scenario1"), {"PALOMA_BOUND": "ten"},
+     "PALOMA_BOUND must be an integer, got 'ten'"),
+    (("bisim", "--left", "Scenario1", "--right", "Scenario1", "--mode", "naive"), {},
+     "naive mode compares single agents; pick systems with exactly one component"),
+    (("bisim", "--left", "Scenario1", "--right", "Scenario2", "--mode", "fixed-phi",
+      "--offset", "0,0"), {}, "fixed-phi mode needs --matrix and --offset"),
+    (("bisim", "--left", "Scenario1", "--right", "Scenario2", "--mode", "fixed-phi",
+      "--matrix=-1,0,0,1"), {}, "fixed-phi mode needs --matrix and --offset"),
+], ids=["non-integer-env-bound", "naive-composition", "fixed-phi-no-matrix",
+        "fixed-phi-no-offset"])
+def test_options_the_command_cannot_use_are_input_errors(scenario_path, argv, env, message):
+    proc = run_cli(argv[0], scenario_path, *argv[1:], env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_ctmc_unknown_system(scenario_path):
     proc = run_cli("ctmc", scenario_path, "--system", "Nope")
     assert proc.returncode == 2
@@ -241,6 +259,17 @@ def test_rate_unknown_location_and_action(scenario_path):
     proc = run_cli("rate", scenario_path, "--system", "Scenario1",
                    "--action", "!!nothing")
     assert proc.returncode == 2
+
+
+def test_ctmc_and_bisim_print_a_state_as_one_term(tmp_path):
+    path = tmp_path / "aliased.paloma"
+    path.write_text(ALIASED_SOURCE, encoding="utf-8")
+    chain = run_cli("ctmc", str(path), "--system", "S")
+    assert chain.returncode == 0
+    assert chain.stdout.splitlines()[1:3] == ["0\tP(l0)", "1\tQ(l0)"]
+    proc = run_cli("bisim", str(path), "--left", "S", "--right", "S")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[2:] == ["relation:", "  P(l0)  ~  P(l0)", "  Q(l0)  ~  Q(l0)"]
 
 
 def test_bisim_scenarios_related_with_reflection(scenario_path):
@@ -766,8 +795,10 @@ def test_sender_is_not_in_its_own_receiver_pool(self_listening_path, argv, stdou
 
 
 def test_rate_call_resolves_each_equation_once(tmp_path, monkeypatch, capsys):
-    # validate fills one Definitions and the query reuses it: wide-150 has
-    # 151 equations, and interning the agents resolves none of them again
+    # validate fills one Definitions and the query reuses it: none of
+    # wide-150's 151 equations holds a bare constant reference, so each is
+    # its own unfolding, and neither validate nor interning the agents
+    # resolves one
     from paloma import cli
     from paloma.model import Definitions
 
@@ -785,7 +816,7 @@ def test_rate_call_resolves_each_equation_once(tmp_path, monkeypatch, capsys):
                  ("--system", "Probe", "--context", "Main", "--action", "??msg")):
         calls.clear()
         assert cli.main(["rate", str(path), *argv]) == 0
-        assert len(calls) == 151
+        assert len(calls) == 0
     assert capsys.readouterr().out == "89.999999999999858\n0.71999999999999997\n"
 
 

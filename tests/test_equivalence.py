@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import bisim_reference as reference
 import families
 
+from paloma.ctmc import build_ctmc
 from paloma.equivalence import (
     BisimResult,
     bisimilar,
@@ -35,7 +36,7 @@ from paloma.model import (
     render_model,
 )
 from paloma.rates import RateQuery, exit_rate
-from conftest import COLLISION_SHIFT, COLLISION_SOURCE, load, with_aliases
+from conftest import ALIASED_SOURCE, COLLISION_SHIFT, COLLISION_SOURCE, load, with_aliases
 from oracle import random_model
 
 TWO_PLACES_SOURCE = """
@@ -338,16 +339,16 @@ def test_pair_check_computes_each_state_exit_rate_once(scenario, monkeypatch):
 def test_one_checker_derives_each_state_once_across_candidates(scenario, monkeypatch):
     import paloma.equivalence as equivalence
     from paloma.geometry import rotation
-    from paloma.semantics import _keyed_component_steps
+    from paloma.semantics import _subject_steps
 
     defs = scenario.definitions()
     seen = []
 
-    def recording(defs_, context, subject):
-        seen.append(_state_key(defs_, subject))
-        return _keyed_component_steps(defs_, context, subject)
+    def recording(defs_, key, offset):
+        seen.append(key[offset:])
+        return _subject_steps(defs_, key, offset)
 
-    monkeypatch.setattr(equivalence, "_keyed_component_steps", recording)
+    monkeypatch.setattr(equivalence, "_subject_steps", recording)
     left, right = scenario.systems["Scenario1"], scenario.systems["Scenario2"]
     checker = equivalence._Checker(defs, EMPTY, 10000)
     mirrored = checker.run(left, right, reflection_y_axis())
@@ -473,6 +474,45 @@ def test_aliased_state_prints_as_one_term_and_roots_as_given():
         printed = {(_state_key(defs, pair[side]), text[side])
                    for pair, text in zip(result.pairs, result.relation)}
         assert len(printed) == len(dict(printed))
+
+
+def test_a_state_prints_as_the_chain_names_it():
+    # the chain names the state by the first term found for it in
+    # derivation order, Q(l0) by the (b, 1.0) step; the relation does too,
+    # although the action text of the (a, 1.0) step sorts first
+    defn = load(ALIASED_SOURCE)
+    defs = defn.definitions()
+    system = defn.systems["S"]
+    assert [render_model(state) for state in build_ctmc(defs, system, 10).states] == [
+        "P(l0)", "Q(l0)"]
+    result = bisimilar(defs, system, system, EMPTY)
+    assert result.related
+    assert result.relation == [("P(l0)", "P(l0)"), ("Q(l0)", "Q(l0)")]
+
+
+# draws where reaching in action-text order names a state by another term
+@example(seed=26, max_agents=3, n_locations=2, max_alternatives=3)
+@example(seed=36, max_agents=3, n_locations=1, max_alternatives=3)
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1), max_agents=st.integers(2, 3),
+       n_locations=st.integers(1, 3), max_alternatives=st.integers(1, 3))
+def test_left_states_print_as_the_chain_of_the_left_system_names_them(
+        seed, max_agents, n_locations, max_alternatives):
+    # some agents of the left root are written as aliases, so a state can be
+    # reached under more than one term: one keeping an alias, one not
+    rng = random.Random(seed)
+    defn = with_aliases(random_model(rng, max_agents=max_agents, n_locations=n_locations,
+                                     max_alternatives=max_alternatives))
+    defs = defn.definitions()
+    main = defn.systems["Main"]
+    left = tuple(constant("Alias" + part.body.name, part.location) if rng.random() < 0.5
+                 else part for part in main)
+    result = bisimilar(defs, left, main, EMPTY)
+    assert result.related
+    names = {_state_key(defs, state): render_model(state)
+             for state in build_ctmc(defs, left, 10000).states}
+    for pair, printed in zip(result.pairs, result.relation):
+        assert printed[0] == names[_state_key(defs, pair[0])]
 
 
 def test_bound_counts_the_states_each_side_reaches():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -396,6 +397,58 @@ def test_candidates_are_exact_isometries_that_match_points_one_to_one():
         for iso in candidate_isometries(points, images)[0]:
             listed += 1
             assert iso.is_orthogonal(), (trial, iso)
-            _, matched = _correspondence(iso, points, images)
-            assert None not in matched and len(set(matched)) == len(matched), (trial, iso)
+            assert _matching_permutations(iso, points, images), (trial, iso)
     assert listed > 3000
+
+
+def _matching_permutations(iso: Isometry, points: list, targets: list) -> set[tuple[int, ...]]:
+    """Every permutation of the sorted distinct ``targets`` that lies within
+    GEOMETRIC_TOL of the images of the sorted distinct ``points``, point by
+    point: a brute-force search."""
+    images = [iso.apply(p) for p in sorted(set(points))]
+    ordered = sorted(set(targets))
+    near = [[math.dist(image, q) <= GEOMETRIC_TOL for q in ordered] for image in images]
+    return {perm for perm in itertools.permutations(range(len(ordered)))
+            if all(near[k][j] for k, j in enumerate(perm))}
+
+
+def test_a_candidate_is_kept_exactly_when_some_permutation_matches(monkeypatch):
+    # on sets spaced under 2 x GEOMETRIC_TOL apart an image may lie within
+    # the tolerance of two targets, so the earliest target of each point can
+    # collide while another assignment matches them one to one. Every
+    # synthesised candidate that some permutation of the targets matches
+    # must be listed, or share a matching permutation and orientation with
+    # one that is; no other may be
+    from paloma import geometry
+
+    synthesised = []
+    pair_isometries = geometry._pair_isometries
+
+    def recording(*points):
+        found = pair_isometries(*points)
+        synthesised.extend(found)
+        return found
+
+    monkeypatch.setattr(geometry, "_pair_isometries", recording)
+    rng = random.Random(1)
+    rescued = 0
+    for trial in range(1500):
+        n = rng.randint(2, 6)
+        spacing = rng.choice([1.05e-6, 1.5e-6, 2e-6, 3e-6, 1.0])
+        points = _spread_points(rng, n, spacing)
+        phi = random_isometry(rng)
+        half = 0.5 * GEOMETRIC_TOL
+        images = [(x + rng.uniform(-half, half), y + rng.uniform(-half, half))
+                  for x, y in map(phi.apply, points)]
+        synthesised.clear()
+        listed = candidate_isometries(points, images)[0]
+        kept = [(iso.determinant > 0.0, _matching_permutations(iso, points, images))
+                for iso in listed]
+        assert all(perms for _, perms in kept), trial
+        for iso in [IDENTITY, *synthesised]:
+            perms = _matching_permutations(iso, points, images)
+            assert bool(perms) == any(turn == (iso.determinant > 0.0) and perms & own
+                                      for turn, own in kept), (trial, iso)
+            _, earliest = _correspondence(iso, points, images)
+            rescued += bool(perms) and len(set(earliest)) < len(earliest)
+    assert rescued > 10

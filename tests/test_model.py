@@ -10,6 +10,8 @@ from paloma.ctmc import build_ctmc
 from paloma.model import (
     ActionId,
     ActionType,
+    BroadcastIn,
+    BroadcastOut,
     Choice,
     ConstantRef,
     EMPTY,
@@ -18,6 +20,7 @@ from paloma.model import (
     SeqComponent,
     Spontaneous,
     UnicastIn,
+    UnicastOut,
     _state_key,
     canonical,
     choice_leaves,
@@ -119,12 +122,52 @@ def test_remove_then_reinsert_is_identity():
         assert removed[:i] + (parts[i],) + removed[i:] == parts
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: UnicastOut("m", 0.0, frozenset()), "unicast rate must be positive"),
+    (lambda: UnicastIn("m", 1.5, 1.0), "act probability out of range"),
+    (lambda: UnicastIn("m", 0.5, 0.0), "receive weight must be positive"),
+    (lambda: BroadcastOut("m", -1.0, frozenset()), "broadcast rate must be positive"),
+    (lambda: BroadcastIn("m", -0.1, 0.5), "act probability out of range"),
+    (lambda: BroadcastIn("m", 0.5, 1.1), "receive probability out of range"),
+], ids=["unicast-out-rate", "unicast-in-act", "unicast-in-weight", "broadcast-out-rate",
+        "broadcast-in-act", "broadcast-in-receive"])
+def test_message_prefixes_refuse_out_of_range_parameters(make, message):
+    with pytest.raises(ModelError, match=message):
+        make()
+
+
+def test_lookup_of_an_undefined_constant_names_it(scenario):
+    defs = scenario.definitions()
+    with pytest.raises(ModelError, match=r"no defining equation for Nobody\(l0\)"):
+        defs.lookup(ConstantRef("Nobody", defs.locations["l0"]))
+
+
+def test_records_and_terms_are_equal_by_class_and_every_field():
+    from paloma.geometry import IDENTITY, translation
+
+    # another class is not compared, so == falls back to identity
+    assert IDENTITY.__eq__(object()) is NotImplemented and IDENTITY != object()
+    assert IDENTITY != translation(1.0, 0.0)
+    tick = Spontaneous("tick", 5)
+    assert tick.__eq__(L0) is NotImplemented and tick != L0
+    # an int hashes modulo 2**61 - 1: equal hashes, unequal rates
+    far = Spontaneous("tick", 5 + 2 ** 61 - 1)
+    assert hash(far) == hash(tick) and far != tick
+
+
 def test_struct_equiv_identifies_constant_with_body(scenario):
     defs = scenario.definitions()
     ref = constant("Transmitter", defs.locations["l0"])
     body = defs.equations[("Transmitter", "l0")]
     assert struct_equiv(defs, ref, body)
     assert struct_equiv(defs, (ref,), (body,))
+
+
+def test_struct_equiv_tells_an_agent_from_a_composition(scenario):
+    defs = scenario.definitions()
+    agent = scenario.systems["Scenario1"][0]
+    assert not struct_equiv(defs, agent, (agent,))
+    assert not struct_equiv(defs, (agent,), agent)
 
 
 def test_struct_equiv_is_positional(scenario):

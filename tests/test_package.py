@@ -22,6 +22,14 @@ def test_package_surface():
     assert paloma.EMPTY == ()
 
 
+def test_dir_lists_every_export():
+    import paloma
+
+    listed = dir(paloma)
+    assert listed == sorted(listed)
+    assert set(paloma.__all__) <= set(listed) and "__version__" in listed
+
+
 def test_readme_library_example_runs(capsys):
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)

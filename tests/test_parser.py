@@ -489,8 +489,10 @@ def test_near_location_check_matches_pairwise_scan():
 
 
 def test_validate_resolves_each_equation_once(monkeypatch):
-    # a 150-agent ring plus a one-agent probe: 151 equations, so validate's
-    # guardedness pass is the only resolution and the later passes reuse it
+    # a 150-agent ring, a one-agent probe and one alias: 152 equations, of
+    # which only the alias holds a bare constant reference. The others are
+    # their own unfoldings, so validate's guardedness pass resolves the alias
+    # alone and the later passes reuse what it stored
     import math
 
     from paloma.model import Definitions
@@ -505,6 +507,7 @@ def test_validate_resolves_each_equation_once(monkeypatch):
         lines.append(f"S(l{k}) := !!(msg, 1.0)@Ir{{l{prev}, l{nxt}}}.S(l{nxt})"
                      f" + ??(msg, 0.6)@Wt{{1.0}}.S(l{nxt}) + (tick, 0.3).S(l{k});")
     lines.append("P(l0) := ??(msg, 0.5)@Wt{3.0}.P(l0) + (tick, 0.1).P(l0);")
+    lines.append("Q(l0) := P(l0);")
     lines.append("system Main = " + " || ".join(f"S(l{k})" for k in range(n)) + ";")
     result = parse_model("\n".join(lines) + "\n")
     assert not errors(result.diagnostics)
@@ -518,4 +521,5 @@ def test_validate_resolves_each_equation_once(monkeypatch):
 
     monkeypatch.setattr(Definitions, "resolve", counting)
     assert validate(result.definition) == []
-    assert len(calls) == len(result.definition.equations) == n + 1
+    assert len(result.definition.equations) == n + 2
+    assert calls == [result.definition.equations["Q", "l0"]]

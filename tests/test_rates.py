@@ -226,6 +226,14 @@ def test_unicast_receive_prob_single_and_out_of_range(blocking):
     assert unicast_receive_prob(d2, r9, (t2,), t2, "m") == 0.0
 
 
+def test_unicast_receive_prob_is_zero_with_nobody_listening(blocking):
+    # the receiver is in range but neither it nor the context listens on
+    # the label, so the receiver pool is empty
+    defs = blocking.definitions()
+    t = constant("Transmitter", defs.locations["l0"])
+    assert unicast_receive_prob(defs, t, EMPTY, t, "message") == 0.0
+
+
 def test_broadcast_system_rate_sums_in_range_senders():
     source = """
     location l1 = (1.0, 0.0);

@@ -20,6 +20,8 @@ from paloma.model import (
 )
 from paloma.semantics import (
     CapLabel,
+    Continuation,
+    StochLabel,
     agent_steps,
     cap_step,
     component_steps,
@@ -249,6 +251,31 @@ def test_component_steps_roles(blocking):
     pair = blocking.systems["Pair"]
     both = component_steps(defs, EMPTY, pair)
     assert {s.action.text for s in both} == {"!!message", "??message"}
+
+
+def test_labels_and_continuations_refuse_what_they_cannot_hold(scenario):
+    defs = scenario.definitions()
+    everywhere = defs.all_locations()
+    system = scenario.systems["Scenario1"]
+    with pytest.raises(ModelError, match="input-typed"):
+        CapLabel(ActionType.UNICAST_OUT, "message_move", everywhere, system)
+    with pytest.raises(ModelError, match="empty range"):
+        StochLabel(ActionType.SPONTANEOUS, "tick", everywhere, system)
+    sent = StochLabel(ActionType.UNICAST_OUT, "message_move", everywhere, system)
+    assert sent.text == "!!message_move"
+    assert StochLabel(ActionType.SPONTANEOUS, "tick", frozenset(), system).text == "tick"
+    # a continuation keeps positive values only
+    empty = Continuation(defs, [(system, 0.0), (system, -1.0)])
+    assert len(empty) == 0 and empty.value_at(system) == 0.0
+
+
+def test_a_chain_needs_a_bound_of_one_and_equals_only_chains(scenario):
+    defs = scenario.definitions()
+    with pytest.raises(ModelError, match="at least 1"):
+        build_ctmc(defs, scenario.systems["Scenario1"], bound=0)
+    chain = build_ctmc(defs, scenario.systems["Scenario1"], bound=10)
+    assert chain.__eq__(object()) is NotImplemented
+    assert chain != object() and chain == build_ctmc(defs, scenario.systems["Scenario1"], 10)
 
 
 # -- engine vs oracle --------------------------------------------------------
