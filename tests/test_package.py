@@ -109,7 +109,7 @@ def _fresh_interpreter(probe: str) -> str:
     return proc.stdout
 
 
-_COMMAND_CALLS = pytest.mark.parametrize("argv, loaded", [
+_CALLS = [
     (["check", "models/scenario.paloma"], "cli geometry model parser"),
     (["rate", "models/scenario.paloma", "--system", "Scenario1",
       "--action", "!!message_move"], "cli geometry model parser rates"),
@@ -117,18 +117,24 @@ _COMMAND_CALLS = pytest.mark.parametrize("argv, loaded", [
      "cli ctmc geometry model parser semantics"),
     (["bisim", "models/scenario.paloma", "--left", "Scenario1", "--right", "Scenario2"],
      "cli equivalence geometry model parser rates semantics"),
-], ids=["check", "rate", "ctmc", "bisim"])
+]
+_COMMAND_CALLS = pytest.mark.parametrize("argv, loaded", _CALLS,
+                                         ids=["check", "rate", "ctmc", "bisim"])
 
 
-@_COMMAND_CALLS
-def test_a_command_loads_only_the_layers_it_runs(argv, loaded):
+@pytest.mark.parametrize("argv, loaded, code", [
+    *((argv, loaded, 0) for argv, loaded in _CALLS),
+    (["check", "tests/malformed.paloma"], "_tokens cli geometry model parser", 2),
+], ids=["check", "rate", "ctmc", "bisim", "malformed-check"])
+def test_a_command_loads_only_the_layers_it_runs(argv, loaded, code):
     # every command-line call is a fresh interpreter: check and rate never
     # import the CTMC or bisimulation layers, ctmc skips bisimulation, and
-    # bisim skips the CTMC module and the array module its columns use
+    # bisim skips the CTMC module and the array module its columns use. Only
+    # a model that the string reader declines loads the token parser
     probe = ("import contextlib, io, sys\n"
              "from paloma import cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
-             f"    assert cli.main({argv!r}) == 0\n"
+             f"    assert cli.main({argv!r}) == {code}\n"
              "print(*sorted(m[7:] for m in sys.modules if m.startswith('paloma.')))\n"
              "print('array' in sys.modules)")
     assert _fresh_interpreter(probe) == f"{loaded}\n{argv[0] == 'ctmc'}\n"

@@ -423,6 +423,20 @@ def test_diagnostic_positions_are_pinned(source, expected):
             for d in result.diagnostics] == expected
 
 
+def test_a_valid_model_the_string_reader_declines_parses_token_by_token():
+    # the reader splits an equation's terms on "+", which breaks the exponent
+    # of 1e+0: it declines the model, and the token parser reads it
+    from paloma.parser import _read
+
+    source = "location l0 = (0.0, 0.0);\nS(l0) := (tick, {}).S(l0);\nsystem M = S(l0);\n"
+    assert _read(source.format("1e+0")) is None
+    result = parse_model(source.format("1e+0"))
+    assert result.ok and result.diagnostics == []
+    plain = parse_model(source.format("1.0")).definition
+    assert result.definition == plain
+    assert pretty_print(result.definition) == pretty_print(plain)
+
+
 def test_unicode_decimal_digits_are_numbers():
     # \d in the token pattern matches any Unicode decimal digit
     result = parse_model("param r = \u0663.\u0665;\nlocation l0 = (-\u0663, 1e\u0663);\n")

@@ -19,7 +19,9 @@ import re
 from pathlib import Path
 
 import families as fam
-from paloma.parser import parse_model, pretty_print, validate
+from oracle import random_model
+from paloma._tokens import _Parser, _place
+from paloma.parser import _read, parse_model, pretty_print, validate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -169,3 +171,40 @@ def test_every_token_cut_of_the_base_models_is_pinned():
     digest, parsed = cuts_digest()
     assert parsed > 100
     assert digest == CUTS_SHA256
+
+
+def token_parse(text: str):
+    """The token parser's definition of ``text``, or ``None`` on an error."""
+    tokens, places, diagnostics = _place(text)
+    parser = _Parser(tokens, places)
+    parser.parse()
+    return None if diagnostics or parser.diagnostics else parser.definition
+
+
+def test_the_string_reader_builds_what_the_token_parser_builds():
+    # the reader reads every model of the repository, the families and the
+    # random models. On every text it accepts, the token parser accepts it
+    # too, with an equal definition whose coordinates print the same: the
+    # corpus, each base model cut after every character, and a few base
+    # models with a blank put at, or a character taken from, every place (a
+    # blank inside a token, as "I r" for "Ir", splits it; one taken out
+    # joins two, as "paramr")
+    texts = bases()
+    edited = [text for base in (*texts[:2], fam.ring(3, 1)) for k in range(len(base))
+              for text in (base[:k] + " " + base[k:], base[:k] + base[k + 1:])]
+    models = [*texts, *(pretty_print(random_model(random.Random(seed)))
+                        for seed in range(200))]
+    for seed in (1, 7):
+        models += [fam.ring(3, seed), fam.ring(4, seed), fam.duo(4, seed),
+                   fam.wide(30, seed), fam.wide(150, seed)]
+    assert all(_read(text) is not None for text in models)
+    accepted = 0
+    for text in [*corpus(), *(base[:k] for base in texts for k in range(len(base))),
+                 *edited, *models]:
+        read = _read(text)
+        if read is not None:
+            accepted += 1
+            parsed = token_parse(text)
+            assert parsed is not None, text
+            assert read == parsed and pretty_print(read) == pretty_print(parsed), text
+    assert accepted > 1000
