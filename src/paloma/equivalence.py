@@ -127,11 +127,10 @@ class _Checker:
         the moves and positions of ``_derive`` that it applies."""
         cached = self._steps_cache.get(key)
         if cached is None:
-            cached = self._steps_cache[key] = {}
-            for action, sent, succ, moves, at in _subject_steps(
-                    self.defs, self.context_key + key, len(self.context)):
-                if (action.text, succ) not in cached:
-                    cached[action.text, succ] = (sent.text, moves, at)
+            cached = self._steps_cache[key] = {
+                (action.text, succ): (sent.text, moves, at)
+                for action, sent, succ, moves, at in _subject_steps(
+                    self.defs, self.context_key + key, len(self.context))}
         return cached
 
     def rates(self, key: StateKey) -> tuple[tuple[str, ...], list[dict[str, float]]]:

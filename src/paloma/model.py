@@ -213,6 +213,12 @@ _PREFIX_TYPES = {
 
 _PREFIX_NAMES = {kind: cls.__name__ for cls, kind in _PREFIX_TYPES.items()}
 
+# the input type that receives each output type, and the output type that
+# each input type receives
+_INPUT_OF = {ActionType.BROADCAST_OUT: ActionType.BROADCAST_IN,
+             ActionType.UNICAST_OUT: ActionType.UNICAST_IN}
+_OUTPUT_OF = {inp: out for out, inp in _INPUT_OF.items()}
+
 
 class ConstantRef(_Term):
     """Reference to a defining equation, keyed by (name, location)."""
@@ -433,12 +439,7 @@ class Definitions:
         with self._lock:
             found = self._ids.get(comp)
             if found is None:
-                # a constant that was already unfolded needs no resolve call
-                body = comp.body
-                resolved = (self._unfolded.get((body.name, body.location.name))
-                            if isinstance(body, ConstantRef) else None)
-                if resolved is None:
-                    resolved = self.resolve(comp)
+                resolved = self.resolve(comp)
                 fresh = len(self._agents)
                 found = self._by_resolved.setdefault(resolved, fresh)
                 if found == fresh:
@@ -475,11 +476,14 @@ def _agents_of(defs: Definitions, component: ModelComponent) -> list[_AgentState
     return [defs._agent(part) for part in component]
 
 
+def _as_component(subject: ModelComponent | SeqComponent) -> ModelComponent:
+    """``subject`` as a composition: a single agent becomes a one-agent one."""
+    return (subject,) if isinstance(subject, SeqComponent) else subject
+
+
 def locations_of(component: ModelComponent | SeqComponent) -> frozenset[Location]:
     """Set of locations occupied by the agents of a component."""
-    if isinstance(component, SeqComponent):
-        return frozenset((component.location,))
-    return frozenset(part.location for part in component)
+    return frozenset(part.location for part in _as_component(component))
 
 
 def seq_in(component: ModelComponent,

@@ -27,8 +27,10 @@ from .model import (
     SeqComponent,
     UnicastOut,
     _AgentState,
+    _OUTPUT_OF,
     _Record,
     _agents_of,
+    _as_component,
     _receiver_pool,
 )
 
@@ -173,10 +175,8 @@ def exit_rate(defs: Definitions, query: RateQuery) -> float:
     Every sum adds its terms in composition order (a receiver pool ends with
     the measured agent's own weight) and, within an agent, in written order.
     """
-    subject = query.subject
-    if isinstance(subject, SeqComponent):
-        subject = (subject,)
-    return _rate_table(_agents_of(defs, query.context), _agents_of(defs, subject),
+    return _rate_table(_agents_of(defs, query.context),
+                       _agents_of(defs, _as_component(query.subject)),
                        query.action, query.locations)[1]
 
 
@@ -199,11 +199,6 @@ def _rate_table(context: list[_AgentState], subject: list[_AgentState], action: 
     return by_location, total
 
 
-# the output type that each input type receives
-_OUTPUT_OF = {ActionType.BROADCAST_IN: ActionType.BROADCAST_OUT,
-              ActionType.UNICAST_IN: ActionType.UNICAST_OUT}
-
-
 class _System:
     """The agents of a system in composition order, seen by queries for one
     action, with the indexes that the action's kind reads, built up front.
@@ -222,7 +217,7 @@ class _System:
         self.listeners: dict[str, list[tuple[int, float]]] = {}
         # how many agents stand at each location name; for unicast output
         self.occupied: dict[str, int] = {}
-        self._in_range: dict[int, list[tuple[int, float]]] = {}
+        self._in_range: dict[frozenset[Location], list[tuple[int, float]]] = {}
         if kind in _OUTPUT_OF:
             for q, agent in enumerate(agents):
                 for prefix in _prefixes(agent, _OUTPUT_OF[kind], label):
@@ -294,13 +289,12 @@ class _System:
 
     def in_range(self, prefix: UnicastOut) -> list[tuple[int, float]]:
         """The receive weights on the label within ``prefix``'s range, as
-        ``(position, weight)`` in composition order. Kept by the identity of
-        the range: hashing the set would hash every ``Location`` in Python."""
-        found = self._in_range.get(id(prefix.influence))
+        ``(position, weight)`` in composition order, kept by range."""
+        found = self._in_range.get(prefix.influence)
         if found is None:
             found = []
             for loc in prefix.influence:
                 found += self.listeners.get(loc.name, ())
             found.sort()
-            self._in_range[id(prefix.influence)] = found
+            self._in_range[prefix.influence] = found
         return found

@@ -37,8 +37,10 @@ from .model import (
     SeqComponent,
     StateKey,
     _AgentState,
+    _INPUT_OF,
     _Record,
     _agents_of,
+    _as_component,
     _receiver_pool,
     _state_key,
     remove_at,
@@ -74,11 +76,6 @@ class StochLabel(_Record):
         return ActionId(self.kind, self.label).text
 
 
-# the input type that receives each output type
-_INPUT_OF = {ActionType.BROADCAST_OUT: ActionType.BROADCAST_IN,
-             ActionType.UNICAST_OUT: ActionType.UNICAST_IN}
-
-
 class Continuation:
     """Finite-support map from successor systems to probabilities or rates.
 
@@ -93,12 +90,11 @@ class Continuation:
         for state, value in entries or []:
             self.add(state, value)
 
-    def add(self, state: ModelComponent, value: float, key: StateKey | None = None) -> None:
-        """Add ``value`` at ``state``, whose engine key is ``key`` if given."""
+    def add(self, state: ModelComponent, value: float) -> None:
+        """Add ``value`` at ``state``."""
         if value <= 0.0:
             return
-        if key is None:
-            key = _state_key(self._defs, state)
+        key = _state_key(self._defs, state)
         if key in self._entries:
             rep, old = self._entries[key]
             self._entries[key] = (rep, old + value)
@@ -121,10 +117,6 @@ class Continuation:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def _as_component(subject: ModelComponent | SeqComponent) -> ModelComponent:
-    return (subject,) if isinstance(subject, SeqComponent) else subject
 
 
 def _outcomes(defs: Definitions, kind: ActionType, label: str,
@@ -203,29 +195,16 @@ class Step(_Record):
 
 
 class Derivation(_Record):
-    # the last slot is not a field: what ``derivations`` read from the
-    # engine, ``(defs, state key, at, steps)`` of ``_derive``, from which
-    # ``continuation`` takes each successor's key instead of interning it
-    __slots__ = ("label", "sender", "sender_succ", "steps", "_source")
+    __slots__ = ("label", "sender", "sender_succ", "steps")
 
     def __init__(self, label: StochLabel, sender: int, sender_succ: SeqComponent,
-                 steps: tuple[Step, ...], _source: tuple | None = None):
+                 steps: tuple[Step, ...]):
         self.label, self.sender, self.sender_succ, self.steps = label, sender, sender_succ, steps
-        self._source = _source
-
-    def _values(self) -> tuple:
-        return self.label, self.sender, self.sender_succ, self.steps
 
     def continuation(self, defs: Definitions) -> Continuation:
-        out = Continuation(defs)
-        if self._source is None or self._source[0] is not defs:
-            for step in self.steps:
-                out.add(step.successor, step.rate)
-        else:
-            _, key, at, steps = self._source
-            for step, (_, moves) in zip(self.steps, steps):
-                out.add(step.successor, step.rate, _apply(key, moves, 1, at))
-        return out
+        """The derivation as a function from successor states to rates; each
+        successor is interned in ``defs``."""
+        return Continuation(defs, [(s.successor, s.rate) for s in self.steps])
 
 
 def _derive(defs: Definitions, key: StateKey) -> list[tuple]:
@@ -278,14 +257,13 @@ def _steps(defs: Definitions, agent: _AgentState, s: int, near: tuple[int, ...])
 def derivations(defs: Definitions, system: ModelComponent) -> list[Derivation]:
     """All stochastic derivations of ``system``, one per enabled sender
     alternative, in position order."""
-    key = _state_key(defs, system)
     out: list[Derivation] = []
-    for i, kind, label, influence, steps, at in _derive(defs, key):
+    for i, kind, label, influence, steps, at in _derive(defs, _state_key(defs, system)):
         succs = tuple(Step(_apply(system, moves, 2, at), rate,
                            frozenset(at[move[0]] for move in moves[:-1]))
                       for rate, moves in steps)
         out.append(Derivation(StochLabel(kind, label, influence, system), i,
-                              steps[0][1][-1][2], succs, (defs, key, at, steps)))
+                              steps[0][1][-1][2], succs))
     return out
 
 
@@ -336,22 +314,21 @@ def _keyed_component_steps(defs: Definitions, context: ModelComponent,
     key of its successor."""
     system = context + _as_component(subject)
     offset = len(context)
-    found: dict[tuple[str, StateKey], LiftedStep] = {}
-    for action, sent, succ_key, moves, at in _subject_steps(
-            defs, _state_key(defs, system), offset):
-        if (action.text, succ_key) not in found:
-            found[action.text, succ_key] = LiftedStep(
-                action, sent.text, _apply(system, moves, 2, at)[offset:])
-    return found
+    return {(action.text, succ_key):
+            LiftedStep(action, sent.text, _apply(system, moves, 2, at)[offset:])
+            for action, sent, succ_key, moves, at in _subject_steps(
+                defs, _state_key(defs, system), offset)}
 
 
 def _subject_steps(defs: Definitions, key: StateKey, offset: int) -> Iterator[tuple]:
     """The steps of the state ``key`` that its agents from ``offset`` on
     take part in, by the roles of ``component_steps``, in derivation order:
     one ``(action, sender's action, successor key from offset on, moves,
-    at)`` per role, ``moves`` and ``at`` as in ``_derive``."""
+    at)`` per role, ``moves`` and ``at`` as in ``_derive``. Only the first
+    step of each action text and successor key is yielded."""
     # the sender's and the receivers' action of each (kind, label), built once
     built: dict[tuple[ActionType, str], tuple[ActionId, ActionId | None]] = {}
+    seen: set[tuple[str, StateKey]] = set()
     for i, kind, label, _, steps, at in _derive(defs, key):
         pair = built.get((kind, label))
         if pair is None:
@@ -359,10 +336,12 @@ def _subject_steps(defs: Definitions, key: StateKey, offset: int) -> Iterator[tu
                 _INPUT_OF[kind], label) if kind in _INPUT_OF else None)
         sent, heard = pair
         for _, moves in steps:
-            hears = any(at[move[0]] >= offset for move in moves[:-1])
-            if i >= offset or hears:
+            roles = [sent] if i >= offset else []
+            if any(at[move[0]] >= offset for move in moves[:-1]):
+                roles.append(heard)
+            if roles:
                 succ_key = _apply(key, moves, 1, at)[offset:]
-                if i >= offset:
-                    yield sent, sent, succ_key, moves, at
-                if hears:
-                    yield heard, sent, succ_key, moves, at
+                for action in roles:
+                    if (action.text, succ_key) not in seen:
+                        seen.add((action.text, succ_key))
+                        yield action, sent, succ_key, moves, at

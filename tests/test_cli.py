@@ -798,20 +798,21 @@ def test_rate_call_resolves_each_equation_once(tmp_path, monkeypatch, capsys):
     # validate fills one Definitions and the query reuses it: none of
     # wide-150's 151 equations holds a bare constant reference, so each is
     # its own unfolding, and neither validate nor interning the agents
-    # resolves one
+    # unfolds one again: every real unfolding reads its equation through
+    # lookup
     from paloma import cli
     from paloma.model import Definitions
 
     path = tmp_path / "wide-150.paloma"
     path.write_text(families.wide(150, 1), encoding="utf-8")
     calls = []
-    resolve = Definitions.resolve
+    lookup = Definitions.lookup
 
-    def counting(self, comp):
-        calls.append(comp)
-        return resolve(self, comp)
+    def counting(self, ref):
+        calls.append(ref)
+        return lookup(self, ref)
 
-    monkeypatch.setattr(Definitions, "resolve", counting)
+    monkeypatch.setattr(Definitions, "lookup", counting)
     for argv in (("--system", "Main", "--action", "??msg"),
                  ("--system", "Probe", "--context", "Main", "--action", "??msg")):
         calls.clear()

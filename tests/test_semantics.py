@@ -691,12 +691,10 @@ def test_two_inputs_on_one_label_fail_only_in_range(reach, fails):
             assert build(defs, system, bound=10).transitions == []
 
 
-def test_continuation_takes_successor_ids_from_the_derivation(monkeypatch):
-    # derivations() keeps the ids the engine derived, so a continuation
-    # interns no successor again and equals the one built by interning
+def test_continuation_takes_successor_ids_from_the_derivation():
+    # a derivation's continuation is the map from its steps' successors to
+    # their rates, each successor interned in the given Definitions
     import families
-    from paloma.model import Definitions
-    from paloma.semantics import Continuation
 
     defn = load(families.ring(4, 0))
     defs = defn.definitions()
@@ -704,16 +702,24 @@ def test_continuation_takes_successor_ids_from_the_derivation(monkeypatch):
     found = [d for state in ctmc.states[:40] for d in derivations(defs, state)]
     expected = [Continuation(defs, [(s.successor, s.rate) for s in d.steps]).items()
                 for d in found]
-    calls = []
-    intern = Definitions._intern
-
-    def counting(self, comp):
-        calls.append(comp)
-        return intern(self, comp)
-
-    monkeypatch.setattr(Definitions, "_intern", counting)
     assert [d.continuation(defs).items() for d in found] == expected
-    assert calls == []
+
+
+def test_subject_steps_yield_each_action_and_successor_once():
+    # two alternatives with one action text and one successor make one
+    # subject step, the first derived; the others keep derivation order
+    from paloma.model import _state_key
+    from paloma.semantics import _subject_steps
+
+    for source, expected in (
+            ("A(l) := (t, 1.0).A(l) + (t, 2.0).A(l);", [("t", (0,))]),
+            ("A(l) := (t, 1.0).A(l) + (u, 1.0).B(l) + (t, 2.0).A(l);\n"
+             "B(l) := (t, 1.0).A(l);", [("t", (0,)), ("u", (1,))])):
+        defn = load(f"location l = (0.0, 0.0);\n{source}\nsystem S = A(l);\n")
+        defs = defn.definitions()
+        key = _state_key(defs, defn.systems["S"])
+        assert [(action.text, succ) for action, _, succ, _, _
+                in _subject_steps(defs, key, 0)] == expected
 
 
 def test_continuation_in_other_definitions_interns_the_same_successors():
