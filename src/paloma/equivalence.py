@@ -120,6 +120,8 @@ class _Checker:
         self._rates: dict[StateKey, tuple[tuple[str, ...], list[dict[str, float]]]] = {}
         self._reached: dict[StateKey, Reach | None] = {}
         self.left_frame = self.frame(None)
+        # a left root's signature needs no isometry: one per root and checker
+        self.left_signature = functools.cache(lambda key: self.signature(key, self.left_frame))
 
     def steps(self, key: StateKey) -> dict[tuple[str, StateKey], tuple]:
         """The steps of the state ``key`` in derivation order, the first of
@@ -276,7 +278,7 @@ class _Checker:
         frames = [self.left_frame, self.frame(invert(phi))]
         # a root that fails a rate condition is in no bisimulation, so the
         # verdict needs no reach
-        if self.signature(root[0], frames[0]) != self.signature(root[1], frames[1]):
+        if self.left_signature(root[0]) != self.signature(root[1], frames[1]):
             return BisimResult(related=False, counterexample=(
                 self.transfer_gap(root, root_rep) or self.rate_gap(root, root_rep, frames)))
 

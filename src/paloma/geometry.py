@@ -154,10 +154,16 @@ class _PointGrid:
         """The added locations within ``GEOMETRIC_TOL`` of ``point``, earliest
         first."""
         cx, cy = self._cell(point)
-        return [location for _, location in sorted(
-            entry for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-            for entry in self.cells.get((cx + dx, cy + dy), ())
-            if math.dist(point, entry[1].point) <= GEOMETRIC_TOL)]
+        found = []
+        for x in (cx - 1, cx, cx + 1):
+            for y in (cy - 1, cy, cy + 1):
+                for entry in self.cells.get((x, y), ()):
+                    if math.dist(point, entry[1].point) <= GEOMETRIC_TOL:
+                        found.append(entry)
+        if len(found) > 1:
+            # a cell keyed by its own coordinate is its own neighbour
+            found = sorted(set(found))
+        return [location for _, location in found]
 
 
 def map_locations(iso: Isometry, locations,

@@ -20,7 +20,8 @@ The concrete grammar, one statement per ``;``:
 
 ``//`` starts a line comment. Rates must be positive, probabilities within
 [0, 1], weights positive; parameters are plain named numbers, substituted by
-value during parsing, and ``all`` expands to the set of declared locations.
+value during parsing, and ``all`` expands to the locations declared before
+it.
 
 A well-formed model is read with string methods, statement by statement.
 Any other text is parsed token by token in ``paloma._tokens``, loaded only
@@ -52,7 +53,6 @@ from .model import (
     UnicastIn,
     UnicastOut,
     _Record,
-    _syntactic_leaves,
     format_number,
     render_seq,
 )
@@ -124,9 +124,10 @@ def _read(text: str) -> ModelDefinition | None:
     ``None`` for a text it does not accept. It accepts no text that the
     token parser rejects, and declines some that it accepts: a ``+`` in a
     number's exponent splits an equation's terms. A constant reference, or
-    an input or spontaneous prefix, is built once per text that spells it."""
+    an input or spontaneous prefix, or a written influence range, is built
+    once per text that spells it; ``all`` is expanded where it stands."""
     if "//" in text:
-        text = "\n".join(line.partition("//")[0] for line in text.split("\n"))
+        text = re.sub(r"//[^\n]*", "", text)
     *statements, rest = text.split(";")
     if rest.strip():
         return None
@@ -134,6 +135,7 @@ def _read(text: str) -> ModelDefinition | None:
     params, locations, equations = definition.params, definition.locations, definition.equations
     refs: dict[str, ConstantRef] = {}
     prefixes: dict[str, Prefix] = {}
+    ranges: dict[str, frozenset[Location]] = {}
 
     def name(s: str) -> str:
         s = s.strip()
@@ -181,8 +183,12 @@ def _read(text: str) -> ModelDefinition | None:
             raise ValueError(s)
         inner = inner[:-1]
         if keyword == "Ir":
-            influence = frozenset(locations.values()) if inner.strip() == "all" else \
-                frozenset(locations[loc.strip()] for loc in inner.split(","))
+            # ``all`` names the locations declared so far: never reused
+            influence = ranges.get(inner)
+            if influence is None:
+                influence = frozenset(locations.values()) if inner.strip() == "all" else \
+                    ranges.setdefault(inner, frozenset(locations[loc.strip()]
+                                                       for loc in inner.split(",")))
             return (UnicastOut if glyph == "!!" else BroadcastOut)(label, first, influence)
         found = prefixes[s] = (UnicastIn if glyph == "??" else BroadcastIn)(
             label, first, value(inner))
@@ -284,21 +290,28 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
     # Every constant reference must have a defining equation at its target
     # location, both in equation bodies and in system definitions. One walk
     # of each written equation checks them and its choices' locations, and
-    # collects its leaves and whether it holds a bare constant reference.
-    # The walk is iterative and visits a choice before its left operand and
-    # the left operand before the right, so deep choices cannot overflow.
+    # collects its input prefixes counted by (kind, label), its unicast
+    # outputs, and whether it holds a bare constant reference. The walk is
+    # iterative and visits a choice before its left operand and the left
+    # operand before the right, so deep choices cannot overflow.
     equations = definition.equations
     aliasing: set[tuple[str, str] | None] = set()
 
-    def walk(owner: str, roots: list[SeqComponent],
-             key: tuple[str, str] | None = None) -> list[PrefixGuarded]:
-        leaves = []
+    def walk(owner: str, roots: list[SeqComponent], key: tuple[str, str] | None = None
+             ) -> tuple[dict[tuple[str, str], int], list[UnicastOut]]:
+        inputs: dict[tuple[str, str], int] = {}
+        unicasts = []
         stack = roots[::-1]
         while stack:
             comp = stack.pop()
             body = comp.body
             if isinstance(body, PrefixGuarded):
-                leaves.append(body)
+                prefix = body.prefix
+                if isinstance(prefix, UnicastOut):
+                    unicasts.append(prefix)
+                elif isinstance(prefix, (UnicastIn, BroadcastIn)):
+                    kind = "??" if isinstance(prefix, UnicastIn) else "?"
+                    inputs[kind, prefix.label] = inputs.get((kind, prefix.label), 0) + 1
                 cont = body.continuation
                 if (cont.name, cont.location.name) not in equations:
                     err(f"{owner}: continuation {cont.name}({cont.location.name}) "
@@ -314,7 +327,7 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
                 aliasing.add(key)
                 if (body.name, body.location.name) not in equations:
                     err(f"{owner}: reference to undefined {body.name}({body.location.name})")
-        return leaves
+        return inputs, unicasts
 
     written = {(name, locname): walk(f"{name}({locname})", [body], (name, locname))
                for (name, locname), body in equations.items()}
@@ -342,16 +355,14 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
 
     # Each agent may carry at most one input prefix per label within one
     # choice tree; receive probabilities have no meaning for repeated inputs.
-    # A tree that resolves to itself has the leaves written in it.
+    # A tree that resolves to itself has the inputs its walk counted; the
+    # resolved tree of an aliasing equation is walked in turn, and holds
+    # only leaves that were checked already.
     for (name, locname), tree in resolved.items():
         key = (name, locname)
-        seen: dict[tuple[str, str], int] = {}
-        for leaf in written[key] if tree is equations[key] else _syntactic_leaves(tree):
-            prefix = leaf.prefix
-            if isinstance(prefix, (UnicastIn, BroadcastIn)):
-                kind = "??" if isinstance(prefix, UnicastIn) else "?"
-                seen[(kind, prefix.label)] = seen.get((kind, prefix.label), 0) + 1
-        for (kind, label), count in seen.items():
+        inputs = written[key][0] if tree is equations[key] \
+            else walk(f"{name}({locname})", [tree])[0]
+        for (kind, label), count in inputs.items():
             if count > 1:
                 err(f"{name}({locname}): {count} {kind}{label} input prefixes "
                     "in one choice; at most one is allowed")
@@ -359,18 +370,16 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
     # A unicast output whose range holds no equation with a matching input
     # label can never fire; certain blocking is worth a warning.
     receivers_of: dict[str, set[str]] = {}
-    for (_, eq_loc), eq_leaves in written.items():
-        for eq_leaf in eq_leaves:
-            if isinstance(eq_leaf.prefix, UnicastIn):
-                receivers_of.setdefault(eq_leaf.prefix.label, set()).add(eq_loc)
-    for (name, locname), leaves in written.items():
-        for leaf in leaves:
-            prefix = leaf.prefix
-            if isinstance(prefix, UnicastOut):
-                range_names = {loc.name for loc in prefix.influence}
-                if not range_names & receivers_of.get(prefix.label, set()):
-                    warn(f"{name}({locname}): unicast !!{prefix.label} has no possible "
-                         "receiver anywhere in its influence range")
+    for (_, locname), (inputs, _) in written.items():
+        for kind, label in inputs:
+            if kind == "??":
+                receivers_of.setdefault(label, set()).add(locname)
+    for (name, locname), (_, unicasts) in written.items():
+        for prefix in unicasts:
+            receivers = receivers_of.get(prefix.label, ())
+            if not any(loc.name in receivers for loc in prefix.influence):
+                warn(f"{name}({locname}): unicast !!{prefix.label} has no possible "
+                     "receiver anywhere in its influence range")
     return out
 
 

@@ -905,3 +905,44 @@ def test_the_option_table_reader_agrees_with_argparse(argv):
 def test_the_option_table_reader_reads_the_usual_form(argv):
     read = cli._read_argv(argv)
     assert read is not None and vars(read) == vars(_argparse_reading(argv))
+
+
+# A written before location l1 broadcasts to l0 alone; D, written after it,
+# to both. B at l1 hears D, never A.
+ALL_ORDER_SOURCE = """
+location l0 = (0.0, 0.0);
+A(l0) := !(m, {rate})@Ir{{all}}.A(l0);
+location l1 = (1.0, 0.0);
+B(l1) := ?(m, 1.0)@Prob{{1.0}}.C(l1) + ?(n, 1.0)@Prob{{1.0}}.C(l1);
+C(l1) := (t, 1.0).C(l1);
+D(l0) := !(n, 1.0)@Ir{{all}}.D(l0);
+system Early = A(l0) || B(l1);
+system Late = D(l0) || B(l1);
+"""
+
+
+def test_all_ranges_over_the_locations_declared_before_it(tmp_path):
+    # the same rule through the string reader, the token pass (a 1e+0 rate
+    # makes the reader decline the text) and the ctmc command
+    from paloma.parser import _read, parse_model, pretty_print
+
+    plain, tokens = ALL_ORDER_SOURCE.format(rate="1.0"), ALL_ORDER_SOURCE.format(rate="1e+0")
+    assert _read(plain) is not None and _read(tokens) is None
+    for source in (plain, tokens):
+        result = parse_model(source)
+        assert result.ok and result.diagnostics == []
+        defn = result.definition
+        l0, l1 = defn.locations["l0"], defn.locations["l1"]
+        assert defn.equations["A", "l0"].body.prefix.influence == {l0}
+        assert defn.equations["D", "l0"].body.prefix.influence == {l0, l1}
+        printed = pretty_print(defn)
+        assert "A(l0) := !(m, 1.0)@Ir{l0}.A(l0);" in printed
+        assert "D(l0) := !(n, 1.0)@Ir{all}.D(l0);" in printed
+        path = tmp_path / "all-order.paloma"
+        path.write_text(source, encoding="utf-8")
+        for system, states in (("Early", ["A(l0) || B(l1)"]),
+                               ("Late", ["D(l0) || B(l1)", "D(l0) || C(l1)"])):
+            out = run_cli("ctmc", str(path), "--system", system)
+            assert out.returncode == 0, out.stderr
+            listed = out.stdout.split("\n\n")[0].splitlines()[1:]
+            assert listed == [f"{n}\t{term}" for n, term in enumerate(states)]

@@ -452,3 +452,45 @@ def test_a_candidate_is_kept_exactly_when_some_permutation_matches(monkeypatch):
             _, earliest = _correspondence(iso, points, images)
             rescued += bool(perms) and len(set(earliest)) < len(earliest)
     assert rescued > 10
+
+
+def test_grid_near_matches_a_brute_force_scan_in_insertion_order():
+    # seeded sets of clustered points 1.05e-6 to 3e-6 apart, points on cell
+    # boundaries, repeated points and coordinates too large to divide by the
+    # cell width (whose cell key is the coordinate itself), probed at every
+    # point and near it: near lists what a scan in insertion order finds
+    from paloma.geometry import _CELL_WIDTH, _PointGrid
+
+    huge = 1e303
+    assert not math.isfinite(huge / _CELL_WIDTH)
+    rng = random.Random(24)
+    shapes = set()
+    for _ in range(600):
+        shape = rng.choice(["cluster", "boundary", "repeated", "huge"])
+        shapes.add(shape)
+        if shape == "cluster":
+            spacing = rng.uniform(1.05e-6, 3e-6)
+            x0, y0 = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+            points = [(x0 + spacing * rng.randint(-2, 2), y0 + spacing * rng.randint(-2, 2))
+                      for _ in range(rng.randint(1, 8))]
+        elif shape == "boundary":
+            k = rng.randint(-1000, 1000)
+            points = [((k + rng.randint(-1, 1)) * _CELL_WIDTH
+                       + rng.choice([0.0, GEOMETRIC_TOL, -GEOMETRIC_TOL, 0.5e-6]),
+                       rng.randint(-2, 2) * _CELL_WIDTH) for _ in range(rng.randint(1, 8))]
+        elif shape == "repeated":
+            point = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            points = [point] * rng.randint(2, 4) + [(point[0] + 0.5e-6, point[1])]
+        else:
+            points = [(rng.choice([huge, -huge, 1.5 * huge, 1.0]),
+                       rng.choice([huge, -huge, 0.0, 3e-6])) for _ in range(rng.randint(1, 6))]
+        locations = [Location(f"l{k}", point) for k, point in enumerate(points)]
+        grid = _PointGrid(locations)
+        probes = points + [(x + rng.uniform(-2e-6, 2e-6), y + rng.uniform(-2e-6, 2e-6))
+                           for x, y in points]
+        for probe in probes:
+            expected = [loc for loc in locations
+                        if math.dist(probe, loc.point) <= GEOMETRIC_TOL]
+            assert grid.near(probe) == expected, (shape, points, probe)
+            assert grid.match(probe) == (expected[0] if expected else None)
+    assert shapes == {"cluster", "boundary", "repeated", "huge"}

@@ -723,9 +723,9 @@ def test_subject_steps_yield_each_action_and_successor_once():
 
 
 def test_continuation_in_other_definitions_interns_the_same_successors():
-    # a derivation continued in a Definitions other than the one that
-    # derived it cannot use that engine's ids: it interns each successor in
-    # its own, and lists the same items as the fast path
+    # a derivation's continuation interns each successor in the Definitions
+    # it is given: continued in a second Definitions of the same model, it
+    # lists the same items as in the one that derived it
     import families
 
     defn = load(families.ring(4, 0))
