@@ -141,8 +141,10 @@ class _PointGrid:
         return (math.floor(x) if math.isfinite(x) else point[0],
                 math.floor(y) if math.isfinite(y) else point[1])
 
-    def add(self, location: Location) -> None:
-        self.cells.setdefault(self._cell(location.point), []).append((self.added, location))
+    def add(self, location: Location, cell: tuple[float, float] | None = None) -> None:
+        if cell is None:
+            cell = self._cell(location.point)
+        self.cells.setdefault(cell, []).append((self.added, location))
         self.added += 1
 
     def match(self, point: Point) -> Location | None:
@@ -150,10 +152,20 @@ class _PointGrid:
         found = self.near(point)
         return found[0] if found else None
 
-    def near(self, point: Point) -> list[Location]:
+    def match_or_add(self, location: Location) -> Location | None:
+        """``match`` of the location's point, or ``None`` once the location
+        is added: the cell is computed once for both."""
+        cell = self._cell(location.point)
+        found = self.near(location.point, cell)
+        if found:
+            return found[0]
+        self.add(location, cell)
+        return None
+
+    def near(self, point: Point, cell: tuple[float, float] | None = None) -> list[Location]:
         """The added locations within ``GEOMETRIC_TOL`` of ``point``, earliest
-        first."""
-        cx, cy = self._cell(point)
+        first; ``cell`` is the point's cell, if known."""
+        cx, cy = self._cell(point) if cell is None else cell
         found = []
         for x in (cx - 1, cx, cx + 1):
             for y in (cy - 1, cy, cy + 1):

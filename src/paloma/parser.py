@@ -123,9 +123,10 @@ def _read(text: str) -> ModelDefinition | None:
     """The definition of a well-formed model, read with string methods, or
     ``None`` for a text it does not accept. It accepts no text that the
     token parser rejects, and declines some that it accepts: a ``+`` in a
-    number's exponent splits an equation's terms. A constant reference, or
-    an input or spontaneous prefix, or a written influence range, is built
-    once per text that spells it; ``all`` is expanded where it stands."""
+    number's exponent splits an equation's terms. A constant reference, an
+    input or spontaneous prefix, a prefix head (glyph, label and value) and
+    a written influence range are each read once per text that spells them;
+    ``all`` is expanded once per count of locations declared before it."""
     if "//" in text:
         text = re.sub(r"//[^\n]*", "", text)
     *statements, rest = text.split(";")
@@ -135,7 +136,9 @@ def _read(text: str) -> ModelDefinition | None:
     params, locations, equations = definition.params, definition.locations, definition.equations
     refs: dict[str, ConstantRef] = {}
     prefixes: dict[str, Prefix] = {}
-    ranges: dict[str, frozenset[Location]] = {}
+    heads: dict[str, tuple[str, str, float]] = {}
+    # a written range by its text; ``all`` by the count of locations before it
+    ranges: dict[str | int, frozenset[Location]] = {}
 
     def name(s: str) -> str:
         s = s.strip()
@@ -167,28 +170,34 @@ def _read(text: str) -> ModelDefinition | None:
         found = prefixes.get(s)
         if found is not None:
             return found
-        glyph, _, args = s.partition("(")
-        args, rp, clause = args.partition(")")
-        label, _, first = args.partition(",")
-        label, first, glyph = name(label), value(first), glyph.strip()
+        # the head runs up to the clause's ``{``: a spontaneous prefix is all head
+        head, brace, inner = s.partition("{")
+        read = heads.get(head)
+        if read is None:
+            glyph, _, args = head.partition("(")
+            args, rp, at = args.partition(")")
+            label, _, first = args.partition(",")
+            glyph, at = glyph.strip(), at.strip()
+            if not rp or (at[:1] != "@" or at[1:].strip() != _CLAUSES[glyph] if glyph else at):
+                raise ValueError(s)
+            read = heads[head] = glyph, name(label), value(first)
+        glyph, label, first = read
         if not glyph:
-            if not rp or clause.strip():
+            if brace:
                 raise ValueError(s)
             found = prefixes[s] = Spontaneous(label, first)
             return found
-        keyword = _CLAUSES[glyph]
-        at, _, inner = clause.partition("{")
-        at, inner = at.strip(), inner.rstrip()
-        if at[:1] != "@" or at[1:].strip() != keyword or inner[-1:] != "}":
+        if inner[-1:] != "}":
             raise ValueError(s)
         inner = inner[:-1]
-        if keyword == "Ir":
-            # ``all`` names the locations declared so far: never reused
-            influence = ranges.get(inner)
+        if glyph[0] == "!":
+            # ``all`` names the locations declared so far, which only grow
+            every = inner.strip() == "all"
+            key = len(locations) if every else inner
+            influence = ranges.get(key)
             if influence is None:
-                influence = frozenset(locations.values()) if inner.strip() == "all" else \
-                    ranges.setdefault(inner, frozenset(locations[loc.strip()]
-                                                       for loc in inner.split(",")))
+                influence = ranges[key] = frozenset(locations.values()) if every else \
+                    frozenset(locations[loc.strip()] for loc in inner.split(","))
             return (UnicastOut if glyph == "!!" else BroadcastOut)(label, first, influence)
         found = prefixes[s] = (UnicastIn if glyph == "??" else BroadcastIn)(
             label, first, value(inner))
@@ -271,10 +280,10 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
     # matching, so that matching points back to names stays unambiguous.
     placed = _PointGrid()
     for name, loc in definition.locations.items():
-        other = placed.match(loc.point)
+        other = placed.match_or_add(loc)
         if other is None:
-            placed.add(loc)
-        elif other.point == loc.point:
+            continue
+        if other.point == loc.point:
             err(f"locations {other.name!r} and {name!r} share coordinates {loc.point}")
         else:
             err(f"locations {other.name!r} and {name!r} lie within {GEOMETRIC_TOL:g} "

@@ -494,3 +494,36 @@ def test_grid_near_matches_a_brute_force_scan_in_insertion_order():
             assert grid.near(probe) == expected, (shape, points, probe)
             assert grid.match(probe) == (expected[0] if expected else None)
     assert shapes == {"cluster", "boundary", "repeated", "huge"}
+
+
+def test_grid_match_or_add_is_match_then_add():
+    # seeded clusters of points up to a few tolerances apart, at every scale
+    # up to coordinates too large to divide by the cell width: one probe per
+    # location returns what match returns before add, and what a scan of the
+    # locations kept so far finds first; the grid then holds the same cells
+    from paloma.geometry import _PointGrid
+
+    rng = random.Random(26)
+    matched = 0
+    for _ in range(400):
+        scale = rng.choice([1.0, 1e3, 1e9, 1e303, 1.5e308])
+        centres = [(rng.uniform(-scale, scale), rng.choice([0.0, rng.uniform(-scale, scale)]))
+                   for _ in range(rng.randint(1, 3))]
+        probed, stepped = _PointGrid(), _PointGrid()
+        kept: list[Location] = []
+        for k in range(rng.randint(1, 10)):
+            x, y = rng.choice(centres)
+            r = GEOMETRIC_TOL * rng.choice([0.0, 0.5, 0.99, 1.01, 2.0, rng.uniform(0.0, 4.0)])
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            location = Location(f"l{k}", (x + r * math.cos(angle), y + r * math.sin(angle)))
+            expected = next((o for o in kept
+                             if math.dist(o.point, location.point) <= GEOMETRIC_TOL), None)
+            if expected is None:
+                kept.append(location)
+            assert stepped.match(location.point) is expected
+            if expected is None:
+                stepped.add(location)
+            assert probed.match_or_add(location) is expected
+            matched += expected is not None
+        assert probed.cells == stepped.cells and probed.added == stepped.added == len(kept)
+    assert matched > 300

@@ -502,6 +502,38 @@ def test_near_location_check_matches_pairwise_scan():
     assert reported >= 300
 
 
+def test_validate_reports_each_crowded_location_against_the_earliest():
+    # shared coordinates, two points within the tolerance, a chain whose
+    # third point lies within the tolerance of both earlier ones (the
+    # earliest is named), a chain whose middle point is refused and so not
+    # matched by the third, and coordinates too large to divide by the grid's
+    # cell width; each location is reported once, in declaration order
+    source = "\n".join([
+        "location a0 = (0.0, 0.0);", "location a1 = (0.0, 0.0);",
+        "location b0 = (10.0, 0.0);", "location b1 = (10.0000005, 0.0);",
+        "location c0 = (20.0, 0.0);", "location c1 = (20.0000015, 0.0);",
+        "location c2 = (20.00000075, 0.0);",
+        "location e0 = (30.0, 0.0);", "location e1 = (30.0000008, 0.0);",
+        "location e2 = (30.0000016, 0.0);",
+        "location d0 = (1e308, 0.0);", "location d1 = (1e308, 0.0);",
+        "location d2 = (1e308, 5e-7);", "location d3 = (-1e308, 0.0);",
+        "A(a0) := (t, 1.0).A(a0);", "system S = A(a0);", ""])
+    result = parse_model(source)
+    assert result.ok
+    assert [str(d) for d in validate(result.definition)] == [
+        "error: locations 'a0' and 'a1' share coordinates (0.0, 0.0)",
+        "error: locations 'b0' and 'b1' lie within 1e-06 of each other: "
+        "(10.0, 0.0) and (10.0000005, 0.0)",
+        "error: locations 'c0' and 'c2' lie within 1e-06 of each other: "
+        "(20.0, 0.0) and (20.00000075, 0.0)",
+        "error: locations 'e0' and 'e1' lie within 1e-06 of each other: "
+        "(30.0, 0.0) and (30.0000008, 0.0)",
+        "error: locations 'd0' and 'd1' share coordinates (1e+308, 0.0)",
+        "error: locations 'd0' and 'd2' lie within 1e-06 of each other: "
+        "(1e+308, 0.0) and (1e+308, 5e-07)",
+    ]
+
+
 def test_validate_resolves_each_equation_once(monkeypatch):
     # a 150-agent ring, a one-agent probe and one alias: 152 equations, of
     # which only the alias holds a bare constant reference. The others are

@@ -208,3 +208,48 @@ def test_the_string_reader_builds_what_the_token_parser_builds():
             assert parsed is not None, text
             assert read == parsed and pretty_print(read) == pretty_print(parsed), text
     assert accepted > 1000
+
+
+def test_the_reader_reads_each_head_and_range_per_spelling():
+    # prefix heads and ranges are kept by their text, and Ir{all} by the count
+    # of locations declared before it: one head under two ranges keeps both
+    # ranges, an all written before a later location statement leaves that
+    # location out, and a head may take its value from a param. The token
+    # parser, which keeps nothing, builds the same definition
+    text = "\n".join([
+        "param r = 2.5;", "param p = 0.5;",
+        "location l0 = (0.0, 0.0);", "location l1 = (1.0, 0.0);", "location l2 = (2.0, 0.0);",
+        "A(l0) := !!(m, 1.0)@Ir{l1}.A(l0);", "B(l0) := !!(m, 1.0)@Ir{l2}.B(l0);",
+        "C(l0) := !(b, r)@Ir{all}.C(l0);", "location l3 = (3.0, 0.0);",
+        "D(l0) := !(b, r)@Ir{all}.D(l0);", "E(l0) := !(b, r)@Ir{ all }.E(l0);",
+        "F(l1) := ??(m, p)@Wt{r}.F(l1) + !!(m, r)@Ir{l1}.F(l1);",
+        "system S = A(l0) || B(l0) || C(l0) || D(l0) || E(l0) || F(l1);", ""])
+    read = _read(text)
+    assert read is not None and read == token_parse(text)
+    locs = read.locations
+
+    def first(name, locname):
+        return read.equations[name, locname].body
+
+    assert first("A", "l0").prefix.influence == {locs["l1"]}
+    assert first("B", "l0").prefix.influence == {locs["l2"]}
+    assert first("C", "l0").prefix.influence == {locs["l0"], locs["l1"], locs["l2"]}
+    assert first("D", "l0").prefix.influence == set(locs.values())
+    assert first("E", "l0").prefix.influence == set(locs.values())
+    assert first("C", "l0").prefix.rate == 2.5
+    unicast_in, unicast_out = (leaf.prefix for leaf in (first("F", "l1").left.body,
+                                                        first("F", "l1").right.body))
+    assert (unicast_in.act_prob, unicast_in.weight, unicast_out.rate) == (0.5, 2.5, 2.5)
+    assert unicast_out.influence == {locs["l1"]}
+
+    # a head that breaks the grammar is declined, also after the same head
+    # was read whole earlier in the text
+    good = "location l0 = (0.0, 0.0);\nA(l0) := ??(msg, 0.6)@Wt{1.0}.A(l0);\n"
+    for broken in ["??(msg, 0.6@Wt{1.0}", "??(msg, 0.6)Wt{1.0}", "??(msg, 0.6)@Ir{1.0}",
+                   "!!(msg, 0.6@Ir{l0}", "!!(msg, 0.6)@Ir{l0", "!!(msg, 0.6)@Ir{}",
+                   "(msg, 0.6", "(msg, 0.6) x", "(msg, 0.6){", "(msg, 0.6)@Wt{1.0}",
+                   "?? (msg, 0.6)@ Wt {1.0} x"]:
+        for source in (f"location l0 = (0.0, 0.0);\nA(l0) := {broken}.A(l0);\n",
+                       good + f"B(l0) := {broken}.B(l0);\n"):
+            assert _read(source) is None, source
+            assert token_parse(source) is None, source
