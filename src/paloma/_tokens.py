@@ -1,9 +1,11 @@
-"""The token-level parser, which places every diagnostic.
+"""The token-level pass, which places every diagnostic.
 
-``parser.parse_model`` loads this module only for a text its string reader
-does not accept. The text is scanned into tokens with their line and column,
-and parsed token by token: each failure is reported as a positioned
-Diagnostic, and the parser resynchronises at the next ``;``.
+``parser.parse_model`` loads this module only for a text that its reader,
+``parser._read``, declines; that reader alone decides whether a text is a
+model and builds its definition. ``diagnose`` scans the text into tokens
+with their line and column and checks them against the grammar token by
+token: each failure is reported as a positioned Diagnostic, and the pass
+resynchronises at the next ``;``.
 """
 
 from __future__ import annotations
@@ -11,21 +13,8 @@ from __future__ import annotations
 import math
 import re
 
-from .model import (
-    BroadcastIn,
-    BroadcastOut,
-    Choice,
-    ConstantRef,
-    Location,
-    Prefix,
-    PrefixGuarded,
-    SeqComponent,
-    Spontaneous,
-    UnicastIn,
-    UnicastOut,
-    format_number,
-)
-from .parser import _KEYWORDS, _NUMBER, Diagnostic, ModelDefinition
+from .model import format_number
+from .parser import _KEYWORDS, _NUMBER, Diagnostic
 
 # One token per match, after the blanks and comments in front of it; the
 # empty match at the end of the text is the end-of-input token. No two
@@ -105,6 +94,15 @@ def _place(text: str) -> tuple[list[str], list[tuple[int, int]], list[Diagnostic
     return tokens, places, diagnostics
 
 
+def diagnose(text: str) -> list[Diagnostic]:
+    """Every diagnostic of ``text``, in order: an error for each stray
+    character, then those of the grammar's rules."""
+    tokens, places, diagnostics = _place(text)
+    parser = _Parser(tokens, places)
+    parser.parse()
+    return diagnostics + parser.diagnostics
+
+
 class _Parser:
     """The grammar, over token strings that end in the empty end-of-input
     token, which no rule reads past. ``places`` holds each token's line and
@@ -112,17 +110,26 @@ class _Parser:
 
     Each rule takes the index of its first token and returns the index after
     its last, and reads its tokens through ``expect``, which raises the
-    error of the first token the grammar rejects."""
+    error of the first token the grammar rejects. The rules keep only what
+    the diagnostics read: each parameter's value, and the names of the
+    locations, systems and equations declared so far."""
 
     def __init__(self, tokens: list[str], places: list[tuple[int, int]]):
         self.tokens, self.places = tokens, places
         self.diagnostics: list[Diagnostic] = []
-        self.definition = ModelDefinition()
-        self.params = self.definition.params
-        self.locations = self.definition.locations
+        self.params: dict[str, float] = {}
+        self.locations: set[str] = set()
+        self.systems: set[str] = set()
+        self.equations: set[tuple[str, str]] = set()
 
     def error(self, message: str, at: int) -> None:
         self.diagnostics.append(Diagnostic("error", message, *self.places[at]))
+
+    def declare(self, names: set, name: str | tuple[str, str], message: str, at: int) -> None:
+        """Add ``name`` to ``names``, or report it as a duplicate."""
+        if name in names:
+            self.error(message, at)
+        names.add(name)
 
     def expect(self, i: int, slots: tuple[str, ...]) -> None:
         """Read the tokens from ``i`` against ``slots`` in order and raise
@@ -191,62 +198,44 @@ class _Parser:
         self.expect(i, ("location name", "=", "(", "finite number", ",",
                         "finite number", ")", ";"))
         name = self.tokens[i]
-        if name in self.locations:
-            self.error(f"duplicate location {name!r}", i)
-        else:
-            self.locations[name] = Location(name, (self.number(i + 3), self.number(i + 5)))
+        self.declare(self.locations, name, f"duplicate location {name!r}", i)
         return i + 8
 
     def system_stmt(self, i: int) -> int:
         self.expect(i, ("system name", "="))
-        tokens, name = self.tokens, self.tokens[i]
-        ref, end = self.constref(i + 2)
-        parts = [ref]
-        while tokens[end] == "||":
-            ref, end = self.constref(end + 1)
-            parts.append(ref)
+        end = self.constref(i + 2)
+        while self.tokens[end] == "||":
+            end = self.constref(end + 1)
         self.expect(end, (";",))
-        if name in self.definition.systems:
-            self.error(f"duplicate system {name!r}", i)
-        else:
-            self.definition.systems[name] = tuple(
-                SeqComponent(ref, ref.location) for ref in parts)
+        name = self.tokens[i]
+        self.declare(self.systems, name, f"duplicate system {name!r}", i)
         return end + 1
 
     def equation_stmt(self, i: int) -> int:
         """An equation; its body is its terms joined by "+", each a constant
         reference or a prefix "." a constant reference."""
         tokens = self.tokens
-        head, end = self.constref(i)
+        end = self.constref(i)
         self.expect(end, (":=",))
-        loc = head.location
-        body = None
         while True:
             end += 1
-            if tokens[end][:1] in _NAME_START:
-                ref, end = self.constref(end)
-                term = SeqComponent(ref, ref.location)
-            else:
-                prefix, end = self.prefix(end)
+            if tokens[end][:1] not in _NAME_START:
+                end = self.prefix(end)
                 self.expect(end, (".",))
-                ref, end = self.constref(end + 1)
-                term = SeqComponent(PrefixGuarded(prefix, ref), loc)
-            body = term if body is None else SeqComponent(Choice(body, term), loc)
+                end += 1
+            end = self.constref(end)
             if tokens[end] != "+":
                 break
         self.expect(end, (";",))
-        key = (head.name, loc.name)
-        if key in self.definition.equations:
-            self.error(f"duplicate equation for {head.name}({loc.name})", i)
-        else:
-            self.definition.equations[key] = body
+        name, loc = tokens[i], tokens[i + 2]
+        self.declare(self.equations, (name, loc), f"duplicate equation for {name}({loc})", i)
         return end + 1
 
-    def constref(self, i: int) -> tuple[ConstantRef, int]:
+    def constref(self, i: int) -> int:
         self.expect(i, ("constant name", "(", "declared location name", ")"))
-        return ConstantRef(self.tokens[i], self.locations[self.tokens[i + 2]]), i + 4
+        return i + 4
 
-    def prefix(self, i: int) -> tuple[Prefix, int]:
+    def prefix(self, i: int) -> int:
         """A prefix: its glyph, unless spontaneous, then ``(label, value)``
         and the clause of its kind. Each value is read where it stands and
         checked for range after the whole prefix."""
@@ -255,39 +244,30 @@ class _Parser:
             raise _ParseError(f"expected a prefix, found {_found(glyph)}", i)
         j = i if glyph == "(" else i + 1
         self.expect(j, ("(", "action label", ",", "value", ")"))
-        label, first = self.tokens[j + 1], self.value(j + 3)
-        if glyph == "!!" or glyph == "!":
-            influence, end = self.range_clause(j + 5)
+        first = self.value(j + 3)
+        if glyph in ("(", "!!", "!"):
+            end = j + 5 if glyph == "(" else self.range_clause(j + 5)
             self.check_positive(first, "rate", j + 3, end)
-            return (UnicastOut if glyph == "!!" else BroadcastOut)(label, first, influence), end
-        if glyph == "(":
-            self.check_positive(first, "rate", j + 3, j + 5)
-            return Spontaneous(label, first), j + 5
+            return end
         self.expect(j + 5, ("@", "Wt" if glyph == "??" else "Prob", "{", "value", "}"))
         second, end = self.value(j + 8), j + 10
         self.check_prob(first, j + 3, end)
         if glyph == "??":
             self.check_positive(second, "weight", j + 8, end)
-            return UnicastIn(label, first, second), end
-        self.check_prob(second, j + 8, end)
-        return BroadcastIn(label, first, second), end
+        else:
+            self.check_prob(second, j + 8, end)
+        return end
 
-    def range_clause(self, i: int) -> tuple[frozenset[Location], int]:
+    def range_clause(self, i: int) -> int:
         self.expect(i, ("@", "Ir", "{"))
         i += 3
-        if self.tokens[i] == "all":
-            self.expect(i + 1, ("}",))
-            # never empty: the equation's head named a declared location
-            return frozenset(self.locations.values()), i + 2
-        names = []
-        while True:
+        if self.tokens[i] != "all":
             self.expect(i, ("declared location name",))
-            names.append(self.locations[self.tokens[i]])
-            if self.tokens[i + 1] != ",":
-                break
-            i += 2
+            while self.tokens[i + 1] == ",":
+                i += 2
+                self.expect(i, ("declared location name",))
         self.expect(i + 1, ("}",))
-        return frozenset(names), i + 2
+        return i + 2
 
     def value(self, at: int) -> float:
         """A number or a parameter's value."""

@@ -23,12 +23,12 @@ The concrete grammar, one statement per ``;``:
 value during parsing, and ``all`` expands to the locations declared before
 it.
 
-A well-formed model is read with string methods, statement by statement.
-Any other text is parsed token by token in ``paloma._tokens``, loaded only
-then, which places each diagnostic. Parsing never raises on bad input: every
-failure is reported as a positioned Diagnostic, and the token parser
-resynchronises at the next ``;``. ``validate`` walks each written equation
-once.
+One reader, ``_read``, decides with string methods whether a text is a
+model, and builds its definition. For a text it declines, the token pass in
+``paloma._tokens``, loaded only then, places each diagnostic. Parsing never
+raises on bad input: every failure is reported as a positioned Diagnostic,
+and the token pass resynchronises at the next ``;``. ``validate`` walks each
+written equation once.
 """
 
 from __future__ import annotations
@@ -112,21 +112,23 @@ class ParseResult(_Record):
         return self.definition is not None
 
 
-# The grammar's number and keywords; the token parser reads the same ones.
+# The grammar's number and keywords; the token pass reads the same ones.
 _NUMBER = r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
 _NUMBER_RE = re.compile(_NUMBER)
+# every term ends with ")", so a "+" after "e" or "E" is an exponent's sign
+_TERM_SPLIT = re.compile(r"(?<![eE])\+").split
 _KEYWORDS = frozenset(("param", "location", "system", "all"))
 _CLAUSES = {"!!": "Ir", "!": "Ir", "??": "Wt", "?": "Prob"}  # by prefix glyph
 
 
 def _read(text: str) -> ModelDefinition | None:
     """The definition of a well-formed model, read with string methods, or
-    ``None`` for a text it does not accept. It accepts no text that the
-    token parser rejects, and declines some that it accepts: a ``+`` in a
-    number's exponent splits an equation's terms. A constant reference, an
-    input or spontaneous prefix, a prefix head (glyph, label and value) and
-    a written influence range are each read once per text that spells them;
-    ``all`` is expanded once per count of locations declared before it."""
+    ``None`` for a text that breaks the grammar or one of its rules. It is
+    the only judge of a model and the only builder of one. A constant
+    reference, an input or spontaneous prefix, a prefix head (glyph, label
+    and value) and a written influence range are each read once per text
+    that spells them; ``all`` is expanded once per count of locations
+    declared before it."""
     if "//" in text:
         text = re.sub(r"//[^\n]*", "", text)
     *statements, rest = text.split(";")
@@ -231,7 +233,8 @@ def _read(text: str) -> ModelDefinition | None:
                 head = constref(head)
                 loc = head.location
                 tree = None
-                for term in body.split("+"):
+                terms = _TERM_SPLIT(body) if "e+" in body or "E+" in body else body.split("+")
+                for term in terms:
                     guard, dot, ref = term.rpartition(".")
                     ref = constref(ref)
                     term = SeqComponent(PrefixGuarded(prefix(guard), ref), loc) if dot \
@@ -248,21 +251,16 @@ def _read(text: str) -> ModelDefinition | None:
 def parse_model(text: str) -> ParseResult:
     """Parse model source into an elaborated definition.
 
-    Returns the definition together with any diagnostics; the definition is
-    ``None`` whenever an error diagnostic was produced. A text the string
-    reader declines is parsed token by token, which places each diagnostic;
-    a valid text that the reader declines parses there to its definition.
+    Returns ``_read``'s definition with no diagnostics, or, for a text it
+    declines, no definition and the positioned diagnostics of the token
+    pass.
     """
     definition = _read(text)
     if definition is not None:
         return ParseResult(definition, [])
-    from ._tokens import _Parser, _place
+    from ._tokens import diagnose
 
-    tokens, places, diagnostics = _place(text)
-    parser = _Parser(tokens, places)
-    parser.parse()
-    diagnostics += parser.diagnostics
-    return ParseResult(None if diagnostics else parser.definition, diagnostics)
+    return ParseResult(None, diagnose(text))
 
 
 def validate(definition: ModelDefinition) -> list[Diagnostic]:

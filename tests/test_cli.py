@@ -922,13 +922,13 @@ system Late = D(l0) || B(l1);
 
 
 def test_all_ranges_over_the_locations_declared_before_it(tmp_path):
-    # the same rule through the string reader, the token pass (a 1e+0 rate
-    # makes the reader decline the text) and the ctmc command
+    # the same rule through the reader, with A's rate written 1.0 and 1e+0,
+    # and the ctmc command
     from paloma.parser import _read, parse_model, pretty_print
 
-    plain, tokens = ALL_ORDER_SOURCE.format(rate="1.0"), ALL_ORDER_SOURCE.format(rate="1e+0")
-    assert _read(plain) is not None and _read(tokens) is None
-    for source in (plain, tokens):
+    plain, exponent = ALL_ORDER_SOURCE.format(rate="1.0"), ALL_ORDER_SOURCE.format(rate="1e+0")
+    assert _read(plain) is not None and _read(exponent) == _read(plain)
+    for source in (plain, exponent):
         result = parse_model(source)
         assert result.ok and result.diagnostics == []
         defn = result.definition

@@ -124,13 +124,15 @@ _COMMAND_CALLS = pytest.mark.parametrize("argv, loaded", _CALLS,
 
 @pytest.mark.parametrize("argv, loaded, code", [
     *((argv, loaded, 0) for argv, loaded in _CALLS),
+    (["check", "tests/exponent.paloma"], "cli geometry model parser", 0),
     (["check", "tests/malformed.paloma"], "_tokens cli geometry model parser", 2),
-], ids=["check", "rate", "ctmc", "bisim", "malformed-check"])
+], ids=["check", "rate", "ctmc", "bisim", "exponent-check", "malformed-check"])
 def test_a_command_loads_only_the_layers_it_runs(argv, loaded, code):
     # every command-line call is a fresh interpreter: check and rate never
     # import the CTMC or bisimulation layers, ctmc skips bisimulation, and
     # bisim skips the CTMC module and the array module its columns use. Only
-    # a model that the string reader declines loads the token parser
+    # a model that the reader declines loads the token pass: a valid one with
+    # its rates written 1e+0 and 2.5E+1 does not
     probe = ("import contextlib, io, sys\n"
              "from paloma import cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paloma.model import BroadcastIn, PrefixGuarded, Spontaneous, UnicastIn, UnicastOut
-from paloma.parser import parse_model, pretty_print, validate
+from paloma.parser import _read, parse_model, pretty_print, validate
 from conftest import SCENARIO_SOURCE
 from oracle import random_model
 
@@ -361,6 +364,13 @@ PINNED_DIAGNOSTICS = [
      [("error", "unexpected character '%'", 2, 23)]),
     ("location l0 = (0.0, 0.0);\nS(l0) := (tick, 1.0e).S(l0);\n",
      [("error", "expected ')', found 'e'", 2, 20)]),
+    # a "+" after "e" that no number holds is still a term separator
+    ("location l0 = (0.0, 0.0);\nS(l0) := (a, 1e +0).S(l0);\n",
+     [("error", "expected ')', found 'e'", 2, 15)]),
+    ("location l0 = (0.0, 0.0);\nS(l0) := (a, 1e+ 0).S(l0);\n",
+     [("error", "expected ')', found 'e'", 2, 15)]),
+    ("location l0 = (0.0, 0.0);\nS(l0) := (a, 1.0).Be+ (l0);\n",
+     [("error", "expected '(', found '+'", 2, 21)]),
     ("location l0 = (1e999, 0.0);\n",
      [("error", "number '1e999' is not finite", 1, 16)]),
     ("location l0 = (-, 0.0);\n",
@@ -423,18 +433,46 @@ def test_diagnostic_positions_are_pinned(source, expected):
             for d in result.diagnostics] == expected
 
 
-def test_a_valid_model_the_string_reader_declines_parses_token_by_token():
-    # the reader splits an equation's terms on "+", which breaks the exponent
-    # of 1e+0: it declines the model, and the token parser reads it
-    from paloma.parser import _read
-
+def test_a_rate_with_a_signed_exponent_reads_as_its_plain_spelling():
+    # the "+" of 1e+0 is the exponent's sign, not a split between two terms
     source = "location l0 = (0.0, 0.0);\nS(l0) := (tick, {}).S(l0);\nsystem M = S(l0);\n"
-    assert _read(source.format("1e+0")) is None
+    plain = _read(source.format("1.0"))
+    assert plain is not None and _read(source.format("1e+0")) == plain
     result = parse_model(source.format("1e+0"))
     assert result.ok and result.diagnostics == []
-    plain = parse_model(source.format("1.0")).definition
     assert result.definition == plain
     assert pretty_print(result.definition) == pretty_print(plain)
+
+
+# A number where it stands alone, not the digits that end a name such as l0
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+
+
+def respell(number: str, shift: int, e: str) -> str:
+    """``number`` with its point moved ``shift`` places left and an exponent
+    that makes up for it, as 2.5 becomes 2.5e+0, 0.25E+1 or 25e-1: the same
+    decimal value, so the same float."""
+    return f"{format(Decimal(number).scaleb(-shift), 'f')}{e}{shift:+d}"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       params=st.lists(st.floats(1e-300, 1e300), max_size=3),
+       spelling=st.randoms(use_true_random=False))
+def test_every_number_reads_the_same_in_exponent_spellings(seed, params, spelling):
+    # rates, probabilities, weights, params and coordinates; a param such as
+    # 1e-05 or 1e+16 prints with an exponent already
+    definition = random_model(random.Random(seed))
+    definition.params.update((f"p{k}", value) for k, value in enumerate(params))
+    text = pretty_print(definition)
+    plain = _read(text)
+    assert plain is not None and plain == definition
+    respelled = NUMBER.sub(lambda m: respell(m.group(), spelling.choice((0, 1, 2, -1)),
+                                             spelling.choice("eE")), text)
+    assert respelled != text
+    read = _read(respelled)
+    assert read == plain, respelled
+    assert pretty_print(read) == text
 
 
 def test_unicode_decimal_digits_are_numbers():

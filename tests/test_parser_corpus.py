@@ -20,7 +20,7 @@ from pathlib import Path
 
 import families as fam
 from oracle import random_model
-from paloma._tokens import _Parser, _place
+from paloma._tokens import diagnose
 from paloma.parser import _read, parse_model, pretty_print, validate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -173,25 +173,20 @@ def test_every_token_cut_of_the_base_models_is_pinned():
     assert digest == CUTS_SHA256
 
 
-def token_parse(text: str):
-    """The token parser's definition of ``text``, or ``None`` on an error."""
-    tokens, places, diagnostics = _place(text)
-    parser = _Parser(tokens, places)
-    parser.parse()
-    return None if diagnostics or parser.diagnostics else parser.definition
-
-
-def test_the_string_reader_builds_what_the_token_parser_builds():
+def test_the_reader_declines_exactly_the_texts_the_token_pass_faults():
     # the reader reads every model of the repository, the families and the
-    # random models. On every text it accepts, the token parser accepts it
-    # too, with an equal definition whose coordinates print the same: the
-    # corpus, each base model cut after every character, and a few base
-    # models with a blank put at, or a character taken from, every place (a
-    # blank inside a token, as "I r" for "Ir", splits it; one taken out
-    # joins two, as "paramr")
+    # random models. It declines a text exactly when the token pass finds a
+    # diagnostic in it, so no declined text goes without one: the corpus,
+    # each base model cut after every character, and a few base models with
+    # a blank put at, or a character taken from, every place (a blank inside
+    # a token, as "I r" for "Ir", splits it; one taken out joins two, as
+    # "paramr"), or with an operator swapped for another, as "||" for "+"
     texts = bases()
-    edited = [text for base in (*texts[:2], fam.ring(3, 1)) for k in range(len(base))
+    few = (*texts[:2], fam.ring(3, 1))
+    edited = [text for base in few for k in range(len(base))
               for text in (base[:k] + " " + base[k:], base[:k] + base[k + 1:])]
+    edited += [base[:m.start()] + op + base[m.end():] for base in few
+               for m in re.finditer(r":=|\|\||[+.,;@=]", base) for op in ("+", "||", ",", ";")]
     models = [*texts, *(pretty_print(random_model(random.Random(seed)))
                         for seed in range(200))]
     for seed in (1, 7):
@@ -201,12 +196,9 @@ def test_the_string_reader_builds_what_the_token_parser_builds():
     accepted = 0
     for text in [*corpus(), *(base[:k] for base in texts for k in range(len(base))),
                  *edited, *models]:
-        read = _read(text)
-        if read is not None:
-            accepted += 1
-            parsed = token_parse(text)
-            assert parsed is not None, text
-            assert read == parsed and pretty_print(read) == pretty_print(parsed), text
+        read = _read(text) is not None
+        accepted += read
+        assert read == (diagnose(text) == []), text
     assert accepted > 1000
 
 
@@ -215,7 +207,7 @@ def test_the_reader_reads_each_head_and_range_per_spelling():
     # of locations declared before it: one head under two ranges keeps both
     # ranges, an all written before a later location statement leaves that
     # location out, and a head may take its value from a param. The token
-    # parser, which keeps nothing, builds the same definition
+    # pass finds nothing wrong with the text
     text = "\n".join([
         "param r = 2.5;", "param p = 0.5;",
         "location l0 = (0.0, 0.0);", "location l1 = (1.0, 0.0);", "location l2 = (2.0, 0.0);",
@@ -225,7 +217,7 @@ def test_the_reader_reads_each_head_and_range_per_spelling():
         "F(l1) := ??(m, p)@Wt{r}.F(l1) + !!(m, r)@Ir{l1}.F(l1);",
         "system S = A(l0) || B(l0) || C(l0) || D(l0) || E(l0) || F(l1);", ""])
     read = _read(text)
-    assert read is not None and read == token_parse(text)
+    assert read is not None and diagnose(text) == []
     locs = read.locations
 
     def first(name, locname):
@@ -252,4 +244,4 @@ def test_the_reader_reads_each_head_and_range_per_spelling():
         for source in (f"location l0 = (0.0, 0.0);\nA(l0) := {broken}.A(l0);\n",
                        good + f"B(l0) := {broken}.B(l0);\n"):
             assert _read(source) is None, source
-            assert token_parse(source) is None, source
+            assert diagnose(source) != [], source
