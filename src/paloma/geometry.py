@@ -118,16 +118,27 @@ def map_location(iso: Isometry, location: Location,
 _CELL_WIDTH = 4.0 * GEOMETRIC_TOL
 
 
-class _PointGrid:
-    """Locations bucketed by square cells of the plane, so that ``match``
-    finds the earliest added location within ``GEOMETRIC_TOL`` of a point
-    while looking at the 3 x 3 cells around it only.
+def _reach(v: float) -> tuple[float, ...]:
+    """The cell index of coordinate ``v``, then the adjacent index that a
+    disc of radius ``GEOMETRIC_TOL`` (a quarter cell) reaches, if any: only
+    the nearer, as rounding keeps two points within the tolerance under half
+    a cell apart. A margin growing with ``f`` covers both divisions' rounding."""
+    f = v / _CELL_WIDTH
+    if not math.isfinite(f):
+        return (v,)
+    c = math.floor(f)
+    edge, reach = f - c, 0.25 + 1e-15 * (1.0 + abs(f))
+    if edge < 0.5:
+        return (c, c - 1) if edge < reach else (c,)
+    return (c, c + 1) if 1.0 - edge < reach else (c,)
 
-    Cells are four tolerances wide rather than one: two points within the
-    tolerance of each other then land in the same or adjacent cells even
-    after the rounding of the division, at every magnitude where distinct
-    doubles can lie that close. A coordinate too large to divide keys its
-    cell by itself; points that far out match only on equal coordinates.
+
+class _PointGrid:
+    """Locations bucketed by square cells four tolerances wide, so that
+    ``match`` finds the earliest added location within ``GEOMETRIC_TOL`` of
+    a point while looking only at the cells its disc reaches: its own, or up
+    to four near an edge or corner. A coordinate too large to divide keys
+    its cell by itself; points that far out match only on equal coordinates.
     """
 
     def __init__(self, locations: Iterable[Location] = ()):
@@ -136,14 +147,9 @@ class _PointGrid:
         for location in locations:
             self.add(location)
 
-    def _cell(self, point: Point) -> tuple[float, float]:
-        x, y = point[0] / _CELL_WIDTH, point[1] / _CELL_WIDTH
-        return (math.floor(x) if math.isfinite(x) else point[0],
-                math.floor(y) if math.isfinite(y) else point[1])
-
     def add(self, location: Location, cell: tuple[float, float] | None = None) -> None:
         if cell is None:
-            cell = self._cell(location.point)
+            cell = _reach(location.point[0])[0], _reach(location.point[1])[0]
         self.cells.setdefault(cell, []).append((self.added, location))
         self.added += 1
 
@@ -154,27 +160,26 @@ class _PointGrid:
 
     def match_or_add(self, location: Location) -> Location | None:
         """``match`` of the location's point, or ``None`` once the location
-        is added: the cell is computed once for both."""
-        cell = self._cell(location.point)
-        found = self.near(location.point, cell)
+        is added: the cells are computed once for both."""
+        xs, ys = reach = _reach(location.point[0]), _reach(location.point[1])
+        found = self.near(location.point, reach)
         if found:
             return found[0]
-        self.add(location, cell)
+        self.add(location, (xs[0], ys[0]))
         return None
 
-    def near(self, point: Point, cell: tuple[float, float] | None = None) -> list[Location]:
+    def near(self, point: Point, reach: tuple | None = None) -> list[Location]:
         """The added locations within ``GEOMETRIC_TOL`` of ``point``, earliest
-        first; ``cell`` is the point's cell, if known."""
-        cx, cy = self._cell(point) if cell is None else cell
+        first; ``reach`` is the ``_reach`` of each coordinate, if known."""
+        xs, ys = reach or (_reach(point[0]), _reach(point[1]))
         found = []
-        for x in (cx - 1, cx, cx + 1):
-            for y in (cy - 1, cy, cy + 1):
+        for x in xs:
+            for y in ys:
                 for entry in self.cells.get((x, y), ()):
                     if math.dist(point, entry[1].point) <= GEOMETRIC_TOL:
                         found.append(entry)
         if len(found) > 1:
-            # a cell keyed by its own coordinate is its own neighbour
-            found = sorted(set(found))
+            found.sort()
         return [location for _, location in found]
 
 

@@ -115,10 +115,9 @@ class ParseResult(_Record):
 # The grammar's number and keywords; the token pass reads the same ones.
 _NUMBER = r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
 _NUMBER_RE = re.compile(_NUMBER)
-# every term ends with ")", so a "+" after "e" or "E" is an exponent's sign
-_TERM_SPLIT = re.compile(r"(?<![eE])\+").split
 _KEYWORDS = frozenset(("param", "location", "system", "all"))
 _CLAUSES = {"!!": "Ir", "!": "Ir", "??": "Wt", "?": "Prob"}  # by prefix glyph
+_INPUT_GLYPHS = {UnicastIn: "??", BroadcastIn: "?"}
 
 
 def _read(text: str) -> ModelDefinition | None:
@@ -168,12 +167,8 @@ def _read(text: str) -> ModelDefinition | None:
         return ref
 
     def prefix(s: str) -> Prefix:
-        s = s.strip()
-        found = prefixes.get(s)
-        if found is not None:
-            return found
         # the head runs up to the clause's ``{``: a spontaneous prefix is all head
-        head, brace, inner = s.partition("{")
+        head, brace, inner = s.strip().partition("{")
         read = heads.get(head)
         if read is None:
             glyph, _, args = head.partition("(")
@@ -232,15 +227,18 @@ def _read(text: str) -> ModelDefinition | None:
                 head, _, body = statement.partition(":=")
                 head = constref(head)
                 loc = head.location
-                tree = None
-                terms = _TERM_SPLIT(body) if "e+" in body or "E+" in body else body.split("+")
-                for term in terms:
-                    guard, dot, ref = term.rpartition(".")
-                    ref = constref(ref)
-                    term = SeqComponent(PrefixGuarded(prefix(guard), ref), loc) if dot \
-                        else SeqComponent(ref, ref.location)
+                # terms end with ")": a "+" after "e" or "E" is an exponent's sign
+                tree, held = None, ""
+                for term in body.split("+"):
+                    if term[-1:] in ("e", "E"):
+                        held += term + "+"
+                        continue
+                    guard, dot, ref = (held + term).rpartition(".")
+                    held, ref = "", constref(ref)
+                    term = SeqComponent(PrefixGuarded(prefixes.get(guard) or prefix(guard), ref),
+                                        loc) if dot else SeqComponent(ref, ref.location)
                     tree = term if tree is None else SeqComponent(Choice(tree, term), loc)
-                if (head.name, loc.name) in equations:
+                if held or (head.name, loc.name) in equations:
                     return None
                 equations[head.name, loc.name] = tree
     except (LookupError, ValueError, ModelError):
@@ -312,18 +310,19 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
         while stack:
             comp = stack.pop()
             body = comp.body
-            if isinstance(body, PrefixGuarded):
+            node = type(body)
+            if node is PrefixGuarded:
                 prefix = body.prefix
-                if isinstance(prefix, UnicastOut):
+                glyph = _INPUT_GLYPHS.get(type(prefix))
+                if glyph:
+                    inputs[glyph, prefix.label] = inputs.get((glyph, prefix.label), 0) + 1
+                elif type(prefix) is UnicastOut:
                     unicasts.append(prefix)
-                elif isinstance(prefix, (UnicastIn, BroadcastIn)):
-                    kind = "??" if isinstance(prefix, UnicastIn) else "?"
-                    inputs[kind, prefix.label] = inputs.get((kind, prefix.label), 0) + 1
                 cont = body.continuation
                 if (cont.name, cont.location.name) not in equations:
                     err(f"{owner}: continuation {cont.name}({cont.location.name}) "
                         "has no defining equation")
-            elif isinstance(body, Choice):
+            elif node is Choice:
                 loc = comp.location
                 left, right = body.left.location, body.right.location
                 if (left is not loc and left != loc) or (right is not loc and right != loc):
@@ -340,8 +339,7 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
                for (name, locname), body in equations.items()}
     for sysname, component in definition.systems.items():
         walk(f"system {sysname}", list(component))
-
-    if any(d.severity == "error" for d in out):
+    if out:  # every finding so far is an error
         return out
 
     # Constant definitions must be guarded: following aliases and choice
@@ -349,15 +347,13 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
     # bare reference is guarded, and resolves to itself: it is stored as its
     # constant's unfolding unresolved.
     resolved: dict[tuple[str, str], SeqComponent] = {}
-    for name, locname in equations:
-        if (name, locname) not in aliasing:
-            resolved[name, locname] = defs._unfolded[name, locname] = equations[name, locname]
-            continue
+    for key, tree in equations.items():
         try:
-            resolved[(name, locname)] = defs._resolve_equation((name, locname))
+            resolved[key] = defs._unfolded[key] = tree if key not in aliasing \
+                else defs._resolve_equation(key)
         except Exception as exc:  # ModelError carries the offending cycle
-            err(f"{name}({locname}): {exc}")
-    if any(d.severity == "error" for d in out):
+            err(f"{key[0]}({key[1]}): {exc}")
+    if out:
         return out
 
     # Each agent may carry at most one input prefix per label within one
@@ -365,26 +361,24 @@ def validate(definition: ModelDefinition) -> list[Diagnostic]:
     # A tree that resolves to itself has the inputs its walk counted; the
     # resolved tree of an aliasing equation is walked in turn, and holds
     # only leaves that were checked already.
-    for (name, locname), tree in resolved.items():
-        key = (name, locname)
+    for key, tree in resolved.items():
         inputs = written[key][0] if tree is equations[key] \
-            else walk(f"{name}({locname})", [tree])[0]
+            else walk(f"{key[0]}({key[1]})", [tree])[0]
         for (kind, label), count in inputs.items():
             if count > 1:
-                err(f"{name}({locname}): {count} {kind}{label} input prefixes "
+                err(f"{key[0]}({key[1]}): {count} {kind}{label} input prefixes "
                     "in one choice; at most one is allowed")
 
     # A unicast output whose range holds no equation with a matching input
     # label can never fire; certain blocking is worth a warning.
-    receivers_of: dict[str, set[str]] = {}
-    for (_, locname), (inputs, _) in written.items():
-        for kind, label in inputs:
-            if kind == "??":
-                receivers_of.setdefault(label, set()).add(locname)
+    receiving = {(label, locname) for (_, locname), (inputs, _) in written.items()
+                 for glyph, label in inputs if glyph == "??"}
     for (name, locname), (_, unicasts) in written.items():
         for prefix in unicasts:
-            receivers = receivers_of.get(prefix.label, ())
-            if not any(loc.name in receivers for loc in prefix.influence):
+            for loc in prefix.influence:
+                if (prefix.label, loc.name) in receiving:
+                    break
+            else:
                 warn(f"{name}({locname}): unicast !!{prefix.label} has no possible "
                      "receiver anywhere in its influence range")
     return out

@@ -496,6 +496,50 @@ def test_grid_near_matches_a_brute_force_scan_in_insertion_order():
     assert shapes == {"cluster", "boundary", "repeated", "huge"}
 
 
+def test_grid_probe_near_a_cell_edge_matches_a_linear_scan_at_every_magnitude():
+    # seeded sets of points within 2 tolerances of a cell edge on one axis or
+    # both, at magnitudes 1e-3 to 1e12, where a cell index keeps few or no
+    # fractional bits; some points are a few ulps from each other. A probe
+    # reads only the cells that its disc reaches, and near, match and
+    # match_or_add must still find what a scan in insertion order finds
+    from paloma.geometry import _CELL_WIDTH, _PointGrid
+
+    rng = random.Random(30)
+    tol = GEOMETRIC_TOL
+    crossed = 0
+    for magnitude in (1e-3, 1.0, 1e6, 1e9, 1e12):
+        for _ in range(150):
+            edges = [math.floor(rng.choice([-1, 1]) * magnitude * rng.uniform(1.0, 10.0)
+                                / _CELL_WIDTH) * _CELL_WIDTH for _ in range(2)]
+
+            def near_edge(edge: float) -> float:
+                v = edge + rng.choice([0.0, rng.uniform(-2.0, 2.0)]) * tol
+                for _ in range(rng.randint(0, 3)):
+                    v = math.nextafter(v, rng.choice([-math.inf, math.inf]))
+                return v
+
+            points = [(near_edge(edges[0]), rng.choice([near_edge(edges[1]), edges[1] + 0.3]))
+                      for _ in range(rng.randint(1, 8))]
+            locations = [Location(f"l{k}", point) for k, point in enumerate(points)]
+            grid, probed = _PointGrid(locations), _PointGrid()
+            kept: list[Location] = []
+            for location in locations:
+                expected = next((o for o in kept
+                                 if math.dist(o.point, location.point) <= tol), None)
+                assert probed.match_or_add(location) is expected, (points, location)
+                if expected is None:
+                    kept.append(location)
+            probes = points + [(x + rng.uniform(-1.5, 1.5) * tol, y + rng.uniform(-1.5, 1.5) * tol)
+                               for x, y in points]
+            for probe in probes:
+                expected = [loc for loc in locations if math.dist(probe, loc.point) <= tol]
+                assert grid.near(probe) == expected, (points, probe)
+                assert grid.match(probe) == (expected[0] if expected else None)
+                crossed += any(math.floor(probe[0] / _CELL_WIDTH)
+                               != math.floor(loc.point[0] / _CELL_WIDTH) for loc in expected)
+    assert crossed > 100
+
+
 def test_grid_match_or_add_is_match_then_add():
     # seeded clusters of points up to a few tolerances apart, at every scale
     # up to coordinates too large to divide by the cell width: one probe per
